@@ -1,4 +1,4 @@
-.PHONY: test fuzz-ci bench scaling oracle
+.PHONY: test fuzz-ci bench scaling oracle digest digest-save
 
 test:
 	python -m pytest tests/ -x -q
@@ -16,3 +16,14 @@ scaling:
 
 oracle:
 	python tools/check_oracle.py /root/testdata/sf0.001
+
+# byte-identity check for engine refactors (~20 s): sha256 of the violations,
+# ok mask and output value on the flagship batches and gen_case seeds 0-1999.
+# Run `make digest-save` on the base commit, then `make digest` on the change.
+DIGEST ?= .corpus_digest.json
+
+digest-save:
+	python3 tools/corpus_digest.py --save $(DIGEST)
+
+digest:
+	python3 tools/corpus_digest.py --check $(DIGEST)

@@ -240,6 +240,9 @@ class CNode:
         # object({}) / keys({}) (empty term) forbids all (object.js:258-270,
         # unknown-key gate :1043-1046)
         self.keys_term: bool = "keys" in t
+        # evaluation order of the keys; a cyclic dependency is refused here,
+        # at compile, as the reference refuses it at schema build
+        self.key_order: list[str] = _topo_keys(self.keys)
         self.items: list[CNode] = [CNode(v, prefs) for v in t.get("items", [])]
         self.ordered: list[CNode] = [CNode(v, prefs) for v in t.get("ordered", [])]
         # matches: plain try-branches ({"schema": CNode}) or conditional
@@ -358,12 +361,14 @@ class CNode:
                         out.append(v)
                     return out
 
-                self.wrapper_allow = [
-                    v for v in _delta(schema.allow_vals, ba)
-                    if v is not None and not _resolvable(v)]
-                self.wrapper_invalid = [
-                    v for v in _delta(schema.invalid_vals, bi)
-                    if v is not None and not _resolvable(v)]
+                self.wrapper_allow = _delta(schema.allow_vals, ba)
+                self.wrapper_invalid = _delta(schema.invalid_vals, bi)
+                for v in self.wrapper_allow + self.wrapper_invalid:
+                    if v is None or _resolvable(v):
+                        # the wrapper valids stage matches static values only
+                        raise NotImplementedError(
+                            f"valid()/invalid() value {v!r} after a when() is not "
+                            "supported: add it before the when()")
                 # post-when valid() sets only on the WRAPPER itself —
                 # independent of the branches' own (pre-when) only flag
                 self.wrapper_only = bool(self.wrapper_allow)
@@ -659,15 +664,6 @@ def _scalar_for(value, arr_type):
         return None
 
 
-def _coerce(node: CNode, arr: pa.Array, env: Env):
-    """Type coercion phase -> (new_arr, base_fail_mask).  Number coercion
-    may also emit coerce-stage errors (number.unsafe round-trip check);
-    those go through ``_coerce3`` which every caller of the number path
-    uses."""
-    arr2, fail, _ = _coerce3(node, arr, env)
-    return arr2, fail
-
-
 def _coerce3(node: CNode, arr: pa.Array, env: Env):
     """-> (new_arr, base_fail_mask, coerce_errs) where coerce_errs is a
     list of (code, mask) that joi reports INSTEAD of continuing — a coerce
@@ -827,52 +823,15 @@ def _eval_node_impl(
 
     # ---- conditionals: branch per row, each branch = base.concat(branch)
     if node.whens:
-        w = node.whens[0]
-        scope, _wpre_errs, _wpre_failed = _wrapper_valids_stage(
-            node, arr, env, path, scope, n)
-        if "peek" in w:
-            cond = node_validity(w["peek"], arr, env, scope)
-            sel_then = scope & cond
-            sel_other = scope & ~cond
-            merged = NodeResult(value=arr, missing=np.zeros(n, bool), failed=np.zeros(n, bool))
-            _merge_into(merged, eval_node(w["then"], arr, env, path, scope=sel_then), sel_then)
-            _merge_into(merged, eval_node(w["otherwise"], arr, env, path, scope=sel_other), sel_other)
-            merged.errors[:0] = _wpre_errs
-            merged.failed |= _wpre_failed
-            return _finish_whens(
-                node, merged,
-                [(w["then"], sel_then), (w["otherwise"], sel_other)],
-                env, path, scope)
-        ref_resolved = _resolve_when_ref(w["ref"], arr, env, n)
-        if "switch" in w:
-            remaining = scope.copy()
-            merged = NodeResult(value=arr, missing=np.zeros(n, bool), failed=np.zeros(n, bool))
-            parts = []
-            for is_c, then_c in w["switch"]:
-                cond = _when_condition(is_c, ref_resolved, env, remaining, n)
-                sel = remaining & cond
-                remaining = remaining & ~cond
-                sub = eval_node(then_c, arr, env, path, scope=sel)
-                _merge_into(merged, sub, sel)
-                parts.append((then_c, sel))
-            sub = eval_node(w["otherwise"], arr, env, path, scope=remaining)
-            _merge_into(merged, sub, remaining)
-            parts.append((w["otherwise"], remaining))
-            merged.errors[:0] = _wpre_errs
-            merged.failed |= _wpre_failed
-            return _finish_whens(node, merged, parts, env, path, scope)
-        cond = _when_condition(w["is"], ref_resolved, env, scope, n)
-        sel_then = scope & cond
-        sel_other = scope & ~cond
+        scope, pre_errs, pre_failed = _wrapper_valids_stage(node, arr, env, path, scope, n)
         merged = NodeResult(value=arr, missing=np.zeros(n, bool), failed=np.zeros(n, bool))
-        _merge_into(merged, eval_node(w["then"], arr, env, path, scope=sel_then), sel_then)
-        _merge_into(merged, eval_node(w["otherwise"], arr, env, path, scope=sel_other), sel_other)
-        merged.errors[:0] = _wpre_errs
-        merged.failed |= _wpre_failed
-        return _finish_whens(
-            node, merged,
-            [(w["then"], sel_then), (w["otherwise"], sel_other)],
-            env, path, scope)
+        parts = []
+        for branch, sel in _when_branches(node.whens[0], arr, env, scope, n):
+            _merge_into(merged, eval_node(branch, arr, env, path, scope=sel), sel)
+            parts.append((branch, sel))
+        merged.errors[:0] = pre_errs
+        merged.failed |= pre_failed
+        return _finish_whens(node, merged, parts, env, path, scope)
 
     errors: list[ErrRec] = []
     original = arr
@@ -1005,6 +964,13 @@ def _eval_node_impl(
 
     def add_err(code, mask, ctx=None, seq=10_000, warn=False, message=None, item_rows=None, item_index=None, path_override=None, values=None, group=None, soft=False, path_ipos=None, no_label=False):
         mask = mask & scope
+        if item_rows is not None:
+            keep = scope[item_rows]
+            item_rows, item_index = item_rows[keep], item_index[keep]
+            if len(item_rows) == 0:
+                return None
+        elif not mask.any():
+            return None
         p = path_override if path_override is not None else path
         if "label" in node.flags and path_override is None and not no_label:
             ctx = {**(ctx or {}), "label": node.flags["label"]}
@@ -1037,10 +1003,6 @@ def _eval_node_impl(
             # resolution was undefined — renders '' (node-verified)
             message = message.replace("{value}", "")
         if item_rows is not None:
-            keep = scope[item_rows]
-            item_rows, item_index = item_rows[keep], item_index[keep]
-            if len(item_rows) == 0:
-                return
             rec = ErrRec(code, mask, p, ctx or {}, seq, warn, message)
             rec.rows = item_rows
             rec.item_index = item_index
@@ -1058,8 +1020,6 @@ def _eval_node_impl(
             if not warn:
                 failed[item_rows] = True
             return rec
-        if not mask.any():
-            return None
         if (values is None and isinstance(message, str) and "{value}" in message
                 and arr is not None):
             # a custom template asked for the offending value ({[.]}) on a
@@ -1653,6 +1613,28 @@ def _apply_cast(arr: pa.Array, to: str, prefs: dict | None = None) -> pa.Array:
         return pc.cast(arr, to)
     except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
         return arr
+
+
+def _when_branches(w: dict, arr, env: Env, scope: np.ndarray, n: int):
+    """(branch, selection) pairs of one compiled when(): peek and is give
+    then/otherwise; a switch gives each case, then otherwise on the rows
+    no case matched.  Lazy, so a switch evaluates a case's condition only
+    after the previous case's branch ran (joi tries them in turn)."""
+    if "peek" in w:
+        cond = node_validity(w["peek"], arr, env, scope)
+    else:
+        ref_resolved = _resolve_when_ref(w["ref"], arr, env, n)
+        if "switch" in w:
+            remaining = scope.copy()
+            for is_c, then_c in w["switch"]:
+                cond = _when_condition(is_c, ref_resolved, env, remaining, n)
+                yield then_c, remaining & cond
+                remaining = remaining & ~cond
+            yield w["otherwise"], remaining
+            return
+        cond = _when_condition(w["is"], ref_resolved, env, scope, n)
+    yield w["then"], scope & cond
+    yield w["otherwise"], scope & ~cond
 
 
 def _wrapper_valids_stage(node: CNode, arr, env: Env, path, scope, n):
@@ -2997,30 +2979,20 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
         if not any(r.warn for r in sub.errors):
             return []
         m = len(flat)
-        abort = forced_abort or env.prefs.get("abort_early", True)
-        aborted = np.zeros(m, bool)
         kept: list = []
-        for rec in sub.errors:  # emission order == joi's walk
-            rows0 = rec.rows if getattr(rec, "rows", None) is not None else np.nonzero(rec.mask)[0]
-            if rec.warn:
-                keepv = ~aborted[rows0] if abort else np.ones(len(rows0), bool)
-                if exclude is not None:
-                    # items already attempted (and leaked) in the requireds
-                    # pre-loop: joi reuses that result in the inclusions
-                    # stage (array.js:274-278 previousCheck), no re-leak
-                    keepv &= ~exclude[rows0]
-                if not keepv.any():
-                    continue
-                nr2 = ErrRec(rec.code, np.zeros(m, bool), rec.path, rec.context,
-                             rec.seq, rec.warn, rec.message)
-                nr2.rows = rows0[keepv]
-                nr2.item_index = (rec.item_index[keepv]
-                                  if getattr(rec, "item_index", None) is not None else None)
-                if getattr(rec, "values", None) is not None:
-                    nr2.values = [v for v, k in zip(rec.values, keepv) if k]
-                kept.append(nr2)
-            elif abort:
-                aborted[rows0] = True
+        # items already attempted (and leaked) in the requireds pre-loop:
+        # joi reuses that result in the inclusions stage (array.js:274-278
+        # previousCheck), no re-leak
+        for rec, keepv, rows, vals in _probe_warns(
+                sub.errors, m, forced_abort or env.prefs.get("abort_early", True),
+                None if exclude is None else ~exclude):
+            nr2 = ErrRec(rec.code, np.zeros(m, bool), rec.path, rec.context,
+                         rec.seq, rec.warn, rec.message)
+            nr2.rows = rows
+            nr2.item_index = (rec.item_index[keepv]
+                              if getattr(rec, "item_index", None) is not None else None)
+            nr2.values = vals
+            kept.append(nr2)
         if kept:
             return lift_item_errors(NodeResult(value=None, errors=kept), path)
         return []
@@ -3668,44 +3640,6 @@ def _apply_rename_ops(cols: dict, ops: list[tuple]) -> dict:
     return cols
 
 
-def _eval_patterns(node: CNode, unknown: list[str], get_child, set_result, env: Env,
-                   path: str, kscope, add_err_fn):
-    """Pattern-key validation (``object.js:970-1041``): every unknown key is
-    checked against each pattern in order (chaining coerced values), a
-    matching ``exclusive`` pattern stops the chain, and each pattern's
-    ``matches`` schema validates the array of matched key names once per
-    batch (``object.pattern.match``)."""
-    still: list[str] = []
-    pmatched: list[list[str]] = [[] for _ in node.patterns]
-    for f in unknown:
-        hit = False
-        for i, p in enumerate(node.patterns):
-            if not p["rx"].search(f):
-                continue
-            hit = True
-            pmatched[i].append(f)
-            child_path = f"{path}.{f}" if path else f
-            child = get_child(f)
-            # joi only walks keys PRESENT in the object (object.js:112
-            # unprocessed = Object.keys(value)): a null/absent cell never
-            # reaches the pattern schema, so presence prefs don't apply
-            sub = eval_node(p["node"], child, env, child_path,
-                            scope=kscope & ~null_mask(combine(child)))
-            set_result(f, sub)
-            if p["exclusive"]:
-                break
-        if not hit:
-            still.append(f)
-    for i, p in enumerate(node.patterns):
-        if p["matches"] is None:
-            continue
-        keys_arr = pa.array([pmatched[i]], type=pa.list_(pa.string()))
-        ok = node_validity(p["matches"], keys_arr, Env(env.prefs), np.ones(1, dtype=bool))
-        if not bool(ok[0]):
-            add_err_fn("object.pattern.match", {"matches": pmatched[i]})
-    return still
-
-
 def _eval_object(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, failed, errors, add_err) -> pa.Array:
     n = len(arr)
     parent_present = ~null_mask(arr)
@@ -3716,14 +3650,12 @@ def _eval_object(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fa
             and not env.prefs.get("no_defaults", False)
             and node.flags.get("presence") != "forbidden"):
         parent_present = parent_present | scope
-    field_names = [f.name for f in arr.type]
+    field_names = orig_names = [f.name for f in arr.type]
 
     # renames (object.js:387-415,886-967): struct-field rename at batch
     # level, incl. regex sources, template targets and
     # multiple/override/alias/ignoreUndefined options
-    children: dict[str, pa.Array] = {
-        f: pc.struct_field(arr, i) for i, f in enumerate(field_names)
-    }
+    children: dict[str, pa.Array] = dict(zip(field_names, arr.flatten()))
     if node.renames:
         ops, rerrs = _plan_renames(field_names, node.renames, env.prefs)
         children = _apply_rename_ops(children, ops)
@@ -3744,32 +3676,42 @@ def _eval_object(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fa
     child_env.row_getter = _parent_row_getter(children, results)
     kscope = scope & parent_present
 
-    for key in _topo_keys(node.keys):
-        cnode = node.keys[key]
-        child_arr = children.get(key)
-        if child_arr is None:
-            child_arr = pa.nulls(n)
-        sub = eval_node(cnode, child_arr, child_env, f"{path}.{key}" if path else key, scope=kscope)
+    def run_child(key, cnode, child_arr, child_scope):
+        sub = eval_node(cnode, child_arr, child_env, f"{path}.{key}" if path else key, scope=child_scope)
         results[key] = sub
         errors.extend(sub.errors)
         if sub.failed is not None:
             np.logical_or(failed, sub.failed, out=failed)
 
-    # unknown fields (pattern-matched fields validate with the pattern schema)
+    for key in node.key_order:
+        child_arr = children.get(key)
+        run_child(key, node.keys[key], pa.nulls(n) if child_arr is None else child_arr, kscope)
+
+    # unknown fields (object.js:970-1041): each is checked against every
+    # pattern in order (chaining coerced values) until an exclusive match;
+    # each pattern's ``matches`` schema validates the array of matched key
+    # names once per batch (object.pattern.match)
     unknown = [f for f in field_names if f not in node.keys]
     if node.patterns:
-        def _get_child(f):
-            return results[f].value if f in results else children[f]
-
-        def _set_result(f, sub):
-            results[f] = sub
-            errors.extend(sub.errors)
-            if sub.failed is not None:
-                np.logical_or(failed, sub.failed, out=failed)
-
-        unknown = _eval_patterns(
-            node, unknown, _get_child, _set_result, child_env, path, kscope,
-            lambda code, ctx: add_err(code, kscope.copy(), ctx, seq=-1))
+        pmatched: list[list[str]] = [[] for _ in node.patterns]
+        for f in unknown:
+            for i, p in enumerate(node.patterns):
+                if p["rx"].search(f):
+                    pmatched[i].append(f)
+                    # joi walks only the keys PRESENT in the object
+                    # (object.js:112): a null cell never reaches the pattern
+                    # schema, so presence prefs don't apply
+                    child = results[f].value if f in results else children[f]
+                    run_child(f, p["node"], child, kscope & ~null_mask(combine(child)))
+                    if p["exclusive"]:
+                        break
+        unknown = [f for f in unknown if f not in results]
+        for i, p in enumerate(node.patterns):
+            if p["matches"] is None:
+                continue
+            keys_arr = pa.array([pmatched[i]], type=pa.list_(pa.string()))
+            if not node_validity(p["matches"], keys_arr, Env(env.prefs), np.ones(1, dtype=bool))[0]:
+                add_err("object.pattern.match", kscope.copy(), {"matches": pmatched[i]}, seq=-1)
     # unknown-key finalizer (object.js:1043-1076): no keys/patterns terms
     # -> unknown allowed; stripUnknown(.objects) strips UNLESS a local
     # unknown() flag is set; the forbid gate is flags.unknown ?? allowUnknown
@@ -3819,13 +3761,16 @@ def _eval_object(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fa
             results[f].value = surv
             results[f].strip = False
         keep.append(f)
+    # a schema key absent from the input joins the output where a default
+    # filled it (joi assigns the result onto the object, object.js:125-140)
+    keep += [f for f in node.keys if f not in children and not results[f].strip
+             and combine(results[f].value).null_count < n]
     for f in keep:
         if f in results and results[f].strip_rows is not None:
             v = combine(results[f].value)
             results[f].value = pc.if_else(
                 pa.array(results[f].strip_rows), pa.nulls(len(v), v.type), v)
     arrays = [results[f].value if f in results else children[f] for f in keep]
-    orig_names = [f.name for f in arr.type]
     if keep != orig_names or any(results[f].value is not children.get(f) for f in results if f in keep):
         arr = pa.StructArray.from_arrays([combine(a) for a in arrays], names=keep, mask=pa.array(~parent_present))
     return arr
@@ -3892,6 +3837,31 @@ def _dep_presence(name, results, children, parent_present, n, separator="."):
     return mask
 
 
+def _probe_warns(errors: list, n: int, abort: bool = True, allow: Optional[np.ndarray] = None):
+    """The warn reports a probe leaks: a probe is a real validate call, so
+    its warn-rule reports reach the main state as they fire (validator.js:
+    303-306).  Under abortEarly, which every $_match probe forces
+    (base.js:719-726), only warns emitted before the row's first hard
+    error leak.  Walks ``errors`` in emission order (joi's walk) and
+    yields ``(rec, keep, rows, values)`` for each warn with a kept row:
+    ``keep`` masks the rec's rows, ``rows``/``values`` are the kept ones.
+    ``allow`` (indexed by row) further limits the rows that may leak."""
+    aborted = np.zeros(n, dtype=bool)
+    for rec in errors:
+        rows = rec.rows if getattr(rec, "rows", None) is not None else np.nonzero(rec.mask)[0]
+        if not rec.warn:
+            if abort:
+                aborted[rows] = True
+            continue
+        keep = ~aborted[rows]
+        if allow is not None:
+            keep &= allow[rows]
+        if keep.any():
+            vals = getattr(rec, "values", None)
+            yield rec, keep, rows[keep], (
+                None if vals is None else [v for v, k in zip(vals, keep) if k])
+
+
 def _eval_structural_rule(node, cr, arr, env, path, scope, missing, resolved, failed, add_err):
     name, args = cr.name, cr.fn[1]
     n = len(arr)
@@ -3914,28 +3884,12 @@ def _eval_structural_rule(node, cr, arr, env, path, scope, missing, resolved, fa
             if okm.any():
                 np.minimum.at(first, parents[okm], positions[okm])
             probed = positions <= first[parents]
-            abort = True  # $_match probe forces abortEarly (base.js:721)
-            aborted = np.zeros(len(flat), dtype=bool)
-            for rec in sub.errors:
-                rows0 = (rec.rows if getattr(rec, "rows", None) is not None
-                         else np.nonzero(rec.mask)[0])
-                if rec.warn:
-                    keepv = probed[rows0]
-                    if abort:
-                        keepv = keepv & ~aborted[rows0]
-                    if not keepv.any():
-                        continue
-                    kr = rows0[keepv]
-                    vals = None
-                    if getattr(rec, "values", None) is not None:
-                        vals = [v for v, k in zip(rec.values, keepv) if k]
-                    add_err(rec.code, np.zeros(n, bool), rec.context, seq=rec.seq,
-                            warn=True, message=rec.message, item_rows=parents[kr],
-                            item_index=positions[kr].astype(np.int32),
-                            path_override=rec.path, values=vals,
-                            path_ipos=len(path) if len(rec.path) > len(path) else None)
-                elif abort:
-                    aborted[rows0] = True
+            for rec, _, kr, vals in _probe_warns(sub.errors, len(flat), allow=probed):
+                add_err(rec.code, np.zeros(n, bool), rec.context, seq=rec.seq,
+                        warn=True, message=rec.message, item_rows=parents[kr],
+                        item_index=positions[kr].astype(np.int32),
+                        path_override=rec.path, values=vals,
+                        path_ipos=len(path) if len(rec.path) > len(path) else None)
         # a LABELED has-schema errors array.hasKnown with the patternLabel
         # (array.js:109-114)
         plabel = cnode.flags.get("label")
@@ -3991,24 +3945,11 @@ def _eval_structural_rule(node, cr, arr, env, path, scope, missing, resolved, fa
             # ('"value" must be...', path []) — $_match FORCES abortEarly
             # internally (base.js:721; node-verified: hard-first suppresses
             # the warn even under outer abortEarly:false)
-            abort = True
-            aborted = np.zeros(n, dtype=bool)
-            for rec in asub.errors:
-                rows0 = (rec.rows if getattr(rec, "rows", None) is not None
-                         else np.nonzero(rec.mask)[0])
-                if rec.warn:
-                    keepv = ~aborted[rows0] if abort else np.ones(len(rows0), bool)
-                    if not keepv.any():
-                        continue
-                    wmask = np.zeros(n, dtype=bool)
-                    wmask[rows0[keepv]] = True
-                    vals = None
-                    if getattr(rec, "values", None) is not None:
-                        vals = [v for v, k in zip(rec.values, keepv) if k]
-                    add_err(rec.code, wmask, rec.context, seq=rec.seq, warn=True,
-                            message=rec.message, path_override=rec.path, values=vals)
-                elif abort:
-                    aborted[rows0] = True
+            for rec, _, rows, vals in _probe_warns(asub.errors, n):
+                wmask = np.zeros(n, dtype=bool)
+                wmask[rows] = True
+                add_err(rec.code, wmask, rec.context, seq=rec.seq, warn=True,
+                        message=rec.message, path_override=rec.path, values=vals)
             add_err("object.assert", active & ~ok,
                     {"ref": r.path, "message": args.get("message") or "pass the assertion test"},
                     seq=cr.seq, warn=cr.warn, message=cr.message)
@@ -4019,6 +3960,8 @@ def _eval_structural_rule(node, cr, arr, env, path, scope, missing, resolved, fa
 def _topo_keys(keys: dict[str, CNode]) -> list[str]:
     """Topologically order sibling keys so referenced columns evaluate first
     (shadow semantics — the analog of ``object.js:598-609``)."""
+    if not keys:
+        return []
     deps: dict[str, set[str]] = {k: set() for k in keys}
 
     def collect(s: Schema, out: set):
@@ -4135,201 +4078,23 @@ class CompiledSchema:
         self.prefs = {**DEFAULT_PREFS, **(prefs or {}), **schema.prefs}
         self.id_column = id_column
         self.root = CNode(schema, self.prefs)
-        self.key_order = _topo_keys(self.root.keys)
 
     def validate_table(self, tbl: pa.Table) -> BatchResult:
+        # joi validates the root like any nested object (validator.js:101-
+        # 109 entry -> the same per-node validate): the table is one
+        # struct column, one struct value per row, through eval_node
         tbl = tbl.combine_chunks()
         n = tbl.num_rows
-        env = Env(self.prefs)
         columns: dict[str, pa.Array] = {c: combine(tbl[c]) for c in tbl.column_names}
-        results: dict[str, NodeResult] = {}
-        errors: list[ErrRec] = []
-        failed = np.zeros(n, dtype=bool)
-
-        # ---- root presence stage (validator.js:168-190): the ROOT node
-        # itself takes the explicit flag or the prefs.presence default.
-        # Every table row IS a provided root value, so an effective
-        # presence:'forbidden' errors any.unknown at the root path
-        # ('"value" is not allowed') and RETURNS — keys, renames and
-        # unknowns never run, the value keeps the originals
-        # (node-verified: prefs {presence:'forbidden'} fails {} and
-        # {a:5} alike at path []; an explicit root required() lets keys
-        # evaluate with the forbidden default applied per key)
-        root_presence = self.root.flags.get("presence") or self.prefs.get("presence", "optional")
-        if root_presence == "forbidden":
-            rec = ErrRec("any.unknown", np.ones(n, dtype=bool), "", {}, -3)
-            rec.rows = None
-            violations = self._assemble_violations([rec], columns, n)
-            return BatchResult(value=tbl, violations=violations, ok=np.zeros(n, dtype=bool))
-
-        # table-level renames (object.js:387-415,886-967): regex sources,
-        # template targets, multiple/override/alias/ignoreUndefined
-        if self.root.renames:
-            ops, rerrs = _plan_renames(list(columns), self.root.renames, self.prefs)
-            columns = _apply_rename_ops(columns, ops)
-            for code, ctx in rerrs:
-                rec = ErrRec(code, np.ones(n, dtype=bool), "", ctx, -2)
-                rec.rows = None
-                errors.append(rec)
-                failed[:] = True
-
-        def resolve_sibling(name: str, mode: str = "strict"):
-            if name in results:
-                return _failed_overlay(results[name], columns.get(name), n, mode)
-            if name in columns:
-                return columns[name]
-            return pa.nulls(n)  # refs to absent columns resolve undefined
-
-        env = Env(self.prefs, resolve_sibling)
-        # parent rows for arg-taking function defaults (validator.js:465)
-        env.row_getter = _parent_row_getter(columns, results)
-        scope = np.ones(n, dtype=bool)
-
-        for key in self.key_order:
-            cnode = self.root.keys[key]
-            arr = columns.get(key, pa.nulls(n))
-            res = eval_node(cnode, arr, env, key, scope=scope)
-            results[key] = res
-            errors.extend(res.errors)
-            if res.failed is not None:
-                np.logical_or(failed, res.failed, out=failed)
-
-        # unknown columns: pattern-matched ones validate with the pattern
-        # schema (object.js:340-369); the rest error / strip / pass through
-        unknown = [c for c in columns if c not in self.root.keys]
-        if self.root.patterns:
-            def _get_col(c):
-                return results[c].value if c in results else columns[c]
-
-            def _set_res(c, sub):
-                results[c] = sub
-                errors.extend(sub.errors)
-                if sub.failed is not None:
-                    np.logical_or(failed, sub.failed, out=failed)
-
-            def _pat_err(code, ctx):
-                rec = ErrRec(code, scope.copy(), "", ctx, -1)
-                rec.rows = None
-                errors.append(rec)
-                failed[scope] = True
-
-            unknown = _eval_patterns(
-                self.root, unknown, _get_col, _set_res, env, "", scope, _pat_err)
-        # same finalizer as the nested path (object.js:1043-1076): term
-        # presence gates, local unknown() exempts from stripUnknown, error
-        # fires only on rows where the column is present (non-null)
-        has_terms = self.root.keys_term or bool(self.root.patterns)
-        _su = self.prefs.get("strip_unknown", False)
-        su_objects = _su is True or (isinstance(_su, dict) and bool(_su.get("objects")))
-        strip_unknown = su_objects and not self.root.flags.get("unknown", False) and has_terms
-        allow_unknown = self.root.flags.get("unknown", self.prefs.get("allow_unknown", False))
-        if unknown and has_terms and not allow_unknown and not strip_unknown:
-            for c in unknown:
-                present_c = scope & ~null_mask(combine(columns[c]))
-                rec = ErrRec("object.unknown", present_c, c, {"child": c}, -1)
-                rec.rows = None
-                errors.append(rec)
-                failed |= present_c
-
-        # dependencies across top-level columns (dotted deep paths resolve
-        # into struct columns; an unknown top-level name is never present)
-        all_ones = np.ones(n, dtype=bool)
-        for d in self.root.dependencies:
-            sep = d.get("separator", ".")
-            names = list(d["peers"]) + ([d["key"]] if d.get("key") else [])
-            pm = {}
-            for k in names:
-                m = _dep_presence(k, results, columns, all_ones, n, sep)
-                pm[k] = m if m is not None else np.zeros(n, bool)
-            labels = {k: _dep_label(self.root, k, sep) for k in names}
-            for viol, code, ctx in k_structs.dependency_violations(
-                    d["rel"], pm, d["peers"], d.get("key"), labels):
-                if viol.any():
-                    rec = ErrRec(code, viol & scope, "", ctx, 9000)
-                    rec.rows = None
-                    errors.append(rec)
-                    failed |= viol & scope
-        for cr in self.root.rules:
-            if isinstance(cr.fn, tuple) and cr.fn[0] == "structural" and cr.name == "assert":
-                args = cr.fn[1]
-                cnode = CNode(args["schema"] if isinstance(args["schema"], Schema) else build(args["schema"]), self.prefs)
-                subject = combine(env.resolve_ref(args["ref"], n))
-                asub = eval_node(cnode, subject, env.match_env(), "", scope=scope)
-                ok = ~(asub.failed if asub.failed is not None else np.zeros(n, bool))
-                bad = scope & ~ok
-                # assert sub-$_match warn reports leak (root-ish path,
-                # FORCED abortEarly — see _eval_structural_rule)
-                abort = True
-                aborted = np.zeros(n, dtype=bool)
-                for arec in asub.errors:
-                    rows0 = (arec.rows if getattr(arec, "rows", None) is not None
-                             else np.nonzero(arec.mask)[0])
-                    if arec.warn:
-                        keepv = ~aborted[rows0] if abort else np.ones(len(rows0), bool)
-                        if keepv.any():
-                            nr2 = ErrRec(arec.code, np.zeros(n, bool), arec.path,
-                                         arec.context, arec.seq, True, arec.message)
-                            wmask = np.zeros(n, dtype=bool)
-                            wmask[rows0[keepv]] = True
-                            nr2.mask = wmask
-                            nr2.rows = None
-                            if getattr(arec, "values", None) is not None:
-                                nr2.values = [v for v, k in zip(arec.values, keepv) if k]
-                            errors.append(nr2)
-                    elif abort:
-                        aborted[rows0] = True
-                if bad.any():
-                    # error attaches to the object itself (object.js:227 uses
-                    # the object's state -> root label "value"); {ref} carries
-                    # the subject path
-                    rec = ErrRec("object.assert", bad, "",
-                                 {"ref": args["ref"].path,
-                                  "message": args.get("message") or "pass the assertion test"},
-                                 cr.seq)
-                    rec.rows = None
-                    errors.append(rec)
-                    failed |= bad
-
-        # assemble normalized output; a per-row strip (whens branch) nulls
-        # the column only where the branch matched (fuzz seed 98)
-        def _strip_masked(res: NodeResult):
-            if res.strip_rows is None:
-                return res.value
-            v = combine(res.value)
-            return pc.if_else(pa.array(res.strip_rows), pa.nulls(len(v), v.type), v)
-
-        def _emit(name, res):
-            if res.strip:
-                # errored rows survive the strip delete with their ORIGINAL
-                # value (_strip_survivors); all-clean -> column dropped
-                surv = _strip_survivors(res, columns.get(name), n)
-                if surv is not None:
-                    out_names.append(name)
-                    out_cols.append(surv)
-                return
-            out_names.append(name)
-            out_cols.append(_strip_masked(res))
-
-        out_cols, out_names = [], []
-        for key in self.root.keys:
-            if key in results:
-                _emit(key, results[key])
-        for c in results:  # pattern-matched columns
-            if c not in self.root.keys:
-                _emit(c, results[c])
-        for c in unknown:
-            if not strip_unknown:
-                out_names.append(c)
-                out_cols.append(columns[c])
-        value = pa.table(dict(zip(out_names, out_cols))) if out_names else tbl
-
-        warn_failed = np.zeros(n, dtype=bool)
-        for rec in errors:
-            if not rec.warn:
-                continue
-        ok_mask = ~failed
-        violations = self._assemble_violations(errors, columns, n)
-        return BatchResult(value=value, violations=violations, ok=ok_mask)
+        # (the all-valid mask gives a column-less table its row count)
+        root = pa.StructArray.from_arrays(list(columns.values()), names=list(columns),
+                                          mask=pa.array(np.zeros(n, dtype=bool)))
+        res = eval_node(self.root, root, Env(self.prefs), "")
+        # every column stripped: value keeps the input table, so it is
+        # never column-less
+        value = pa.Table.from_struct_array(res.value) if res.value.type.num_fields else tbl
+        violations = self._assemble_violations(res.errors, columns, n)
+        return BatchResult(value=value, violations=violations, ok=~res.failed)
 
     def _assemble_violations(self, errors: list[ErrRec], columns: dict, n: int) -> pa.Table:
         ids = None
@@ -4452,10 +4217,8 @@ class CompiledSchema:
         msgs = np.empty(total, dtype=object)
         pos = 0
         for k, m in zip(counts, msg_r):
-            if isinstance(m, str):
-                msgs[pos:pos + k] = m
-            else:
-                msgs[pos:pos + k] = m
+            # a str broadcasts over the rec's rows, a list fills them element-wise
+            msgs[pos:pos + k] = m
             pos += k
         sev_pair = pa.array(["error", "warn"])
         t = pa.table(

@@ -129,3 +129,28 @@ def test_wrong_typed_column_clean_base_errors():
     codes = set(df["code"])
     assert codes == {"string.base", "number.base"}
     assert (df.groupby("row").size() == 2).all()  # one base error per column
+
+
+def test_nested_cyclic_key_dependency_refused_at_compile():
+    # the reference refuses cyclic key refs at schema build (@hapi/topo via
+    # object.js:601-606); a nested object is refused at compile like the root
+    import pytest
+
+    inner = obj({"a": jr.number().min(jr.ref("b")), "b": jr.number().min(jr.ref("a"))})
+    with pytest.raises(ValueError, match="cyclic key dependencies"):
+        compile_schema(obj({"x": inner}))
+
+
+def test_post_when_unmatchable_valids_refused():
+    # the when() wrapper's valids stage matches static values only: a None
+    # or ref valid()/invalid() added after the when raises at compile
+    # instead of being dropped
+    import re
+
+    import pytest
+
+    when = jr.number().when("b", is_=1, then=jr.number().min(1))
+    for s, shown in ((when.valid(None), "None"), (when.invalid(jr.ref("b")), "Ref('b')")):
+        with pytest.raises(NotImplementedError, match=re.escape(shown)):
+            compile_schema(obj({"a": s, "b": jr.number()}))
+    compile_schema(obj({"a": when.valid(3), "b": jr.number()}))  # static values still compile
