@@ -1,4 +1,4 @@
-.PHONY: test fuzz-ci bench scaling oracle digest digest-save
+.PHONY: test fuzz-ci bench scaling oracle digest digest-save loc
 
 test:
 	python -m pytest tests/ -x -q
@@ -17,8 +17,9 @@ scaling:
 oracle:
 	python tools/check_oracle.py /root/testdata/sf0.001
 
-# byte-identity check for engine refactors (~20 s): sha256 of the violations,
-# ok mask and output value on the flagship batches and gen_case seeds 0-1999.
+# byte-identity check for engine refactors (~45 s): sha256 of the violations,
+# ok mask and output value on the flagship batches and gen_case seeds 0-1999,
+# each seed with its own prefs and again with abortEarly off.
 # Run `make digest-save` on the base commit, then `make digest` on the change.
 DIGEST ?= .corpus_digest.json
 
@@ -27,3 +28,7 @@ digest-save:
 
 digest:
 	python3 tools/corpus_digest.py --check $(DIGEST)
+
+# physical and code lines (no blanks, comments or docstrings) per file of joi_ray/
+loc:
+	python3 tools/loc.py

@@ -28,7 +28,8 @@ from .kernels import strings as k_strings
 from .kernels import structs as k_structs
 from .kernels import messages as k_messages
 from .kernels.messages import render
-from .kernels.util import AltView, Env, ErrRec, as_bool_np, combine, null_mask
+from .kernels.template import Template
+from .kernels.util import AltView, Env, ErrRec, as_bool_np, combine, null_mask, resolve_template_column
 
 DEFAULT_PREFS = {
     "convert": True,          # lib/common.js:25
@@ -102,6 +103,9 @@ class NodeResult:
     #: WRAPPER default must not re-fill them (validator.js:383; the
     #: missing mask intentionally stays true for required+default rows)
     fin_filled: Optional[np.ndarray] = None
+    #: per-row TYPED view for ref consumers where the column could not hold
+    #: a converted or adopted value (see ``AltView``)
+    alt_view: Optional[AltView] = None
 
 
 _RULE_FACTORIES = {
@@ -524,9 +528,7 @@ def _set_membership(arr: pa.Array, values: list, refs: list[Ref], insensitive: b
 
 def _set_membership_refs(arr: pa.Array, refs: list[Ref], env: Env, m: np.ndarray, n: int) -> np.ndarray:
     for r in refs:
-        if hasattr(r, "resolve_value"):  # Template (Joi.x) in the value set
-            from .kernels.util import resolve_template_column
-
+        if isinstance(r, Template):  # Joi.x in the value set
             col = resolve_template_column(r, env, n)
         else:
             col = env.resolve_ref(r, n)
@@ -565,7 +567,7 @@ def _fn_default_values(fn, fired, env):
         )
     except (TypeError, ValueError):
         nreq = 0
-    getter = getattr(env, "row_getter", None)
+    getter = env.row_getter
     vals: list = []
     threw = np.zeros(len(fired), dtype=bool)
     first_err: Exception | None = None
@@ -662,6 +664,184 @@ def _scalar_for(value, arr_type):
         return pa.scalar(value, type=arr_type)
     except (pa.ArrowInvalid, pa.ArrowTypeError):
         return None
+
+
+def _fill_source(arr, mask, src, clean, env: Env, record, code: str):
+    """Put a default/failover source on the ``mask`` rows of ``arr`` the way
+    joi's ``internals.default`` (validator.js:451-475) resolves it for
+    every schema type:
+
+    - a function runs per row (see ``_fn_default_values``); a throw
+      records ``code`` (any.default / any.failover) and leaves the row;
+    - a template evaluates per row (Joi.x: '{a + 1}' yields the value);
+    - a Ref resolves as a column;
+    - anything else is a literal, filled with one vectorized ``if_else``.
+
+    A value the column's type cannot hold round-trip (``_rt_eq``) rebuilds
+    the column in the value's type when no ``clean`` row needs the old
+    one; otherwise it goes into an AltView pair (the one-type-per-column
+    ceiling) so sibling refs still see it.  Returns (arr, rows whose value
+    is now defined, thrown rows, blocked-adoption pair or None)."""
+    n = len(arr)
+    thrown = np.zeros(n, dtype=bool)
+    if isinstance(src, Ref):
+        rv = env.resolve_ref(src, n)
+        if isinstance(rv, (pa.Array, pa.ChunkedArray)):
+            rv = combine(rv)
+            fill = pa.array(mask)
+            try:
+                if pa.types.is_null(arr.type):
+                    arr = pc.if_else(fill, rv, pa.nulls(n, rv.type))
+                else:
+                    arr = pc.if_else(fill, rv if rv.type == arr.type else rv.cast(arr.type), arr)
+            except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
+                pass
+            # a ref resolving undefined leaves the row undefined
+            return arr, mask & ~null_mask(rv), thrown, None
+        if rv is None:
+            return arr, np.zeros(n, dtype=bool), thrown, None
+        src = rv
+    if callable(src) or isinstance(src, Template):
+        fired = np.nonzero(mask)[0]
+        if isinstance(src, Template):
+            tcol = resolve_template_column(src, env, n)
+            vals, threw = [tcol[int(i)].as_py() for i in fired], np.zeros(len(fired), dtype=bool)
+        else:
+            vals, threw, ferr = _fn_default_values(src, fired, env)
+        if threw.any():
+            thrown[fired[threw]] = True
+            rec = record(code, thrown, {"error": repr(ferr)})
+            if rec is not None:
+                # finalize pushes AFTER the abort point (validator.js:
+                # 359-364, 385) — rides along under abortEarly
+                rec.post_abort = True
+        f_ok = fired[~threw]
+        v_ok = [v for v, t in zip(vals, threw) if not t]
+        # a source returning undefined leaves the row undefined
+        defined = np.zeros(n, dtype=bool)
+        defined[f_ok[[v is not None for v in v_ok]]] = True
+        pair = None
+        if len(f_ok):
+            adopted = _adopt_fn_values(arr, f_ok, v_ok, n)
+            if adopted is not None:
+                arr = adopted
+            else:
+                pair = _dflt_pair(n, f_ok, v_ok)
+        return arr, defined, thrown, pair
+    s = _scalar_for(src, arr.type)
+    if s is not None and _rt_eq(src, s.as_py()):
+        return pc.if_else(pa.array(mask), s, arr), mask, thrown, None
+    if not clean.any():
+        # the literal's type can't live in the column (a number default
+        # over an all-failing string column under convert:false) and no
+        # clean kept value needs the old type: rebuild in the literal's
+        # type so the fill still lands (fuzz seed 5000296)
+        try:
+            return pa.array([src if m else None for m in mask]), mask, thrown, None
+        except (pa.ArrowInvalid, pa.ArrowTypeError):
+            return arr, mask, thrown, None
+    rows = np.nonzero(mask)[0]
+    return arr, mask, thrown, _dflt_pair(n, rows, [src] * len(rows))
+
+
+def _finalize(nr: NodeResult, flags: dict, undef: np.ndarray, scope: np.ndarray,
+              env: Env, record) -> None:
+    """joi's ``internals.finalize`` (validator.js:351-430), one stage for
+    every node type — scalar, array, object, alternatives and when()
+    wrappers:
+
+    - FAILOVER first, on errored rows: adopts the value and clears the
+      row's errors (warns emitted before joi's abort point persist; fuzz
+      seed 17100100: an alternatives no-match is replaced and cleared);
+    - DEFAULT next, on rows still undefined, and the errors stay — so a
+      required-missing row carries any.required AND the default, and an
+      alternatives no-match keeps alternatives.match beside a thrower's
+      any.default (fuzz seed 18001299);
+    - CAST last, gated by its ``from`` predicate (``_apply_cast``).
+
+    ``noDefaults`` skips the first two (test/base.js:1104-1155).  The
+    caller passes what differs between node types: ``flags`` holding the
+    default/failover/cast, ``undef`` (rows whose value is undefined at
+    finalize) and ``record(code, mask, ctx) -> ErrRec | None``, which
+    records a thrown function's any.default/any.failover.  Applies the
+    outcome to ``nr``: value, failed, errors, ``fin_filled``,
+    ``strip_rows`` and the AltView pairs of blocked adoptions."""
+    n = len(undef)
+    value = combine(nr.value)
+    pairs: list = []
+    filled = np.zeros(n, dtype=bool)
+    if not env.prefs.get("no_defaults", False):
+        if "failover" in flags:
+            fm = nr.failed & scope
+            if fm.any():
+                value, defined, thrown, pair = _fill_source(
+                    value, fm, flags["failover"], scope & ~undef & ~nr.failed, env, record,
+                    "any.failover")
+                if pair is not None:
+                    pairs.append(pair)
+                filled |= defined
+                fm &= ~thrown  # thrown rows keep their errors
+            if fm.any():
+                if env.abort_early:
+                    # joi had already RETURNED at the row's first hard
+                    # error — warns that would have fired after that point
+                    # were never emitted, and the failover's error-clear
+                    # must not resurrect them (fuzz seeds 29003478 /
+                    # 49000734 / 30500135, node-verified)
+                    _drop_post_abort_warns(nr.errors, fm, n)
+                # failover clears ERRORS only (validator.js:359-364
+                # `errors = []`); warns persist (fuzz seed 44)
+                for rec in nr.errors:
+                    if not rec.warn:
+                        _keep_fired(rec, ~fm[rec.rows if rec.rows is not None
+                                             else np.nonzero(rec.mask)[0]])
+                nr.errors[:] = [r for r in nr.errors if r.warn or (
+                    len(r.rows) if r.rows is not None else r.mask.any())]
+                nr.failed = nr.failed & ~fm
+        if "default" in flags and flags["default"] != Schema._DEEP_DEFAULT:
+            # a required-missing row the failover just filled is defined
+            # now (failover(-1)+default(10) yields -1; fuzz seed 19000479)
+            dm = undef & scope & ~filled
+            if dm.any():
+                value, defined, thrown, pair = _fill_source(
+                    value, dm, flags["default"], scope & ~undef & ~nr.failed, env, record,
+                    "any.default")
+                if pair is not None:
+                    pairs.append(pair)
+                filled |= defined
+                nr.failed = nr.failed | thrown
+    if flags.get("cast"):
+        value = _apply_cast(value, flags["cast"], env.prefs)
+        # a blocked cross-type adoption may FIT the cast output type:
+        # joi's cast is gated by a `from` predicate (validator.js:390-394),
+        # so the adopted raw value passes through uncast — number
+        # cast('string') with failover 'q7' outputs 'q7' (fuzz seed
+        # 20004648, node-verified)
+        still = []
+        for m, col in pairs:
+            try:
+                if col.type == value.type:
+                    value = pc.if_else(pa.array(m), col, value)
+                    continue
+            except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
+                pass
+            still.append((m, col))
+        pairs = still
+    nr.value = value
+    if filled.any():
+        # joi's `value !== undefined` now: an enclosing wrapper's default
+        # must not re-fill these rows (validator.js:383)
+        nr.fin_filled = filled if nr.fin_filled is None else nr.fin_filled | filled
+    if nr.strip_rows is not None:
+        # a strip-deleted row that adopted a value, or errored here, keeps
+        # it — joi's parent writes an adopted value and keeps the original
+        # on errors (object.js:126-139)
+        keep = nr.strip_rows & ~filled & ~nr.failed
+        nr.strip_rows = keep if keep.any() else None
+    if pairs or nr.alt_view is not None:
+        # blocked cross-type adoptions: ref consumers see the per-row typed
+        # value joi's assignment implies (later pairs win)
+        nr.alt_view = AltView(value, (nr.alt_view.pairs if nr.alt_view is not None else []) + pairs)
 
 
 def _coerce3(node: CNode, arr: pa.Array, env: Env):
@@ -949,7 +1129,7 @@ def _eval_node_impl(
             else np.zeros(n, dtype=bool)
         )
         if node.empty_schemas:
-            eenv = Env({"convert": True}, getattr(env, "_resolve_sibling", None), env.ancestors)
+            eenv = Env({"convert": True}, env._resolve_sibling, env.ancestors)
             for es in node.empty_schemas:
                 em |= node_validity(es, probe, eenv, scope) & ~null_mask(probe)
         em = em & ~coerce_bad
@@ -982,7 +1162,7 @@ def _eval_node_impl(
         if node_err is not None:
             message = node_err
         else:
-            fn = getattr(node.schema, "metas", {}).get("error_fn")
+            fn = node.schema.metas.get("error_fn")
             if fn is not None:
                 m = fn(code, p, dict(ctx or {}))
                 if isinstance(m, str):
@@ -1033,7 +1213,6 @@ def _eval_node_impl(
             except Exception:
                 values = None
         rec = ErrRec(code, mask, p, ctx or {}, seq, warn, message)
-        rec.rows = None
         rec.values = values
         rec.order, rec.soft = group, soft
         errors.append(rec)
@@ -1271,284 +1450,42 @@ def _eval_node_impl(
             vals = arr.take(pa.array(np.nonzero(bad)[0])).to_pylist()
         add_err(cr.code, bad, out.context, seq=cr.seq, warn=cr.warn, message=cr.message, values=vals)
 
-    # ---- finalize (lib/validator.js:351-430); noDefaults pref skips
-    # default/failover substitution (test/base.js:1104-1155)
-    no_defaults = env.prefs.get("no_defaults", False)
-    # joi's finalize substitutes the default whenever the value is undefined
-    # regardless of presence (validator.js:383-386): required-missing rows
-    # carry any.required AND the default in the output value
-    dflt_pairs: list = []  # blocked default/failover adoptions -> AltView
-    # rows whose value finalize SET (joi: no longer undefined) — consumed
-    # by a whens wrapper's own default step (_finish_whens)
-    _fin_filled = np.zeros(n, dtype=bool)
-    # finalize order is FAILOVER first, then default (validator.js:353-385:
-    # failover consumes the rule errors and clears them; the Default step
-    # runs after, on values still undefined — so a failover never swallows
-    # a default-throw's any.default, fuzz seed 18000796)
-    if "failover" in node.flags and not no_defaults:
-        fv = node.flags["failover"]
-        fo_mask = failed & scope
-        if fo_mask.any() and callable(fv):
-            # function failovers run per failed row like function defaults
-            # (validator.js:359-364 -> internals.default): a throw appends
-            # any.failover and the row KEEPS its original errors; success
-            # rows adopt the value and clear errors below
-            fired = np.nonzero(fo_mask)[0]
-            vals, threw, ferr = _fn_default_values(fv, fired, env)
-            if threw.any():
-                tmask = np.zeros(n, dtype=bool)
-                tmask[fired[threw]] = True
-                _frec = add_err(
-                    "any.failover", tmask, {"error": repr(ferr)}, seq=10_001,
-                    # a pre-when label belongs to joi's branches; the
-                    # finalize error fires on the unlabeled wrapper
-                    no_label=bool(getattr(node.schema, "metas", {}).get("_label_pre_when")))
-                if _frec is not None:
-                    # finalize pushes AFTER the abort point
-                    # (validator.js:359-364) — rides along under abortEarly
-                    _frec.post_abort = True
-                fo_mask = fo_mask & ~tmask  # thrown rows stay failed
-            f_ok = fired[~threw]
-            v_ok = [v for v, t in zip(vals, threw) if not t]
-            if len(f_ok):
-                adopted = _adopt_fn_values(arr, f_ok, v_ok, n)
-                if adopted is not None:
-                    arr = adopted
-                else:
-                    # one-type-per-column ceiling: typed values reach
-                    # sibling refs via the AltView (fuzz seed 18001890)
-                    p = _dflt_pair(n, f_ok, v_ok)
-                    if p is not None:
-                        dflt_pairs.append(p)
-                # a failover fn returning undefined leaves the row undefined
-                _fin_filled[f_ok[[v is not None for v in v_ok]]] = True
-        if fo_mask.any():
-            if not callable(fv):
-                _fin_filled |= fo_mask
-                s = _scalar_for(fv, arr.type)
-                if s is not None and _rt_eq(fv, s.as_py()):
-                    arr = pc.if_else(pa.array(fo_mask), s, arr)
-                elif not (~missing & ~failed & scope).any():
-                    # cross-type failover over a column with no clean kept
-                    # value (number failover on an all-failing string column
-                    # under convert:false) rebuilds in the failover's type,
-                    # like the default path above (fuzz seed 5000296)
-                    try:
-                        arr = pa.array([fv if m else None for m in fo_mask])
-                    except (pa.ArrowInvalid, pa.ArrowTypeError):
-                        pass
-                else:
-                    fo_rows = np.nonzero(fo_mask)[0]
-                    p = _dflt_pair(n, fo_rows, [fv] * len(fo_rows))
-                    if p is not None:
-                        dflt_pairs.append(p)
-            if env.abort_early:
-                # joi had already RETURNED at the row's first hard error
-                # (array.js:213-216 etc.) — warns that would have fired
-                # AFTER that point were never emitted, and the failover's
-                # error-clear must not resurrect them (fuzz seeds
-                # 29003478 / 49000734, node-verified)
-                _drop_post_abort_warns(errors, fo_mask, n)
-            for rec in errors:
-                if rec.warn:
-                    # failover clears ERRORS only (validator.js:359-364
-                    # `errors = []`); warns emitted BEFORE the abort point
-                    # persist (fuzz seed 44: the alphanum warn outlives
-                    # the failover)
-                    continue
-                if rec.rows is None:
-                    rec.mask = rec.mask & ~fo_mask
-                else:
-                    keep = ~fo_mask[rec.rows]
-                    rec.rows, rec.item_index = rec.rows[keep], rec.item_index[keep]
-            errors[:] = [r for r in errors if r.warn or (r.rows is not None and len(r.rows)) or (r.rows is None and r.mask.any())]
-            failed = failed & ~fo_mask
-    if ("default" in node.flags
-            and not no_defaults and node.flags["default"] != Schema._DEEP_DEFAULT):
-        dv = node.flags["default"]
-        # the default fires on values still UNDEFINED after the failover
-        # step (validator.js:383) — a required-missing row the failover
-        # just filled is defined now (node: failover(-1)+default(10) on a
-        # missing required value yields -1; fuzz seed 19000479)
-        fill_mask = missing & scope & ~_fin_filled
-        from .kernels.template import Template as _Tmpl
-
-        if fill_mask.any():
-            if isinstance(dv, _Tmpl):
-                # expression-valued default (Joi.x / Joi.expression —
-                # template.js:150-159 resolve): a single-expression
-                # template yields the evaluated VALUE ('{a + 1}' -> 5),
-                # multi-part renders text; refs resolve per fill row.
-                # Per-row by nature (bounded by the MISSING rows only).
-                from .kernels.util import resolve_template_column
-
-                rows_fill = np.nonzero(fill_mask)[0]
-                tcol = resolve_template_column(dv, env, n)
-                vals = [tcol[int(i)].as_py() for i in rows_fill]
-                _fin_filled[rows_fill[[v is not None for v in vals]]] = True
-                filled = [None] * n
-                for i, val in zip(rows_fill, vals):
-                    filled[int(i)] = val
-                if pa.types.is_null(arr.type):
-                    arr = pa.array(filled)
-                else:
-                    try:
-                        fill_arr = pa.array(filled, type=arr.type)
-                        arr = pc.if_else(pa.array(fill_mask), fill_arr, arr)
-                    except (pa.ArrowInvalid, pa.ArrowTypeError, pa.ArrowNotImplementedError):
-                        out = combine(arr).to_pylist()
-                        for i, val in zip(rows_fill, vals):
-                            out[int(i)] = val
-                        arr = pa.array(out)
-            elif isinstance(dv, Ref):
-                # ref-valued default resolves per row (test/ref.js:993-1034)
-                rv = env.resolve_ref(dv, n)
-                if isinstance(rv, (pa.Array, pa.ChunkedArray)):
-                    rv = combine(rv)
-                    # a ref resolving undefined leaves the row undefined
-                    _fin_filled |= fill_mask & ~null_mask(rv)
-                    fill = pa.array(fill_mask)
-                    try:
-                        if pa.types.is_null(arr.type):
-                            arr = pc.if_else(fill, rv, pa.nulls(n, rv.type))
-                        else:
-                            if rv.type != arr.type:
-                                rv = rv.cast(arr.type)
-                            arr = pc.if_else(fill, rv, arr)
-                    except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-                        pass
-                elif pa.types.is_null(arr.type):
-                    if rv is not None:
-                        _fin_filled |= fill_mask
-                    arr = pa.array([rv if m else None for m in fill_mask])
-                else:
-                    if rv is not None:
-                        _fin_filled |= fill_mask
-                    s = _scalar_for(rv, arr.type)
-                    if s is not None:
-                        arr = pc.if_else(pa.array(fill_mask), s, arr)
-            elif callable(dv):
-                # function defaults run PER missing value (validator.js:
-                # 451-475): zero-arg fns call fresh per row, arg-taking
-                # fns get (parent row dict, prefs); a throw records
-                # any.default and the row keeps undefined
-                fired = np.nonzero(fill_mask)[0]
-                vals, threw, ferr = _fn_default_values(dv, fired, env)
-                if threw.any():
-                    tmask = np.zeros(n, dtype=bool)
-                    tmask[fired[threw]] = True
-                    _frec = add_err(
-                        "any.default", tmask, {"error": repr(ferr)}, seq=10_001,
-                        # pre-when label = branch label, wrapper unlabeled
-                        no_label=bool(getattr(node.schema, "metas", {}).get("_label_pre_when")))
-                    if _frec is not None:
-                        # finalize pushes AFTER the abort point
-                        # (validator.js:385) — rides along under abortEarly
-                        _frec.post_abort = True
-                f_ok = fired[~threw]
-                v_ok = [v for v, t in zip(vals, threw) if not t]
-                if len(f_ok):
-                    adopted = _adopt_fn_values(arr, f_ok, v_ok, n)
-                    if adopted is not None:
-                        arr = adopted
-                    else:
-                        # one-type-per-column ceiling: expose the typed
-                        # values to sibling refs (joi's object holds them)
-                        p = _dflt_pair(n, f_ok, v_ok)
-                        if p is not None:
-                            dflt_pairs.append(p)
-                    # a default fn returning undefined leaves undefined
-                    _fin_filled[f_ok[[v is not None for v in v_ok]]] = True
-            else:
-                _fin_filled |= fill_mask
-                if pa.types.is_null(arr.type):
-                    arr = pa.array([dv if m else None for m in fill_mask])
-                else:
-                    s = _scalar_for(dv, arr.type)
-                    if s is not None and _rt_eq(dv, s.as_py()):
-                        arr = pc.if_else(pa.array(fill_mask), s, arr)
-                    elif not (~missing & ~failed & scope).any():
-                        # the default's type can't live in the input column
-                        # (e.g. number default over an all-failing string
-                        # column under convert:false) and NO clean kept
-                        # value needs the old type — rebuild in the
-                        # default's type so the fill still lands (joi's
-                        # heterogeneous object would hold the raw number)
-                        try:
-                            arr = pa.array([dv if m else None for m in fill_mask])
-                        except (pa.ArrowInvalid, pa.ArrowTypeError):
-                            pass
-                    else:
-                        # blocked cross-type scalar default (the _rt_eq
-                        # guard also rejects pyarrow's silent conversions,
-                        # e.g. int into a timestamp column): refs still
-                        # see the typed value via the AltView
-                        fill_rows = np.nonzero(fill_mask)[0]
-                        p = _dflt_pair(n, fill_rows, [dv] * len(fill_rows))
-                        if p is not None:
-                            dflt_pairs.append(p)
-    cast_to = node.flags.get("cast")
-    if cast_to:
-        arr = _apply_cast(arr, cast_to, env.prefs)
-        if dflt_pairs:
-            # a blocked cross-type default/failover adoption may FIT the
-            # cast output type: joi's cast is gated by a `from` predicate
-            # (validator.js:390-394), so the adopted raw scalar passes
-            # through uncast — number cast('string') with failover 'q7'
-            # outputs 'q7', not the cast of the stale original (fuzz seed
-            # 20004648, node-verified)
-            still = []
-            for m, col in dflt_pairs:
-                try:
-                    if col.type == arr.type:
-                        arr = pc.if_else(pa.array(m), col, arr)
-                    else:
-                        still.append((m, col))
-                except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-                    still.append((m, col))
-            dflt_pairs = still
-
-    out_value = original if node.flags.get("raw") else arr
-    nr = NodeResult(
-        value=out_value,
-        errors=errors,
-        missing=missing,
-        failed=failed,
-        strip=bool(node.flags.get("strip")),
-        raw_value=original,
+    # ---- finalize (lib/validator.js:351-430): failover, default, cast
+    nr = NodeResult(value=arr, errors=errors, missing=missing, failed=failed,
+                    strip=bool(node.flags.get("strip")), raw_value=original)
+    if _list_alt_pair is not None:
+        # blocked cross-type item promotion: ref consumers see the per-row
+        # typed value joi's assignment implies
+        nr.alt_view = AltView(arr, [_list_alt_pair])
+    # a pre-when label belongs to joi's branches; the finalize error fires
+    # on the unlabeled wrapper
+    no_label = bool(node.schema.metas.get("_label_pre_when"))
+    _finalize(nr, node.flags, missing, scope, env,
+              lambda code, mask, ctx: add_err(code, mask, ctx, seq=10_001, no_label=no_label))
+    if node.flags.get("raw") or node.flags.get("strip"):
         # joi shadows the CONVERTED value for ANY result-flagged schema —
         # raw() AND strip() — unconditionally, even when the node errored
         # (validator.js:413-417: `if (schema._flags.result)` precedes any
         # error check), so sibling refs to a strip key resolve the
         # converted value (fuzz seed 4000168: a failed alternatives branch
-        # with strip still plants its coerced number for a date ref)
-        shadow_value=arr if (node.flags.get("raw") or node.flags.get("strip")) else None,
-        # joi's shadow records the value as finalize saw it — for a row
+        # with strip still plants its coerced number for a date ref).
+        # The shadow records the value as finalize saw it — for a row
         # whose COERCION failed that is still the original ('1' stays a
         # string when boolean coercion missed), which our converted column
         # holds as null; those rows fall back to the raw-original path
-        shadow_mask=(
-            scope & ~(null_mask(arr) & ~null_mask(original))
-            if (node.flags.get("raw") or node.flags.get("strip"))
-            else None
-        ),
+        nr.shadow_value = nr.value
+        nr.shadow_mask = scope & ~(null_mask(nr.value) & ~null_mask(original))
         # a result flag REVERTS the finalize fill in the output slot
         # (validator.js:413-421 runs after the default step: raw returns
         # the ORIGINAL — undefined for missing input — and strip returns
         # undefined), so a wrapper's own default still sees those rows as
         # undefined (fuzz seed 40000303, node-verified: raw otherwise-
         # branch + post-when default(thrower) errors any.default)
-        fin_filled=(_fin_filled if _fin_filled.any()
-                    and not (node.flags.get("raw") or node.flags.get("strip"))
-                    else None),
-    )
-    pairs = ([_list_alt_pair] if _list_alt_pair is not None else []) + dflt_pairs
-    if pairs:
-        # blocked cross-type item promotion / default / failover: ref
-        # consumers see the per-row typed value joi's assignment implies
-        # (engine value keeps originals — the Arrow one-type-per-column
-        # repr limit)
-        nr.alt_view = AltView(out_value, pairs)
+        nr.fin_filled = None
+        if node.flags.get("raw"):
+            nr.value = original
+            if nr.alt_view is not None:
+                nr.alt_view = AltView(original, nr.alt_view.pairs)
     return nr
 
 
@@ -1649,40 +1586,41 @@ def _wrapper_valids_stage(node: CNode, arr, env: Env, path, scope, n):
     (reduced scope, pre-errors, pre-failed)."""
     pre_errs: list[ErrRec] = []
     pre_failed = np.zeros(n, dtype=bool)
-    wa = getattr(node, "wrapper_allow", None)
-    wi = getattr(node, "wrapper_invalid", None)
+    wa = node.wrapper_allow
+    wi = node.wrapper_invalid
     if not wa and not wi:
         return scope, pre_errs, pre_failed
     _wlbl = ({"label": node.flags["label"]}
              if "label" in node.flags
-             and not getattr(node.schema, "metas", {}).get("_label_pre_when")
+             and not node.schema.metas.get("_label_pre_when")
              else {})
     insensitive = node.flags.get("insensitive", False)
     if wa:
         hit = _set_membership(arr, wa, [], insensitive, env) & scope
         miss = scope & ~hit
         scope = miss
-        if getattr(node, "wrapper_only", False) and miss.any():
+        if node.wrapper_only and miss.any():
             rec = ErrRec("any.only", miss, path, {"valids": wa, **_wlbl}, -2)
-            rec.rows = None
             pre_errs.append(rec)
             pre_failed |= miss
     if wi:
         inv = _set_membership(arr, wi, [], insensitive, env) & scope
         if inv.any():
             rec = ErrRec("any.invalid", inv, path, {"invalids": wi, **_wlbl}, -2)
-            rec.rows = None
             pre_errs.append(rec)
             pre_failed |= inv
     return scope, pre_errs, pre_failed
 
 
-class _WrapperShim:
-    """Minimal flag-bearer standing in for joi's unlabeled alternatives
-    wrapper in _apply_default_failover_alt."""
-
-    def __init__(self, flags):
-        self.flags = flags
+def _rec_appender(errors: list, path: str, lbl: dict):
+    """``record`` for ``_finalize`` on nodes that build their ErrRecs
+    directly (alternatives, when() wrappers): the node label rides along
+    in the context; the node's error() override does not apply."""
+    def record(code, mask, ctx):
+        rec = ErrRec(code, mask, path, {**ctx, **lbl}, 10_001)
+        errors.append(rec)
+        return rec
+    return record
 
 
 def _finish_whens(node: CNode, merged: NodeResult, parts, env: Env, path, scope) -> NodeResult:
@@ -1701,10 +1639,6 @@ def _finish_whens(node: CNode, merged: NodeResult, parts, env: Env, path, scope)
       on every row);
     - rows that adopt a wrapper value are no longer strip-deleted (the
       wrapper has no result flag, so the parent writes the value)."""
-    wf = getattr(node, "wrapper_fins", None)
-    if not wf or env.prefs.get("no_defaults", False):
-        return _whens_alt(merged)
-    n = len(merged.missing)
     undef = merged.missing.copy()
     if merged.fin_filled is not None:
         # a branch default/failover already set the value (joi: no longer
@@ -1717,24 +1651,10 @@ def _finish_whens(node: CNode, merged: NodeResult, parts, env: Env, path, scope)
         if cn.flags.get("strip"):
             undef |= sel  # strip branches return undefined even on error
     lbl = {}
-    if "label" in node.flags and not getattr(node.schema, "metas", {}).get("_label_pre_when"):
+    if "label" in node.flags and not node.schema.metas.get("_label_pre_when"):
         lbl = {"label": node.flags["label"]}
-    value, failed, pairs, filled = _apply_default_failover_alt(
-        _WrapperShim(wf), combine(merged.value), merged.missing, merged.failed,
-        scope, merged.errors, env, path, lbl, undef=undef)
-    merged.value, merged.failed = value, failed
-    if filled.any():
-        # visible to an enclosing wrapper's own default step
-        merged.fin_filled = (
-            filled if merged.fin_filled is None else merged.fin_filled | filled)
-        if merged.strip_rows is not None:
-            keep = merged.strip_rows & ~filled
-            merged.strip_rows = keep if keep.any() else None
     nr = _whens_alt(merged)
-    if pairs:
-        prev = ([(m, a) for m, a in nr.alt_view.pairs]
-                if isinstance(getattr(nr, "alt_view", None), AltView) else [])
-        nr.alt_view = AltView(nr.value, prev + pairs)
+    _finalize(nr, node.wrapper_fins or {}, undef, scope, env, _rec_appender(nr.errors, path, lbl))
     return nr
 
 
@@ -1814,7 +1734,7 @@ def _merge_into(merged: NodeResult, sub: NodeResult, sel: np.ndarray):
         eff = sel & sm
         if eff.any():
             sv = combine(sub.shadow_value) if isinstance(sub.shadow_value, pa.ChunkedArray) else sub.shadow_value
-            if merged.shadow_value is None and not getattr(merged, "shadow_pairs", None):
+            if merged.shadow_value is None and not merged.shadow_pairs:
                 merged.shadow_value = sv
                 merged.shadow_mask = eff.copy()
             elif merged.shadow_value is not None and sv.type == merged.shadow_value.type:
@@ -1895,11 +1815,11 @@ def _failed_overlay(res: NodeResult, orig, n: int, mode: str):
     # the shadow first (validator.js:414-417, ref.js _resolve).  Shadowed
     # rows therefore resolve the converted value and stop counting as
     # failed for the raw-original overlay below.
-    sh = getattr(res, "shadow_value", None)
-    alt = getattr(res, "alt_view", None)
+    sh = res.shadow_value
+    alt = res.alt_view
     if sh is not None:
         sh = combine(sh) if isinstance(sh, pa.ChunkedArray) else sh
-        shm = getattr(res, "shadow_mask", None)
+        shm = res.shadow_mask
         shm = shm if shm is not None else np.ones(n, dtype=bool)
         try:
             if sh.type == val.type:
@@ -1923,7 +1843,7 @@ def _failed_overlay(res: NodeResult, orig, n: int, mode: str):
             pass
         if f is not None:
             f = f & ~shm
-    sps = getattr(res, "shadow_pairs", None)
+    sps = res.shadow_pairs
     if sh is None and sps:
         # cross-type branch shadows (alternatives): the shadow WINS over
         # the branch value per row (ref.js _resolve checks shadow first),
@@ -2098,114 +2018,6 @@ def _finalize_branch_values(arr, branch_values, n: int):
     return value, None
 
 
-def _apply_default_failover_alt(node, value, missing, failed, scope, errors, env, path, lbl,
-                                undef=None):
-    """Finalize default/failover for ALTERNATIVES nodes — joi's finalize
-    (validator.js:330-400) runs for every type, so a node-level
-    .default()/.failover() on an alternatives applies after the branch
-    union (fuzz seed 17100100: no-branch-match + failover replaces the
-    value and clears the errors).  Scalar, Ref and FUNCTION forms (the
-    last per row via _fn_default_values; throws record any.default /
-    any.failover).
-
-    Order follows joi: FAILOVER consumes errored rows first (clearing
-    their errors); the DEFAULT step then fires on rows whose value is
-    still *undefined* — which for alternatives includes no-branch-match
-    failures (``value = base.value`` leaves value undefined,
-    validator.js:234) — WITHOUT clearing the errors (fuzz seed 18001299:
-    joi returns both alternatives.match and the thrower's any.default).
-    ``undef`` is that undefined-rows mask (missing | branch-no-match);
-    defaults to ``missing``.  Returns (value, failed, blocked-adoption
-    AltView pairs, filled-rows mask) — ``filled`` covers every row that
-    adopted a default/failover value (joi's value is set even when the
-    Arrow column could not hold it)."""
-    n = len(missing)
-    pairs: list = []
-    filled = np.zeros(n, dtype=bool)
-    if undef is None:
-        undef = missing
-    if env.prefs.get("no_defaults", False):
-        return value, failed, pairs, filled
-
-    def _fill(mask, src, code):
-        nonlocal value, failed
-        fired = np.nonzero(mask)[0]
-        if not len(fired):
-            return mask
-        arr_v = combine(value) if isinstance(value, pa.ChunkedArray) else value
-        if isinstance(src, Ref):
-            rv = env.resolve_ref(src, n)
-            if isinstance(rv, (pa.Array, pa.ChunkedArray)):
-                rv = combine(rv)
-                vals = [rv[int(i)].as_py() for i in fired]
-            else:
-                vals = [rv] * len(fired)
-        elif callable(src):
-            vals, threw, ferr = _fn_default_values(src, fired, env)
-            if threw.any():
-                tmask = np.zeros(n, dtype=bool)
-                tmask[fired[threw]] = True
-                rec = ErrRec(code, tmask, path, {"error": repr(ferr), **lbl}, 10_001)
-                rec.rows = None
-                rec.post_abort = True  # finalize push — rides under abortEarly
-                errors.append(rec)
-                failed = failed | tmask
-                mask = mask & ~tmask
-                fired = fired[~threw]
-                vals = [v for v, t in zip(vals, threw) if not t]
-        else:
-            vals = [src] * len(fired)
-        if len(fired):
-            adopted = _adopt_fn_values(arr_v, fired, vals, n)
-            if adopted is not None:
-                value = adopted
-            else:
-                # heterogeneous column — the tracked repr ceiling; refs
-                # still see the typed values via the AltView pair
-                p = _dflt_pair(n, fired, vals)
-                if p is not None:
-                    pairs.append(p)
-        return mask
-
-    if "failover" in node.flags:
-        fm = failed & scope
-        if fm.any():
-            fm = _fill(fm, node.flags["failover"], "any.failover")
-            filled |= fm
-            if fm.any():
-                if env.prefs.get("abort_early", True):
-                    # joi returned at the row's first hard error — warns
-                    # after that point never fired; the failover's clear
-                    # must not resurrect them (fuzz seed 30500135: a
-                    # required-missing p aborts before q's pattern warn)
-                    _drop_post_abort_warns(errors, fm, n)
-                # failover clears ERRORS only; pre-abort warnings persist
-                for rec in errors:
-                    if rec.warn:
-                        continue
-                    if getattr(rec, "rows", None) is None:
-                        rec.mask = rec.mask & ~fm
-                    else:
-                        keep = ~fm[rec.rows]
-                        rec.rows = rec.rows[keep]
-                        if rec.item_index is not None:
-                            rec.item_index = rec.item_index[keep]
-                errors[:] = [r for r in errors
-                             if r.warn
-                             or (getattr(r, "rows", None) is not None and len(r.rows))
-                             or (getattr(r, "rows", None) is None and r.mask.any())]
-                failed = failed & ~fm
-                undef = undef & ~fm  # failover-adopted rows are defined now
-    if "default" in node.flags:
-        dm = undef & scope
-        if dm.any():
-            # fills the value only — errors (any.required, the branch
-            # union's alternatives.*) persist alongside (validator.js:385)
-            dm = _fill(dm, node.flags["default"], "any.default")
-            filled |= dm
-    return value, failed, pairs, filled
-
-
 def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeResult:
     n = len(arr)
     missing = null_mask(arr)
@@ -2234,7 +2046,6 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
         req = missing & scope
         if req.any():
             rec = ErrRec("any.required", req, path, {**_lbl}, -3)
-            rec.rows = None
             errors.append(rec)
             failed |= req
     elif presence == "forbidden":
@@ -2245,31 +2056,22 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
         bad = ~missing & scope
         if bad.any():
             rec = ErrRec("any.unknown", bad, path, {**_lbl}, -3)
-            rec.rows = None
             errors.append(rec)
         # joi's presence return STILL runs finalize (validator.js:172-186
         # `return internals.finalize(...)`) — a node failover consumes the
         # any.unknown and a default fills undefined rows (fuzz seed
         # 48004116: forbidden + default(thrower) errors any.default on
         # the MISSING rows too)
-        fb_value, fb_failed = arr, bad
-        if ("default" in node.flags or "failover" in node.flags):
-            fb_value, fb_failed, fb_pairs, fb_filled = _apply_default_failover_alt(
-                node, fb_value, missing, fb_failed, scope, errors, env, path, _lbl,
-                undef=missing)
-            nr0 = NodeResult(value=fb_value, errors=errors, missing=missing, failed=fb_failed)
-            if fb_filled is not None and fb_filled.any():
-                nr0.fin_filled = fb_filled
-            if fb_pairs:
-                nr0.alt_view = AltView(fb_value, fb_pairs)
-            return nr0
-        return NodeResult(value=fb_value, errors=errors, missing=missing, failed=fb_failed)
+        nr = NodeResult(value=arr, errors=errors, missing=missing, failed=bad)
+        _finalize(nr, node.flags, missing, scope, env, _rec_appender(errors, path, _lbl))
+        return nr
     elif presence == "ignore":
         pass  # undefined rows flow into the match loop (validator.js:170)
     else:
         resolved |= missing
     active = (scope & ~failed) if presence == "ignore" else (scope & ~missing & ~failed)
     defined_failed = np.zeros(n, dtype=bool)  # failed rows whose value joi KEEPS
+    invalid_open = None  # invalid() rows still matched (abortEarly off)
     # allow/invalid sets apply to the alternatives node itself too — and
     # the valids stage is UNIVERSAL (validator.js:194-227 runs before the
     # type dispatch): under the only flag a non-match pushes any.only and
@@ -2284,7 +2086,6 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
             if miss_only.any():
                 rec = ErrRec("any.only", miss_only, path,
                              {"valids": node.allow_static, **_lbl}, -2)
-                rec.rows = None
                 errors.append(rec)
                 failed |= miss_only
                 defined_failed |= miss_only  # value kept
@@ -2292,11 +2093,18 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
         inv = _set_membership(arr, node.invalid_static, node.invalid_refs, node.flags.get("insensitive", False), env) & active
         if inv.any():
             rec = ErrRec("any.invalid", inv, path, {"invalids": node.invalid_static, **_lbl}, -2)
-            rec.rows = None
             errors.append(rec)
             failed |= inv
-            defined_failed |= inv  # invalids fail BEFORE base — value stays
-            active &= ~inv
+            if env.abort_early:
+                # joi returns at the valids stage (validator.js:218-227):
+                # the row is never matched and its value stays
+                defined_failed |= inv
+                active &= ~inv
+            else:
+                # otherwise it CONTINUES into the matches: the value is
+                # defined only where a branch matched, so a no-match row
+                # reaches the node default (fuzz seed 88123215)
+                invalid_open = inv
     matched = np.zeros(n, dtype=bool)
     decided = np.zeros(n, dtype=bool)  # conditional-branch rows: result final
     # rows whose MATCHED branch is strip-flagged: the branch finalize
@@ -2406,6 +2214,8 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
                 sub.missing if sub.missing is not None else np.zeros(n, bool))
             if ok_rows.any():
                 branch_values.append((ok_rows, sub.value))
+    if invalid_open is not None:
+        defined_failed |= invalid_open & matched
     value, alt_view = _finalize_branch_values(arr, branch_values, n)
     nomatch = active & ~matched & ~decided
     if nomatch.any():
@@ -2422,7 +2232,7 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
                 if rec.warn:
                     continue
                 rmask = np.zeros(n, dtype=bool)
-                rows = getattr(rec, "rows", None)
+                rows = rec.rows
                 if rows is not None:
                     rmask[rows] = True
                 else:
@@ -2443,12 +2253,10 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
             pm = rmask & single
             if pm.any():
                 nr = ErrRec(rec.code, pm, rec.path, rec.context, rec.seq, rec.warn, rec.message)
-                nr.rows = None
                 errors.append(nr)
         none_mask = nomatch & (count == 0)
         if none_mask.any():
             rec = ErrRec("alternatives.base", none_mask, path, {**_lbl}, 0)
-            rec.rows = None
             errors.append(rec)
         types_mask = nomatch & (count > 1) & ~nonbase
         if types_mask.any():
@@ -2467,19 +2275,17 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
                 m[r] = True
             for ts, m in sigs.items():
                 rec = ErrRec("alternatives.types", m, path, {"types": list(ts), **_lbl}, 0)
-                rec.rows = None
                 errors.append(rec)
         match_mask = nomatch & (count > 1) & nonbase
         if match_mask.any():
             rec = ErrRec("alternatives.match", match_mask, path, {**_lbl}, 0)
-            rec.rows = None
             errors.append(rec)
         failed |= nomatch
     # error() override replaces EVERY error emitted by this node, branch
     # pass-throughs included (lib/base.js:136-142 via validator finalize;
     # test/types/alternatives.js:350-361)
     node_err = node.flags.get("error")
-    err_fn = getattr(node.schema, "metas", {}).get("error_fn") if node_err is None else None
+    err_fn = node.schema.metas.get("error_fn") if node_err is None else None
     if node_err is not None or err_fn is not None:
         for rec in errors[_err_start:]:
             if node_err is not None:
@@ -2488,40 +2294,16 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
                 m = err_fn(rec.code, rec.path, dict(rec.context or {}))
                 if isinstance(m, str):
                     rec.message = m
-    alt_fin_filled = None
-    if ("default" in node.flags or "failover" in node.flags):
-        value, failed, dflt_pairs, alt_fin_filled = _apply_default_failover_alt(
-            node, value, missing, failed, scope, errors, env, path, _lbl,
-            # undefined at finalize = missing + no-branch-match failures
-            # (value = base.value leaves undefined, validator.js:234) +
-            # strip-branch matches (branch finalize returned undefined);
-            # invalids fail with the value KEPT, so they're excluded;
-            # branch default/failover fills are DEFINED now
-            undef=(missing & ~branch_filled) | (failed & ~defined_failed)
-                  | strip_hit | undef_hit)
-        if dflt_pairs:
-            # blocked cross-type default/failover values: merge into the
-            # typed-view pairs so refs resolve them (later pairs win)
-            prev = ([(m, a) for m, a in alt_view.pairs]
-                    if isinstance(alt_view, AltView) else [])
-            alt_view = AltView(value, prev + dflt_pairs)
-    nr = NodeResult(value=value, errors=errors, missing=missing, failed=failed)
-    if alt_fin_filled is not None and alt_fin_filled.any():
-        nr.fin_filled = alt_fin_filled
-    if strip_hit.any():
-        # rows whose value the finalize SET (default/failover) or that
-        # errored there (the thrower) are no longer strip-deleted — joi's
-        # parent keeps the value on errors (object.js:126-139) and writes
-        # an adopted one
-        sh = strip_hit & ~failed
-        if alt_fin_filled is not None:
-            sh &= ~alt_fin_filled
-        if sh.any():
-            nr.strip_rows = sh
-    if alt_view is not None:
-        # ref consumers (rule args, when-conditions) need the per-row
-        # TYPED values the single column couldn't hold
-        nr.alt_view = alt_view
+    nr = NodeResult(value=value, errors=errors, missing=missing, failed=failed,
+                    strip_rows=strip_hit if strip_hit.any() else None, alt_view=alt_view)
+    _finalize(nr, node.flags,
+              # undefined at finalize = missing + no-branch-match failures
+              # (value = base.value leaves undefined, validator.js:234) +
+              # strip-branch matches (branch finalize returned undefined);
+              # invalids fail with the value KEPT, so they're excluded;
+              # branch default/failover fills are DEFINED now
+              (missing & ~branch_filled) | (failed & ~defined_failed) | strip_hit | undef_hit,
+              scope, env, _rec_appender(errors, path, _lbl))
     if shadow_pairs:
         # normalize to DISJOINT masks, later branch tries taking precedence
         seen = np.zeros(n, dtype=bool)
@@ -2755,6 +2537,23 @@ def _required_strip_claims(ic, hit, parents, positions, n_items, n, node, add_er
     return claim, hit & ~claim
 
 
+def _keep_fired(rec: ErrRec, keep: np.ndarray) -> None:
+    """Keep the ``keep`` entries of a rec's fired rows (``rows``, else
+    ``mask.nonzero()``) and every per-row field aligned with them."""
+    if rec.rows is None:
+        fired = np.nonzero(rec.mask)[0]
+        rec.mask = np.zeros(len(rec.mask), dtype=bool)
+        rec.mask[fired[keep]] = True
+    else:
+        rec.rows = rec.rows[keep]
+        if rec.item_index is not None:
+            rec.item_index = rec.item_index[keep]
+        if rec.fire_items is not None:
+            rec.fire_items = rec.fire_items[keep]
+    if rec.values is not None:
+        rec.values = [v for v, k in zip(rec.values, keep) if k]
+
+
 def _drop_post_abort_warns(errors: list, fm: np.ndarray, n: int):
     """Under abortEarly joi RETURNED at the row's first hard error — warns
     that would have fired after it were never emitted, and a failover's
@@ -2762,56 +2561,36 @@ def _drop_post_abort_warns(errors: list, fm: np.ndarray, n: int):
     Ordering follows joi's walk like _abort_early_filter: (ordering-group
     first emission index, FIRE-time item index, emission index) — an
     item-0 warn precedes an item-1 hard error from an EARLIER rec
-    (fuzz seed 49000734, node-verified)."""
+    (fuzz seed 49000734, node-verified).  The three keys are ranked with
+    one lexsort, exact for any item index."""
     group_first: dict[int, int] = {}
-    eff = []
-    for pos, rec in enumerate(errors):
-        g = getattr(rec, "order", None)
-        eff.append(pos if g is None else group_first.setdefault(id(g), pos))
-
-    def _key(pos, rec, rows):
-        items = getattr(rec, "fire_items", None)
-        if items is None and getattr(rec, "item_index", None) is not None:
-            items = rec.item_index
-        it = (np.asarray(items, dtype=np.int64) if items is not None
-              else np.full(len(rows), -1, dtype=np.int64))
-        return (np.int64(eff[pos]) << 42) | ((it + 1) << 21) | np.int64(pos)
-
-    INF = np.iinfo(np.int64).max
-    first_key = np.full(n, INF, dtype=np.int64)
-    for pos, rec in enumerate(errors):
-        if rec.warn:
-            continue
-        rows = rec.rows if getattr(rec, "rows", None) is not None else np.nonzero(rec.mask)[0]
-        if not len(rows):
-            continue
-        np.minimum.at(first_key, rows, _key(pos, rec, rows))
-    for pos, rec in enumerate(errors):
-        if not rec.warn:
-            continue
-        rows = rec.rows if getattr(rec, "rows", None) is not None else None
-        if rows is None:
-            wrows = np.nonzero(rec.mask)[0]
-            if not len(wrows):
-                continue
-            drop = fm[wrows] & (_key(pos, rec, wrows) > first_key[wrows])
+    if not errors:
+        return
+    fired, eff, items, pos = [], [], [], []
+    for i, rec in enumerate(errors):
+        rows = rec.rows if rec.rows is not None else np.nonzero(rec.mask)[0]
+        it = rec.fire_items if rec.fire_items is not None else rec.item_index
+        fired.append(rows)
+        eff.append(np.full(len(rows), i if rec.order is None
+                           else group_first.setdefault(id(rec.order), i), dtype=np.int64))
+        items.append(np.asarray(it, dtype=np.int64) if it is not None
+                     else np.full(len(rows), -1, dtype=np.int64))
+        pos.append(np.full(len(rows), i, dtype=np.int64))
+    # keys only tie within one rec (the emission index is part of them),
+    # and a rec is never compared with itself
+    order = np.lexsort((np.concatenate(pos), np.concatenate(items), np.concatenate(eff)))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    keys = np.split(rank, np.cumsum([len(r) for r in fired])[:-1])
+    first_key = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    for rec, rows, key in zip(errors, fired, keys):
+        if not rec.warn and len(rows):
+            np.minimum.at(first_key, rows, key)
+    for rec, rows, key in zip(errors, fired, keys):
+        if rec.warn and len(rows):
+            drop = fm[rows] & (key > first_key[rows])
             if drop.any():
-                m2 = rec.mask.copy()
-                m2[wrows[drop]] = False
-                rec.mask = m2
-            continue
-        if not len(rows):
-            continue
-        drop = fm[rows] & (_key(pos, rec, rows) > first_key[rows])
-        if drop.any():
-            keep = ~drop
-            rec.rows = rows[keep]
-            if getattr(rec, "item_index", None) is not None:
-                rec.item_index = rec.item_index[keep]
-            if getattr(rec, "fire_items", None) is not None:
-                rec.fire_items = rec.fire_items[keep]
-            if getattr(rec, "values", None) is not None:
-                rec.values = [v for v, k in zip(rec.values, keep) if k]
+                _keep_fired(rec, ~drop)
 
 
 def _parent_row_getter(columns: dict, results: dict):
@@ -2936,7 +2715,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
         # index shift below can re-point item_index post-hoc
         made: list = []
         for rec in sub.errors:
-            if getattr(rec, "rows", None) is not None:
+            if rec.rows is not None:
                 fired = rec.rows
             else:
                 fired = np.nonzero(rec.mask)[0]
@@ -2945,7 +2724,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
             # with the rec's post-filter rows (add_err drops out-of-scope
             # rows itself; a whens-branch scope can drop some or all)
             sel = scope[rows]
-            vals = getattr(rec, "values", None)
+            vals = rec.values
             if not sel.all():
                 fired, rows = fired[sel], rows[sel]
                 if vals is not None:
@@ -2990,7 +2769,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                          rec.seq, rec.warn, rec.message)
             nr2.rows = rows
             nr2.item_index = (rec.item_index[keepv]
-                              if getattr(rec, "item_index", None) is not None else None)
+                              if rec.item_index is not None else None)
             nr2.values = vals
             kept.append(nr2)
         if kept:
@@ -3807,7 +3586,7 @@ def _dep_presence(name, results, children, parent_present, n, separator="."):
         # validated cleanly (object.js:125-140): an ERRORED key keeps its
         # ORIGINAL input value, so dependencies see the raw presence there
         # (e.g. q='' with empty('')+required: errored, still "present")
-        res_failed = getattr(results[top], "failed", None)
+        res_failed = results[top].failed
         if res_failed is not None and res_failed.any() and top in children:
             orig_present = ~null_mask(children[top])
             present = np.where(res_failed, orig_present, present)
@@ -3848,7 +3627,7 @@ def _probe_warns(errors: list, n: int, abort: bool = True, allow: Optional[np.nd
     ``allow`` (indexed by row) further limits the rows that may leak."""
     aborted = np.zeros(n, dtype=bool)
     for rec in errors:
-        rows = rec.rows if getattr(rec, "rows", None) is not None else np.nonzero(rec.mask)[0]
+        rows = rec.rows if rec.rows is not None else np.nonzero(rec.mask)[0]
         if not rec.warn:
             if abort:
                 aborted[rows] = True
@@ -3857,7 +3636,7 @@ def _probe_warns(errors: list, n: int, abort: bool = True, allow: Optional[np.nd
         if allow is not None:
             keep &= allow[rows]
         if keep.any():
-            vals = getattr(rec, "values", None)
+            vals = rec.values
             yield rec, keep, rows[keep], (
                 None if vals is None else [v for v, k in zip(vals, keep) if k])
 
@@ -4119,7 +3898,7 @@ class CompiledSchema:
         msg_r: list = []  # str (constant per rec) or list (per row)
         group_first: dict[int, int] = {}  # ordering-group -> first emission index
         for rec_idx, rec in enumerate(errors):
-            if getattr(rec, "rows", None) is not None:
+            if rec.rows is not None:
                 rows = rec.rows
                 items = rec.item_index if rec.item_index is not None else np.full(len(rows), -1, np.int32)
             else:
@@ -4137,7 +3916,7 @@ class CompiledSchema:
             # item index ("b[0]", errors.js:87-107) unless a label flag
             # overrides it; item errors therefore need one render per
             # distinct index (bounded by max list length, not row count).
-            if getattr(rec, "values", None) is not None:
+            if rec.values is not None:
                 # the message embeds the offending value ({[.]},
                 # string/index.js:760-763): render the TEMPLATE once per
                 # distinct item label (leaving {value} in place), then one
@@ -4150,7 +3929,7 @@ class CompiledSchema:
                     if b is None:
                         b = render(
                             rec.code,
-                            _item_label_path(rec.path, it, getattr(rec, "ipos", None)),
+                            _item_label_path(rec.path, it, rec.ipos),
                             rec.context,
                             override,
                             prefs=self.prefs,
@@ -4169,7 +3948,7 @@ class CompiledSchema:
                 by_item = {
                     int(it): render(
                         rec.code,
-                        _item_label_path(rec.path, int(it), getattr(rec, "ipos", None)),
+                        _item_label_path(rec.path, int(it), rec.ipos),
                         rec.context,
                         override,
                         prefs=self.prefs,
@@ -4188,17 +3967,17 @@ class CompiledSchema:
             # recs sharing an ordering group collapse to the group's first
             # emission index so their errors interleave by item position
             # (joi's item-outer array loop)
-            g = getattr(rec, "order", None)
+            g = rec.order
             rec_r.append(rec_idx if g is None else group_first.setdefault(id(g), rec_idx))
             # true emission index: within one ordering group and item, joi
             # walks the item object's KEYS in topo order — the lift
             # preserves it as rec emission order (x's warn precedes y's
             # aborting error; fuzz seed 59130)
             sub_r.append(rec_idx)
-            soft_r.append(bool(getattr(rec, "soft", False)))
-            labort_r.append(int(getattr(rec, "local_abort", 0)))
-            fin_r.append(bool(getattr(rec, "post_abort", False)))
-            fi = getattr(rec, "fire_items", None)
+            soft_r.append(bool(rec.soft))
+            labort_r.append(int(rec.local_abort))
+            fin_r.append(bool(rec.post_abort))
+            fi = rec.fire_items
             fitem_l.append(fi.astype(np.int64) if fi is not None else items.astype(np.int64))
         if not rows_l:
             empty = {name: pa.array([], type=t) for name, t in zip(VIOLATION_SCHEMA.names, VIOLATION_SCHEMA.types)}

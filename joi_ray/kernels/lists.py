@@ -138,17 +138,6 @@ def make_unique(args):
     return kernel
 
 
-def sparse_check(arr: pa.Array) -> np.ndarray:
-    """Rows containing null items (forbidden unless the sparse flag is set)."""
-    n = len(arr)
-    flat, parents, _ = flatten_with_parents(arr)
-    bad = np.zeros(n, dtype=bool)
-    if len(parents):
-        nulls = as_bool_np(pc.is_null(flat), len(flat))
-        bad[np.unique(parents[nulls])] = True
-    return bad
-
-
 def sort_lists(arr, order: str, by):
     """Rewrite each row's list in sorted order — joi's internals.sort
     (array.js:740-788) with undefined-always-last (Arrow null ≙
@@ -296,24 +285,6 @@ def make_sort(args):
         return RuleOut(ok=ok, context={"order": order, "by": by or "value"})
 
     return kernel
-
-
-def monotonic_check(arr: pa.Array, by: str, strict: bool = False) -> np.ndarray:
-    """Convenience used by the interleaved-document schema: is the struct
-    field ``by`` monotonically non-decreasing (or strictly increasing) within
-    each row's list?  Returns ok mask per row."""
-    n = len(arr)
-    flat, parents, _ = _item_values(arr, by)
-    ok = np.ones(n, dtype=bool)
-    if len(parents) > 1:
-        v = flat.to_numpy(zero_copy_only=False).astype(np.float64)
-        same = parents[1:] == parents[:-1]
-        with np.errstate(invalid="ignore"):
-            in_order = (v[1:] > v[:-1]) if strict else (v[1:] >= v[:-1])
-        both = ~np.isnan(v[1:]) & ~np.isnan(v[:-1])
-        viol = same & both & ~in_order
-        ok[np.unique(parents[1:][viol])] = False
-    return ok
 
 
 FACTORIES = {

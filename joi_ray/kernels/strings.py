@@ -477,13 +477,6 @@ def _civil_from_days(z: int) -> tuple:
     return y + (m <= 2), m, d
 
 
-def _days_in_month(y: int, m: int) -> int:
-    if m == 2:
-        leap = (y % 4 == 0 and y % 100 != 0) or y % 400 == 0
-        return 29 if leap else 28
-    return 30 if m in (4, 6, 9, 11) else 31
-
-
 def _js_iso_parse(s: str) -> str | None:
     """toISOString() text for a regex-valid-but-pandas-rejected ISO string,
     or None for Invalid Date (see _js_iso_parse_ms)."""

@@ -92,6 +92,18 @@ class ErrRec:
     #: array items lift for sub-errors below the array level; None = append
     #: (plain item errors, where path IS the array path)
     ipos: Optional[int] = None
+    #: fired rows of a span-level error, aligned with ``item_index``; None =
+    #: row-level (the rows are ``mask.nonzero()``)
+    rows: Optional[np.ndarray] = None
+    #: item index at FIRE time: abortEarly ordering follows joi's walk even
+    #: after strip-splice bookkeeping re-points ``item_index`` for display
+    fire_items: Optional[np.ndarray] = None
+    #: pushed by finalize after joi's abort point (any.default /
+    #: any.failover): kept beside the row's first error under abortEarly
+    post_abort: bool = False
+    #: group id of a schema-local abortEarly subtree (0 = none): the
+    #: abort-early filter applies within the group
+    local_abort: int = 0
 
 
 class AltView:

@@ -865,16 +865,6 @@ class MediaFeatureStage:
         return batch.append_column("media_features", col)
 
 
-def frame_sample_plan(meta_col: pa.Array, every_n: int = 2) -> pa.Array:
-    """video metadata -> list<int32> of frame indices to sample (plumbing for
-    a frame-extraction stage; the extraction itself is decoder territory)."""
-    frames = pc.struct_field(meta_col, "n_frames")
-    out = []
-    for f in frames.to_pylist():
-        out.append(list(range(0, f, every_n)) if f else None)
-    return pa.array(out, type=pa.list_(pa.int32()))
-
-
 def media_pipeline(docs_ds, *, concurrency=2, batch_size=256):
     """documents (doc_id, spans) -> exploded media spans with synthesized
     payloads, decoded metadata, and feature vectors.  Demonstrates the

@@ -154,3 +154,21 @@ def test_post_when_unmatchable_valids_refused():
         with pytest.raises(NotImplementedError, match=re.escape(shown)):
             compile_schema(obj({"a": s, "b": jr.number()}))
     compile_schema(obj({"a": when.valid(3), "b": jr.number()}))  # static values still compile
+
+
+def test_post_abort_warn_order_exact_for_large_item_index():
+    # the post-abort warn drop orders by (emission, fire-time item,
+    # position); an item index past 2**21 must not spill into the
+    # emission field: the warn at position 0 fired first and stays
+    import numpy as np
+
+    from joi_ray.engine import _drop_post_abort_warns
+    from joi_ray.kernels.util import ErrRec
+
+    for item in (5, 2**21 + 1):
+        warn = ErrRec("string.creditCard", np.array([True]), "a", warn=True,
+                      item_index=np.array([item]))
+        warn.rows, warn.fire_items = np.array([0]), np.array([item])
+        hard = ErrRec("any.invalid", np.array([True]), "a")
+        _drop_post_abort_warns([warn, hard], np.array([True]), 1)
+        assert warn.rows.tolist() == [0], item

@@ -2239,3 +2239,51 @@ def test_invalid_emptying_valids_under_only_is_a_build_error():
     r = jr.compile_schema(s, prefs={"abort_early": False}).validate_table(
         pa.table({"a": ["x"]}))
     assert r.violations.num_rows == 0  # valid('x') re-allowed it
+
+
+def _seed_88123215_schema():
+    # gen_case(88123215)'s key b: an alternatives carrying invalid() and a
+    # default(thrower); "hello" matches neither branch
+    def boom():
+        raise RuntimeError("x")
+
+    return jr.object({
+        "b": jr.alternatives().try_(
+            jr.string().max(3),
+            jr.string().max(10).pattern(r"[A-Z]{2}").valid("ab", "abc").strip(),
+        ).default(boom).invalid("hello"),
+    })
+
+
+def test_alternatives_invalid_continues_into_matches_without_abort_early():
+    # fuzz seed 88123215, row 9 (the reference's recorded run): joi pushes
+    # any.invalid and CONTINUES unless abortEarly is set (validator.js:
+    # 218-227) — no branch matches, so alternatives.match follows, and the
+    # value stays undefined, so the node default runs (and throws)
+    r = jr.compile_schema(_seed_88123215_schema(), prefs={"abort_early": False}).validate_table(
+        pa.table({"b": ["hello"]}))
+    assert r.violations["code"].to_pylist() == [
+        "any.invalid", "alternatives.match", "any.default"]
+
+
+def test_alternatives_invalid_stops_the_row_under_abort_early():
+    r = jr.compile_schema(_seed_88123215_schema()).validate_table(pa.table({"b": ["hello"]}))
+    assert r.violations["code"].to_pylist() == ["any.invalid"]
+
+
+def test_errored_strip_branch_row_keeps_its_value_under_a_wrapper():
+    # fuzz seed 957: a strip-flagged when() branch returns undefined and
+    # the wrapper's default(thrower) errors any.default.  joi's object
+    # deletes a strip key only when the child has no errors (object.js:
+    # 126-139), so the errored row keeps its value — as on alternatives
+    def boom():
+        raise RuntimeError("x")
+
+    s = jr.object({
+        "a": jr.number().strip().when("c", is_="a", then=jr.number().less(12)).default(boom),
+        "c": jr.string(),
+    })
+    r = jr.compile_schema(s, prefs={"abort_early": False}).validate_table(
+        pa.table({"a": [5.0], "c": ["b"]}))
+    assert r.violations["code"].to_pylist() == ["any.default"]
+    assert r.value["a"].to_pylist() == [5.0]

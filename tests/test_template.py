@@ -197,6 +197,22 @@ def test_expression_valued_default_node_verified():
     assert s2.describe()["keys"]["b"]["flags"]["default"] == {"template": "hi {a}!"}
 
 
+@pytest.mark.parametrize("node", [
+    jr.number(),
+    jr.alternatives().try_(jr.number(), jr.string()),
+    jr.number().when("a", is_=jr.number().min(2), then=jr.number().max(100)),
+], ids=["number", "alternatives", "post_when"])
+def test_expression_default_fills_on_every_node_type(node):
+    # joi's internals.default (validator.js:451-475) resolves a template
+    # source the same way whatever the schema type: alternatives and the
+    # when() wrapper fill like a plain number
+    s = jr.object({"a": jr.number(), "b": node.default(jr.x("{a + 1}"))})
+    r = jr.compile_schema(s, prefs={"abort_early": False}).validate_table(
+        pa.table({"a": [1, 2, 3], "b": pa.array([None, 5, None], pa.int64())}))
+    assert r.value["b"].to_pylist() == [2, 5, 4]
+    assert r.violations.num_rows == 0
+
+
 def test_template_rule_args_and_valids_node_verified():
     import pyarrow as pa
 

@@ -8,8 +8,13 @@ Arrow IPC stream bytes of that part:
   ``valbench/inputs.py`` (seed 1), validated against the flagship document
   schema with ``abort_early`` off and ``doc_id`` as the id column;
 - ``tools/fuzz_spec.gen_case`` seeds 0-1999, built, compiled and validated
-  with the case's own prefs.  A case that raises records the exception
-  type and message instead.
+  with the case's own prefs (``gen_case/{seed}``), and once more with
+  ``{"abortEarly": False, **prefs}`` (``gen_case_na/{seed}``), the prefs
+  ``diffref.diff_case`` sends to the reference.  Without the second run,
+  the engine default ``abort_early: True`` keeps only each row's first
+  error on most seeds and hides the rest from the check.
+
+A case that raises records the exception type and message instead.
 
 Usage:
     python3 tools/corpus_digest.py --save digests.json   # on the base commit
@@ -82,6 +87,7 @@ def corpus() -> dict:
             return jr.compile_schema(build_spec_py(spec), prefs=prefs_to_py(prefs)).validate_table(tbl)
 
         out[f"gen_case/{s}"] = _run(case)
+        out[f"gen_case_na/{s}"] = _run(lambda c=case, p={"abortEarly": False, **prefs}: c(prefs=p))
     return out
 
 
