@@ -674,74 +674,68 @@ def _fill_source(arr, mask, src, clean, env: Env, record, code: str):
     - a function runs per row (see ``_fn_default_values``); a throw
       records ``code`` (any.default / any.failover) and leaves the row;
     - a template evaluates per row (Joi.x: '{a + 1}' yields the value);
-    - a Ref resolves as a column;
-    - anything else is a literal, filled with one vectorized ``if_else``.
+    - a Ref resolves as a column, or as one value like a literal;
+    - a literal is one value for every row.
 
-    A value the column's type cannot hold round-trip (``_rt_eq``) rebuilds
-    the column in the value's type when no ``clean`` row needs the old
-    one; otherwise it goes into an AltView pair (the one-type-per-column
-    ceiling) so sibling refs still see it.  Returns (arr, rows whose value
-    is now defined, thrown rows, blocked-adoption pair or None)."""
+    One adoption rule for every source: a Ref column of the column's own
+    type, or a literal that round-trips in it (``_rt_eq``), fills with one
+    vectorized ``if_else``; any other values go through
+    ``_adopt_fn_values`` (the column's type, then a whole-column rebuild
+    in the values' type).  When that fails, a literal that no ``clean``
+    row competes with rebuilds the column from the filled rows alone;
+    anything else goes into an AltView pair (the one-type-per-column
+    ceiling) so sibling refs still see it.
+    Returns (arr, rows whose value is now defined, thrown rows,
+    blocked-adoption pair or None)."""
     n = len(arr)
     thrown = np.zeros(n, dtype=bool)
+    rows = np.nonzero(mask)[0]
+    rebuild = False
     if isinstance(src, Ref):
-        rv = env.resolve_ref(src, n)
-        if isinstance(rv, (pa.Array, pa.ChunkedArray)):
-            rv = combine(rv)
-            fill = pa.array(mask)
-            try:
-                if pa.types.is_null(arr.type):
-                    arr = pc.if_else(fill, rv, pa.nulls(n, rv.type))
-                else:
-                    arr = pc.if_else(fill, rv if rv.type == arr.type else rv.cast(arr.type), arr)
-            except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-                pass
-            # a ref resolving undefined leaves the row undefined
-            return arr, mask & ~null_mask(rv), thrown, None
-        if rv is None:
+        src = env.resolve_ref(src, n)
+        if src is None:
             return arr, np.zeros(n, dtype=bool), thrown, None
-        src = rv
-    if callable(src) or isinstance(src, Template):
-        fired = np.nonzero(mask)[0]
-        if isinstance(src, Template):
-            tcol = resolve_template_column(src, env, n)
-            vals, threw = [tcol[int(i)].as_py() for i in fired], np.zeros(len(fired), dtype=bool)
-        else:
-            vals, threw, ferr = _fn_default_values(src, fired, env)
+    if isinstance(src, (pa.Array, pa.ChunkedArray)):
+        rv = combine(src)
+        if pa.types.is_null(arr.type) or rv.type == arr.type:
+            base = pa.nulls(n, rv.type) if pa.types.is_null(arr.type) else arr
+            # a ref resolving undefined leaves the row undefined
+            return pc.if_else(pa.array(mask), rv, base), mask & ~null_mask(rv), thrown, None
+        vals = rv.take(pa.array(rows)).to_pylist()
+    elif isinstance(src, Template):
+        vals = resolve_template_column(src, env, n).take(pa.array(rows)).to_pylist()
+    elif callable(src):
+        vals, threw, ferr = _fn_default_values(src, rows, env)
         if threw.any():
-            thrown[fired[threw]] = True
+            thrown[rows[threw]] = True
             rec = record(code, thrown, {"error": repr(ferr)})
             if rec is not None:
                 # finalize pushes AFTER the abort point (validator.js:
                 # 359-364, 385) — rides along under abortEarly
                 rec.post_abort = True
-        f_ok = fired[~threw]
-        v_ok = [v for v, t in zip(vals, threw) if not t]
-        # a source returning undefined leaves the row undefined
-        defined = np.zeros(n, dtype=bool)
-        defined[f_ok[[v is not None for v in v_ok]]] = True
-        pair = None
-        if len(f_ok):
-            adopted = _adopt_fn_values(arr, f_ok, v_ok, n)
-            if adopted is not None:
-                arr = adopted
-            else:
-                pair = _dflt_pair(n, f_ok, v_ok)
-        return arr, defined, thrown, pair
-    s = _scalar_for(src, arr.type)
-    if s is not None and _rt_eq(src, s.as_py()):
-        return pc.if_else(pa.array(mask), s, arr), mask, thrown, None
-    if not clean.any():
-        # the literal's type can't live in the column (a number default
-        # over an all-failing string column under convert:false) and no
-        # clean kept value needs the old type: rebuild in the literal's
-        # type so the fill still lands (fuzz seed 5000296)
-        try:
-            return pa.array([src if m else None for m in mask]), mask, thrown, None
-        except (pa.ArrowInvalid, pa.ArrowTypeError):
-            return arr, mask, thrown, None
-    rows = np.nonzero(mask)[0]
-    return arr, mask, thrown, _dflt_pair(n, rows, [src] * len(rows))
+            rows = rows[~threw]
+            vals = [v for v, t in zip(vals, threw) if not t]
+    else:
+        s = _scalar_for(src, arr.type)
+        if s is not None and _rt_eq(src, s.as_py()):
+            return pc.if_else(pa.array(mask), s, arr), mask, thrown, None
+        vals = [src] * len(rows)
+        # the literal's type cannot live in the column: when no clean row
+        # needs the old type, the column is rebuilt from the filled rows
+        # alone so the literal still lands (fuzz seed 5000296: a number
+        # over an all-failing string column under convert:false)
+        rebuild = not clean.any()
+    # a source yielding undefined leaves the row undefined
+    defined = np.zeros(n, dtype=bool)
+    defined[rows[[v is not None for v in vals]]] = True
+    if not len(rows):
+        return arr, defined, thrown, None
+    adopted = _adopt_fn_values(arr, rows, vals, n)
+    if adopted is None and rebuild:
+        adopted = _adopt_fn_values(pa.nulls(n), rows, vals, n)
+    if adopted is not None:
+        return adopted, defined, thrown, None
+    return arr, defined, thrown, _dflt_pair(n, rows, vals)
 
 
 def _finalize(nr: NodeResult, flags: dict, undef: np.ndarray, scope: np.ndarray,
@@ -780,7 +774,10 @@ def _finalize(nr: NodeResult, flags: dict, undef: np.ndarray, scope: np.ndarray,
                 if pair is not None:
                     pairs.append(pair)
                 filled |= defined
-                fm &= ~thrown  # thrown rows keep their errors
+                # joi adopts only a failover that is not undefined
+                # (validator.js:357-364): thrown rows and undefined
+                # results keep their errors
+                fm &= defined
             if fm.any():
                 if env.abort_early:
                     # joi had already RETURNED at the row's first hard
@@ -833,10 +830,9 @@ def _finalize(nr: NodeResult, flags: dict, undef: np.ndarray, scope: np.ndarray,
         # must not re-fill these rows (validator.js:383)
         nr.fin_filled = filled if nr.fin_filled is None else nr.fin_filled | filled
     if nr.strip_rows is not None:
-        # a strip-deleted row that adopted a value, or errored here, keeps
-        # it — joi's parent writes an adopted value and keeps the original
-        # on errors (object.js:126-139)
-        keep = nr.strip_rows & ~filled & ~nr.failed
+        # a strip-deleted row that adopted a value keeps it: the parent
+        # writes the adopted value (object.js:126-139)
+        keep = nr.strip_rows & ~filled
         nr.strip_rows = keep if keep.any() else None
     if pairs or nr.alt_view is not None:
         # blocked cross-type adoptions: ref consumers see the per-row typed
@@ -1638,7 +1634,9 @@ def _finish_whens(node: CNode, merged: NodeResult, parts, env: Env, path, scope)
       fuzz seed 957: strip + when + default(thrower) errors any.default
       on every row);
     - rows that adopt a wrapper value are no longer strip-deleted (the
-      wrapper has no result flag, so the parent writes the value)."""
+      wrapper has no result flag, so the parent writes the value); a
+      strip row that errors stays deleted — unlike alternatives, where
+      an errored strip row keeps its value (``_eval_alternatives``)."""
     undef = merged.missing.copy()
     if merged.fin_filled is not None:
         # a branch default/failover already set the value (joi: no longer
@@ -2304,6 +2302,12 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
               # branch default/failover fills are DEFINED now
               (missing & ~branch_filled) | (failed & ~defined_failed) | strip_hit | undef_hit,
               scope, env, _rec_appender(errors, path, _lbl))
+    if nr.strip_rows is not None:
+        # an errored strip-branch row keeps its value: joi's parent
+        # deletes only a clean child (object.js:126-139; node-verified in
+        # test_alternatives_strip_branch_feeds_node_default)
+        keep = nr.strip_rows & ~nr.failed
+        nr.strip_rows = keep if keep.any() else None
     if shadow_pairs:
         # normalize to DISJOINT masks, later branch tries taking precedence
         seen = np.zeros(n, dtype=bool)

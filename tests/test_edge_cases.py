@@ -3,6 +3,7 @@ per-column chain (empty x required x default, allow x coerce-failure,
 strip inside items, all-null columns, zero-width batches, deep nesting)."""
 
 import pyarrow as pa
+import pytest
 
 import joi_ray as jr
 from joi_ray import compile_schema, object as obj
@@ -134,7 +135,6 @@ def test_wrong_typed_column_clean_base_errors():
 def test_nested_cyclic_key_dependency_refused_at_compile():
     # the reference refuses cyclic key refs at schema build (@hapi/topo via
     # object.js:601-606); a nested object is refused at compile like the root
-    import pytest
 
     inner = obj({"a": jr.number().min(jr.ref("b")), "b": jr.number().min(jr.ref("a"))})
     with pytest.raises(ValueError, match="cyclic key dependencies"):
@@ -147,7 +147,6 @@ def test_post_when_unmatchable_valids_refused():
     # instead of being dropped
     import re
 
-    import pytest
 
     when = jr.number().when("b", is_=1, then=jr.number().min(1))
     for s, shown in ((when.valid(None), "None"), (when.invalid(jr.ref("b")), "Ref('b')")):
@@ -172,3 +171,20 @@ def test_post_abort_warn_order_exact_for_large_item_index():
         hard = ErrRec("any.invalid", np.array([True]), "a")
         _drop_post_abort_warns([warn, hard], np.array([True]), 1)
         assert warn.rows.tolist() == [0], item
+
+
+@pytest.mark.parametrize("node", [
+    jr.number(),
+    jr.alternatives().try_(jr.number()),
+    jr.number().when("c", is_=jr.number().min(0), then=jr.number().max(100)),
+], ids=["number", "alternatives", "post_when"])
+@pytest.mark.parametrize("source", [2.5, jr.ref("c")], ids=["literal", "ref"])
+def test_cross_type_default_lands_on_every_node_type(node, source):
+    # a default the int64 column cannot hold still lands in the value, the
+    # same way on every node type: joi's object would hold 1 beside 2.5,
+    # so the column is rebuilt as float64 (the clean 1 round-trips as 1.0)
+    s = obj({"b": node.default(source), "c": jr.number()})
+    r = compile_schema(s, prefs={"abort_early": False}).validate_table(pa.table({
+        "b": pa.array([1, None], pa.int64()), "c": [0.0, 2.5]}))
+    assert r.violations.num_rows == 0
+    assert r.value["b"].to_pylist() == [1.0, 2.5]

@@ -2271,19 +2271,12 @@ def test_alternatives_invalid_stops_the_row_under_abort_early():
     assert r.violations["code"].to_pylist() == ["any.invalid"]
 
 
-def test_errored_strip_branch_row_keeps_its_value_under_a_wrapper():
-    # fuzz seed 957: a strip-flagged when() branch returns undefined and
-    # the wrapper's default(thrower) errors any.default.  joi's object
-    # deletes a strip key only when the child has no errors (object.js:
-    # 126-139), so the errored row keeps its value — as on alternatives
-    def boom():
-        raise RuntimeError("x")
 
-    s = jr.object({
-        "a": jr.number().strip().when("c", is_="a", then=jr.number().less(12)).default(boom),
-        "c": jr.string(),
-    })
+def test_failover_returning_undefined_keeps_the_errors():
+    # joi adopts a failover only when it is not undefined (validator.js:
+    # 357-364); a function returning undefined leaves the errors in place
+    s = jr.object({"a": jr.number().failover(lambda: None)})
     r = jr.compile_schema(s, prefs={"abort_early": False}).validate_table(
-        pa.table({"a": [5.0], "c": ["b"]}))
-    assert r.violations["code"].to_pylist() == ["any.default"]
-    assert r.value["a"].to_pylist() == [5.0]
+        pa.table({"a": ["abc"]}))
+    assert r.violations["code"].to_pylist() == ["number.base"]
+    assert list(r.ok) == [False]
