@@ -181,7 +181,6 @@ class CNode:
         self.invalid_refs = [v for v in schema.invalid_vals if _resolvable(v)]
         self.allow_missing = any(v is None for v in self.allow_static)
         self.allow_static = [v for v in self.allow_static if v is not None]
-        self.invalid_missing = any(v is None for v in self.invalid_static)
         self.invalid_static = [v for v in self.invalid_static if v is not None]
 
         # --- leaf rule kernels
@@ -1278,12 +1277,8 @@ def _eval_node_impl(
             # only abortEarly suppresses the second error)
             miss_set = active & ~in_allow_orig
             add_err("any.only", miss_set, {"valids": node.allow_static}, seq=-2)
-            resolved |= in_allow_orig
-        else:
-            resolved |= in_allow_orig
+        resolved |= in_allow_orig
         base_fail = base_fail & ~in_allow_orig
-    elif node.flags.get("only"):
-        pass  # only with no allow values: everything fails? joi treats as no-op
     # under the node-EFFECTIVE abortEarly (env carries schema-local prefs)
     # joi returns at the first stage error per row (validator.js:194-247):
     # a valids any.only suppresses the invalids check and the base-stage
@@ -1295,8 +1290,6 @@ def _eval_node_impl(
     if node.invalid_static or node.invalid_refs:
         in_invalid = _set_membership(arr, node.invalid_static, node.invalid_refs, insensitive, env)
         add_err("any.invalid", _ae_gate(in_invalid & active & ~resolved), {"invalids": node.invalid_static}, seq=-2)
-    if node.invalid_missing:
-        pass  # null in invalid(): joi invalid(null) -> missing is an error only if present-as-null; N/A in Arrow
 
     # ---- base type errors from coercion; date picks a format-specific
     # code (date.js:39-49: strict -> date.strict, iso -> date.isoDate,
@@ -1771,11 +1764,7 @@ def node_validity(node: CNode, arr, env: Env, scope: np.ndarray) -> np.ndarray:
     alternatives matching, array item matching, has().)"""
     arr = combine(arr)
     res = eval_node(node, arr, env, "", scope=scope)
-    ok = ~res.failed
-    # a required node does not match missing rows
-    if node.flags.get("presence") == "required" or node.whens:
-        pass  # required-missing already recorded as failure
-    return ok
+    return ~res.failed
 
 
 def _strip_survivors(res: NodeResult, orig, n: int):
@@ -2338,11 +2327,6 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
     return nr
 
 
-def _adopt_items(adopt: np.ndarray, sub_value, base, n_items: int, failed=None):
-    """Single-schema convenience wrapper over _adopt_items_multi."""
-    return _adopt_items_multi([(adopt, sub_value)], base, failed, n_items)
-
-
 def _expand_struct_to(v: pa.Array, bt: pa.DataType) -> pa.Array:
     """Widen a struct whose fields are a SUBSET of ``bt``'s (a strip()
     key dropped the column) back to ``bt``, filling the missing fields
@@ -2514,7 +2498,43 @@ def _converted_sparse_items(node, add_err, sub, live, nulls_flat, parents, posit
     return None
 
 
-def _required_strip_claims(ic, hit, parents, positions, n_items, n, node, add_err,
+def _first_per_row(items: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """Mask of the first ``items`` entry of each row (flat items run row
+    by row, in position order)."""
+    first = np.zeros(len(items), dtype=bool)
+    idxs = np.nonzero(items)[0]
+    if len(idxs):
+        p = parents[idxs]
+        first[idxs[np.r_[True, p[1:] != p[:-1]]]] = True
+    return first
+
+
+def _fill_missed(add_err, schemas: list, miss: np.ndarray) -> None:
+    """fillMissedErrors (array.js:674-699): one error per row over the
+    required ``schemas`` it missed — labelled ones as knownMisses, the
+    rest counted as unknownMisses, Both when a row has each.  ``miss`` is
+    a rows × schemas bool matrix."""
+    rows = np.nonzero(miss.any(axis=1))[0]
+    if not len(rows):
+        return
+    patterns, which = np.unique(miss[rows], axis=0, return_inverse=True)
+    for k, pattern in enumerate(patterns):
+        labels = [s.flags.get("label") for s, m in zip(schemas, pattern) if m]
+        known = [l for l in labels if l]
+        unknown = len(labels) - len(known)
+        if known and unknown:
+            code, ctx = "array.includesRequiredBoth", {
+                "knownMisses": known, "unknownMisses": unknown}
+        elif known:
+            code, ctx = "array.includesRequiredKnowns", {"knownMisses": known}
+        else:
+            code, ctx = "array.includesRequiredUnknowns", {"unknownMisses": unknown}
+        mask = np.zeros(len(miss), dtype=bool)
+        mask[rows[which.reshape(-1) == k]] = True
+        add_err(code, mask, ctx)
+
+
+def _required_strip_claims(ic, hit, parents, positions, n, node, add_err,
                            items_grp, shift_recs):
     """First clean match PER ROW of a required+strip inclusion is consumed
     by joi's REQUIREDS loop, which has NO strip check (array.js:237-255):
@@ -2527,10 +2547,7 @@ def _required_strip_claims(ic, hit, parents, positions, n_items, n, node, add_er
     (claim_mask | None, splice_mask)."""
     if ic.flags.get("presence") != "required" or not hit.any():
         return None, hit
-    idxs = np.nonzero(hit)[0]
-    _, first = np.unique(parents[idxs], return_index=True)
-    claim = np.zeros(n_items, dtype=bool)
-    claim[idxs[first]] = True
+    claim = _first_per_row(hit, parents)
     if not node.flags.get("sparse"):
         rec = add_err(
             "array.sparse", np.zeros(n, bool),
@@ -2644,21 +2661,20 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
     # the rec's rows or the violations assembly misaligns (fuzz seed
     # 43005514: a branch-scoped sparse rec kept 5 rows against an
     # 8-row mask)
-    item_in_scope = scope[parents] if len(parents) else np.zeros(0, dtype=bool)
-    if not node.flags.get("sparse") and len(parents):
-        nulls = as_bool_np(pc.is_null(flat), len(flat))
-        if (nulls & item_in_scope).any():
-            sparse_mask = nulls
+    item_in_scope = scope[parents]
+    n_items = len(flat)
+    nulls_flat = as_bool_np(pc.is_null(flat), n_items) if n_items else np.zeros(0, bool)
+    if not node.flags.get("sparse") and n_items:
+        if (nulls_flat & item_in_scope).any():
+            sparse_mask = nulls_flat
             if node.ordered and not node.items:
                 # joi BREAKs the items loop at the first beyond-slots
                 # NON-undefined item (array.js:222-231) — sparse checks
                 # after that position never run
-                L = len(node.ordered)
-                beyond_live = (positions >= L) & ~nulls
-                if beyond_live.any():
-                    cutoff = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-                    np.minimum.at(cutoff, parents[beyond_live], positions[beyond_live])
-                    sparse_mask = nulls & (positions < cutoff[parents])
+                first = _first_per_row((positions >= len(node.ordered)) & ~nulls_flat, parents)
+                cutoff = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+                cutoff[parents[first]] = positions[first]
+                sparse_mask = nulls_flat & (positions < cutoff[parents])
             sparse_mask = sparse_mask & item_in_scope
             if sparse_mask.any():
                 _sparse_rec = add_err(
@@ -2671,35 +2687,6 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                 )
                 if _sparse_rec is not None:  # all rows outside a branch scope
                     _sparse_info = (_sparse_rec, sparse_mask)
-
-    if not len(parents):
-        # ALL-EMPTY batch fast path: joi's required-items bookkeeping still
-        # errors empty arrays (array.js:341 + fillMissedErrors:674-699 —
-        # Knowns/Unknowns/Both by label presence; fuzz seed 99175)
-        def _fill_missed(reqs):
-            present = ~null_mask(arr) & scope
-            if not (reqs and present.any()):
-                return
-            known = [ic.flags.get("label") for ic in reqs if ic.flags.get("label")]
-            unknown = len(reqs) - len(known)
-            if known and unknown:
-                add_err("array.includesRequiredBoth", present,
-                        {"knownMisses": known, "unknownMisses": unknown},
-                        group=items_grp)
-            elif known:
-                add_err("array.includesRequiredKnowns", present,
-                        {"knownMisses": known}, group=items_grp)
-            else:
-                add_err("array.includesRequiredUnknowns", present,
-                        {"unknownMisses": unknown}, group=items_grp)
-
-        _fill_missed([ic for ic in node.items if ic.flags.get("presence") == "required"])
-        # unconsumed required ORDERED slots miss too, as a SEPARATE record
-        # (array.js:345-347 fillOrderedErrors -> fillMissedErrors after the
-        # items fillMissedErrors; fuzz seed 4100375)
-        _fill_missed([oc for oc in node.ordered
-                      if oc.flags.get("presence") == "required"])
-        return arr, None
 
     # ancestor resolver: parent-row columns broadcast to item rows
     parent_idx = pa.array(parents)
@@ -2801,70 +2788,22 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
     new_flat = None
     alt_flat = alt_ok = None  # blocked cross-type promotion: typed ref view
     arr_in = arr  # pre-strip shape for the alt list rebuild
-    n_items = len(flat)
     # items that ADOPTED a converted value (vs kept their original): when
     # a type promotion rewrites the whole column, joi's typeof-sensitive
     # unique() still distinguishes kept number 1 from adopted cast "1" —
     # the tag array carries that lost type bit (fuzz seed 5300531)
     adopted_any = np.zeros(n_items, dtype=bool)
-    env._item_type_tags = None  # reset any sibling array's stale tags
-    env._item_type_tag_fields = None
+    env.item_type_tags = None  # reset any sibling array's stale tags
+    env.item_type_tag_fields = None
     # joi's items loop SKIPS undefined entries in non-sparse arrays — the
     # sparse check already errored them and `continue`s (array.js:154-164);
-    # with sparse() they flow through item validation like any value
-    nulls_flat = as_bool_np(pc.is_null(flat), n_items) if n_items else np.zeros(0, bool)
-    item_live = np.ones(n_items, dtype=bool) if node.flags.get("sparse") else ~nulls_flat
-    # row scope applies to EVERY item-level mask, keeping rec bookkeeping
+    # with sparse() they flow through item validation like any value.
+    # Row scope applies to EVERY item-level mask, keeping rec bookkeeping
     # aligned with add_err's own scope filter (seed 43005514)
-    if len(parents):
-        item_live &= item_in_scope
-    if (len(inclusions) == 1 and not exclusions and not node.ordered and not strip_arrays
-            and not inclusions[0].flags.get("strip")):
-        # single inclusion: the item's ACTUAL errors surface, not
-        # array.includes (array.js:304-315 `jl === 1`).  A strip-flagged
-        # inclusion splices its matches (array.js:278-283), so it takes
-        # the generic path below, which owns the splice bookkeeping
+    item_live = (np.ones(n_items, dtype=bool) if node.flags.get("sparse")
+                 else ~nulls_flat) & item_in_scope
+    if node.items or node.ordered:
         child_env = make_child_env()
-        ic = node.items[0]
-        sub = eval_node(ic, flat, child_env, path, scope=item_live)
-        lift_item_errors(sub, path)
-        # joi adopts ONLY on success — when no item is clean, the flat
-        # stays the ORIGINALS (fuzz seed 4000881: all items failing
-        # object.and keep their strip-deleted key's original for unique())
-        new_flat = None
-        became = _converted_sparse_items(node, add_err, sub, item_live, nulls_flat,
-                                         parents, positions, n, items_grp)
-        # joi assigns value[i] = res.value only on SUCCESS (array.js:286-297):
-        # sparse-converted items AND errored items keep the original value,
-        # keeping later rules (unique) off synthetic undefineds/defaults.
-        # Build from the ORIGINALS and adopt only the clean conversions —
-        # a failed type-clash restore must never leak converted values.
-        restore = became if became is not None else np.zeros(len(nulls_flat), bool)
-        if sub.failed is not None:
-            restore = restore | (item_live & sub.failed)
-        adopt = item_live & ~restore
-        if sub.value is not None and adopt.any():
-            new_flat, alt_flat, alt_ok = _adopt_items(adopt, sub.value, flat, n_items, failed=sub.failed)
-            adopted_any |= adopt
-        else:
-            new_flat = None
-        if ic.flags.get("presence") == "required":
-            # the lone required schema must still claim >=1 item per row;
-            # misses error even on empty arrays (array.js:341 + :674-699)
-            rows_with = np.zeros(n, dtype=bool)
-            if sub.failed is not None and n_items:
-                ok_items = ~sub.failed & item_live
-                rows_with[np.unique(parents[ok_items])] = True
-            miss = ~null_mask(arr) & ~rows_with & scope
-            if miss.any():
-                label = ic.flags.get("label")
-                if label:
-                    add_err("array.includesRequiredKnowns", miss, {"knownMisses": [label]})
-                else:
-                    add_err("array.includesRequiredUnknowns", miss, {"unknownMisses": 1})
-    elif node.items or node.ordered:
-        child_env = make_child_env()
-        item_scope_all = item_live.copy()
         matched_any = np.zeros(n_items, dtype=bool)
         # splice bookkeeping shared by the ordered and items loops: every
         # report the loop emits uses joi's CURRENT index — post-splice when
@@ -2926,68 +2865,31 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
             if beyond.any() and not node.items:
                 # ONE row-level error at the first beyond NON-UNDEFINED
                 # item (an undefined one sparse-errors and `continue`s —
-                # array.js:154-164 precedes :222-231), then joi BREAKs
-                L = len(node.ordered)
-                beyond_live = beyond & item_live
-                by_pos: dict[int, list] = {}
-                seen_rows: set = set()
-                order_idx = np.lexsort((positions[beyond_live], parents[beyond_live]))
-                bl_parents = parents[beyond_live][order_idx]
-                bl_pos = positions[beyond_live][order_idx]
-                # strip-flagged slot splices shift the reported pos: every
+                # array.js:154-164 precedes :222-231), then joi BREAKs.
+                # Strip-flagged slot splices shift the reported pos: every
                 # ordered strip sits at a slot position < L <= ppos, so the
                 # first beyond item's CURRENT index is ppos minus the row's
                 # strip count (array.js:222-231 uses the loop i)
-                row_strips = np.bincount(parents[strip_items], minlength=n) \
-                    if strip_items.any() else np.zeros(n, np.int64)
-                for rrow, ppos in zip(bl_parents, bl_pos):
-                    if int(rrow) in seen_rows:
-                        continue
-                    seen_rows.add(int(rrow))
-                    by_pos.setdefault(int(ppos) - int(row_strips[int(rrow)]), []).append(int(rrow))
-                for ppos, rws in by_pos.items():
+                first = _first_per_row(beyond & item_live, parents)
+                row_strips = np.bincount(parents[strip_items], minlength=n)
+                ppos = positions[first] - row_strips[parents[first]]
+                for p in np.unique(ppos):
                     rows_over = np.zeros(n, dtype=bool)
-                    rows_over[rws] = True
-                    add_err("array.orderedLength", rows_over & scope, {"pos": ppos, "limit": L})
+                    rows_over[parents[first][ppos == p]] = True
+                    add_err("array.orderedLength", rows_over,
+                            {"pos": int(p), "limit": len(node.ordered)})
                 matched_any |= beyond
-            # required ordered slots beyond the input length are misses
-            # (array.js:348-350 fillOrderedErrors -> fillMissedErrors;
-            # vector :1187-1199)
-            req_ord = [
-                (i, oc) for i, oc in enumerate(node.ordered)
-                if oc.flags.get("presence") == "required"
-            ]
-            if req_ord:
-                lengths_np = pc.list_value_length(arr).fill_null(0).to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                present_rows = ~null_mask(arr) & scope
-                ord_bits = np.zeros(n, dtype=np.int64)
-                for b, (i, oc) in enumerate(req_ord):
-                    ord_bits |= (present_rows & (lengths_np <= i)).astype(np.int64) << b
-                for bits in np.unique(ord_bits[ord_bits != 0]):
-                    labels = [
-                        req_ord[b][1].flags.get("label")
-                        for b in range(len(req_ord))
-                        if (int(bits) >> b) & 1
-                    ]
-                    known = [l for l in labels if l]
-                    unknown = len(labels) - len(known)
-                    if known and unknown:
-                        code, ctx = "array.includesRequiredBoth", {
-                            "knownMisses": known, "unknownMisses": unknown}
-                    elif known:
-                        code, ctx = "array.includesRequiredKnowns", {"knownMisses": known}
-                    else:
-                        code, ctx = "array.includesRequiredUnknowns", {"unknownMisses": unknown}
-                    add_err(code, ord_bits == bits, ctx)
+        # required inclusions (array.js:233-258 requireds loop) and, per
+        # schema, the items that claimed it
+        requireds = [ic for ic in inclusions if ic.flags.get("presence") == "required"]
+        req_claims: list = []
         if node.items:
-            remaining = item_scope_all & ~matched_any
+            remaining = item_live & ~matched_any
             # exclusions first (array.js:206-218): a match errors and claims
             # the item before any inclusion can — an exclusion-errored item
             # also never reaches the requireds loop (`errored -> continue`),
             # so it cannot CLAIM a required schema (fuzz seed 43005251,
             # node-verified: all-excluded items still miss the required)
-            excl_hit = np.zeros(n_items, dtype=bool)
             for ic in exclusions:
                 if not remaining.any():
                     break
@@ -3007,46 +2909,51 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                     if rec_x is not None:  # branch scope can drop every row
                         shift_recs.append((rec_x, np.nonzero(bad)[0]))
                 matched_any |= bad
-                excl_hit |= bad
                 remaining = remaining & ~bad
-            if len(inclusions) == 1 and not strip_arrays and remaining.any():
+            if len(inclusions) == 1 and not strip_arrays:
                 # single inclusion: unmatched items surface the item's
                 # ACTUAL errors, not array.includes (array.js:304-315
-                # `jl === 1`; ordered+items vector :1201-1213)
+                # `jl === 1`; ordered+items vector :1201-1213) — a
+                # sparse-flowing undefined that fails the lone inclusion
+                # lifts its real error (any.required), no array.includes
+                # on top (fuzz seed 4101290)
                 ic = inclusions[0]
-                sub = eval_node(ic, flat, child_env, path, scope=remaining)
-                shift_recs += lift_item_errors(sub, path)
-                # a strip-flagged inclusion splices BEFORE the undefined
-                # check (array.js:280-286), so an empty('')-converted clean
-                # item strips silently instead of sparse-erroring (fuzz
-                # seed 4001409, node-verified)
-                became2 = None if ic.flags.get("strip") else _converted_sparse_items(
-                    node, add_err, sub, remaining, nulls_flat,
-                    parents, positions, n, items_grp, shift_recs=shift_recs)
-                ok = ~sub.failed if sub.failed is not None else np.ones(n_items, bool)
-                # matched items adopt the schema's converted value
-                # (array.js:297 value[i] = res.value); failed / sparse-
-                # converted / out-of-scope items keep the original
-                if sub.value is not None:
-                    keep_orig = ~(remaining & ok)
-                    if became2 is not None:
-                        keep_orig = keep_orig | became2
-                    base = new_flat if new_flat is not None else flat
-                    new_flat = _adopt_items(~keep_orig, sub.value, base, n_items, failed=sub.failed)[0] or new_flat
-                    adopted_any |= ~keep_orig
-                hit = remaining & ok
-                if ic.flags.get("strip"):
-                    claim, splice = _required_strip_claims(
-                        ic, hit, parents, positions, n_items, n, node,
-                        add_err, items_grp, shift_recs)
-                    strip_items |= splice
-                    if claim is not None:
-                        undef_items |= claim
-                matched_any |= hit
-                remaining = remaining & ~hit
-                # items were either matched or actual-errored; skip includes
-                matched_any |= remaining & ~as_bool_np(pc.is_null(flat), n_items)
-                remaining &= as_bool_np(pc.is_null(flat), n_items)
+                hit = np.zeros(n_items, dtype=bool)
+                if remaining.any():
+                    sub = eval_node(ic, flat, child_env, path, scope=remaining)
+                    shift_recs += lift_item_errors(sub, path)
+                    # a strip-flagged inclusion splices BEFORE the undefined
+                    # check (array.js:280-286), so an empty('')-converted
+                    # clean item strips silently instead of sparse-erroring
+                    # (fuzz seed 4001409, node-verified)
+                    became2 = None if ic.flags.get("strip") else _converted_sparse_items(
+                        node, add_err, sub, remaining, nulls_flat,
+                        parents, positions, n, items_grp, shift_recs=shift_recs)
+                    ok = ~sub.failed if sub.failed is not None else np.ones(n_items, bool)
+                    hit = remaining & ok
+                    # matched items adopt the schema's converted value
+                    # (array.js:297 value[i] = res.value) — joi adopts ONLY
+                    # on success, so failed / sparse-converted items keep
+                    # the original (fuzz seed 4000881)
+                    if sub.value is not None:
+                        adopt = hit if became2 is None else hit & ~became2
+                        merged, alt_f, alt_o = _adopt_items_multi(
+                            [(adopt, sub.value)], new_flat if new_flat is not None else flat,
+                            sub.failed, n_items)
+                        if merged is not None:
+                            new_flat = merged
+                        if alt_f is not None and alt_flat is None:
+                            alt_flat, alt_ok = alt_f, alt_o
+                        adopted_any |= adopt
+                    if ic.flags.get("strip"):
+                        claim, splice = _required_strip_claims(
+                            ic, hit, parents, positions, n, node,
+                            add_err, items_grp, shift_recs)
+                        strip_items |= splice
+                        if claim is not None:
+                            undef_items |= claim
+                if requireds:
+                    req_claims.append(hit)
             else:
                 incl_pairs: list = []
                 # joi's per-item loop runs the REQUIREDS pre-loop first
@@ -3057,26 +2964,23 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                 # to and including the claim point).  Model that before the
                 # inclusions sweep (fuzz seed 25000108, node-verified: a
                 # claimant matching a non-required too still adopts the
-                # required's value and leaks its warn).
-                _reqs = [ic for ic in inclusions if ic.flags.get("presence") == "required"]
+                # required's value and leaks its warn).  Each OCCURRENCE of
+                # a required schema claims a DISTINCT item
+                # (test/types/array.js:581-602)
+                req_claims = [np.zeros(n_items, dtype=bool) for _ in requireds]
                 _req_attempts: dict[int, np.ndarray] = {}
-                if _reqs:
+                if requireds and remaining.any():
                     claim_of_item = np.full(n_items, -1, dtype=np.int64)
-                    claim_sets: list[np.ndarray] = []
                     pre_claimed = np.zeros(n_items, dtype=bool)
-                    for j, ric in enumerate(_reqs):
+                    for j, ric in enumerate(requireds):
                         okj = (node_validity(ric, flat, child_env, remaining & ~pre_claimed)
                                & remaining & ~pre_claimed)
-                        clj = np.zeros(n_items, dtype=bool)
-                        idxs = np.nonzero(okj)[0]
-                        if len(idxs):
-                            rows_j, first = np.unique(parents[idxs], return_index=True)
-                            clj[idxs[first]] = True
-                            pre_claimed |= clj
-                            claim_of_item[clj] = j
-                        claim_sets.append(clj)
-                    for j, ric in enumerate(_reqs):
-                        clj = claim_sets[j]
+                        clj = _first_per_row(okj, parents)
+                        pre_claimed |= clj
+                        claim_of_item[clj] = j
+                        req_claims[j] = clj
+                    for j, ric in enumerate(requireds):
+                        clj = req_claims[j]
                         # attempts = items up to the row's claim point that
                         # didn't already claim an EARLIER required (a claim
                         # breaks the item's requireds walk)
@@ -3095,7 +2999,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                                 # required+strip claim: value[i] = undefined
                                 # (validator.js:414), sparse error, NO splice
                                 claim_u, _sp = _required_strip_claims(
-                                    ric, clj, parents, positions, n_items, n,
+                                    ric, clj, parents, positions, n,
                                     node, add_err, items_grp, shift_recs)
                                 if claim_u is not None:
                                     undef_items |= claim_u
@@ -3113,7 +3017,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                 # schemas skip warn re-leaks for items their pre-loop
                 # attempt already covered (previousCheck reuse)
                 _incl_order = ([ic for ic in inclusions if ic.flags.get("presence") != "required"]
-                               + _reqs)
+                               + requireds)
                 for ic in _incl_order:
                     if not remaining.any():
                         break
@@ -3135,7 +3039,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                             # removed from the output array; a required
                             # schema's first claim stays as undefined
                             claim, splice = _required_strip_claims(
-                                ic, hit, parents, positions, n_items, n, node,
+                                ic, hit, parents, positions, n, node,
                                 add_err, items_grp, shift_recs)
                             strip_items |= splice
                             if claim is not None:
@@ -3168,82 +3072,45 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                         new_flat = merged_i
                     if alt_f2 is not None and alt_flat is None:
                         alt_flat, alt_ok = alt_f2, alt_o2
-            # item_scope_all already excludes non-sparse undefineds (they
-            # sparse-error and `continue`); under sparse() an undefined
-            # item flows through the loop like any value — a required-only
-            # inclusion set REJECTS it, so it strips under
-            # stripUnknown.arrays / errors array.includes (fuzz seed
-            # 3000260: [5, undefined, 5].unique() -> joi splices the
-            # undefined, the dup reports post-splice index 1)
-            nomatch = item_scope_all & ~matched_any
-            # with no inclusion schemas, unmatched values pass (array.js:
-            # only exclusion/required bookkeeping applies)
-            if nomatch.any() and inclusions:
-                if strip_arrays:
+                # ``remaining`` now holds the unmatched items.  item_live
+                # already excludes non-sparse undefineds (they sparse-error
+                # and `continue`); under sparse() an undefined item flows
+                # through the loop like any value — a required-only
+                # inclusion set REJECTS it, so it strips under
+                # stripUnknown.arrays / errors array.includes (fuzz seed
+                # 3000260: [5, undefined, 5].unique() -> joi splices the
+                # undefined, the dup reports post-splice index 1).  With no
+                # inclusion schemas, unmatched values pass
+                if strip_arrays and inclusions:
                     # stripUnknown.arrays drops unmatched items silently
                     # (array.js:327-331)
-                    strip_items |= nomatch
-                elif len(inclusions) == 1:
-                    # jl === 1 surfaces the item's ACTUAL errors instead of
-                    # array.includes (array.js:302-315) — a sparse-flowing
-                    # undefined that failed the lone inclusion already
-                    # lifted its real error (any.required) above; no
-                    # array.includes on top (fuzz seed 4101290)
-                    pass
-                else:
+                    strip_items |= remaining
+                elif len(inclusions) > 1 and remaining.any():
                     add_err(
                         "array.includes",
                         np.zeros(n, bool),
                         {},
-                        item_rows=parents[nomatch],
-                        item_index=positions[nomatch].astype(np.int32),
+                        item_rows=parents[remaining],
+                        item_index=positions[remaining].astype(np.int32),
                         group=items_grp,
                     )
-            # required item schemas: each OCCURRENCE must claim a DISTINCT
-            # item (array.js:235-243 — a matched required is spliced out, so
-            # duplicates of the same schema need as many matching items,
-            # test/types/array.js:581-602).  The reference iterates
-            # item-outer; this schema-outer greedy (first unclaimed valid
-            # item per row, in schema order) is equivalent on its vectors.
-            requireds = [ic for ic in node.items if ic.flags.get("presence") == "required"]
-            if requireds:
-                claimed = np.zeros(n_items, dtype=bool)
-                miss_bits = np.zeros(n, dtype=np.int64)
-                present_rows = ~null_mask(arr) & scope
-                for j, ic in enumerate(requireds):
-                    # mask to in-scope items: non-sparse undefineds sparse-
-                    # error and `continue` in joi, so they can never CLAIM
-                    # a required occurrence (fuzz seed 3000341: [undefined]
-                    # still misses the required item) — node_validity
-                    # defaults to "valid" outside its scope
-                    ok = (node_validity(ic, flat, child_env, item_scope_all)
-                          & ~claimed & item_scope_all & ~excl_hit)
-                    matched_j = np.zeros(n, dtype=bool)
-                    idxs = np.nonzero(ok)[0]
-                    if len(idxs):
-                        rows_j, first = np.unique(parents[idxs], return_index=True)
-                        claimed[idxs[first]] = True
-                        matched_j[rows_j] = True
-                    miss_bits |= (present_rows & ~matched_j).astype(np.int64) << j
-                # one aggregated error per row, split labeled/unlabeled
-                # misses (array.js:341 fillMissedErrors :674-699 — fires
-                # even on empty arrays)
-                for bits in np.unique(miss_bits[miss_bits != 0]):
-                    labels = [
-                        requireds[j].flags.get("label")
-                        for j in range(len(requireds))
-                        if (int(bits) >> j) & 1
-                    ]
-                    known = [l for l in labels if l]
-                    unknown = len(labels) - len(known)
-                    if known and unknown:
-                        code, ctx = "array.includesRequiredBoth", {
-                            "knownMisses": known, "unknownMisses": unknown}
-                    elif known:
-                        code, ctx = "array.includesRequiredKnowns", {"knownMisses": known}
-                    else:
-                        code, ctx = "array.includesRequiredUnknowns", {"unknownMisses": unknown}
-                    add_err(code, miss_bits == bits, ctx)
+        # after the loop joi reports the unclaimed required items, then the
+        # required ordered slots beyond the row's length, each as one error
+        # per row (array.js:341-350 fillMissedErrors/fillOrderedErrors;
+        # they fire on empty arrays too: fuzz seeds 99175, 4100375; vector
+        # :1187-1199).  Items an ordered slot consumed never reach the
+        # requireds loop (array.js:222-231 `continue`), so they claim none
+        present = ~null_mask(arr) & scope
+        got = np.zeros((n, len(req_claims)), dtype=bool)
+        for j, clj in enumerate(req_claims):
+            got[parents[clj], j] = True
+        _fill_missed(add_err, requireds, present[:, None] & ~got)
+        req_ord = [(i, oc) for i, oc in enumerate(node.ordered)
+                   if oc.flags.get("presence") == "required"]
+        if req_ord:
+            lengths = pc.list_value_length(arr).fill_null(0).to_numpy(zero_copy_only=False)
+            _fill_missed(add_err, [oc for _, oc in req_ord],
+                         present[:, None] & (lengths[:, None] <= np.array([i for i, _ in req_ord])))
         if strip_items.any():
             # joi splices stripped items DURING the loop (i--), so any
             # later item-stage report carries its POST-SPLICE index:
@@ -3314,17 +3181,16 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
         try:
             _ff = k_lists.flatten_with_parents(combine(arr))[0]
             if _ff.type != flat.type and len(_ff) == len(adopted_any):
-                env._item_type_tags = adopted_any
+                env.item_type_tags = adopted_any
                 # which struct FIELDS the promotion retyped — sort(by=...)
                 # only sees a typeof split when its by-field is one of
                 # them (fuzz seed 26000610: cast x, sort by y — no
-                # mismatch in joi's by-resolved comparator)
+                # mismatch in joi's by-resolved comparator); None is a
+                # whole-value promotion
                 if pa.types.is_struct(_ff.type) and pa.types.is_struct(flat.type):
                     old_f = {f.name: f.type for f in flat.type}
-                    env._item_type_tag_fields = {
+                    env.item_type_tag_fields = {
                         f.name for f in _ff.type if old_f.get(f.name) != f.type}
-                else:
-                    env._item_type_tag_fields = None  # whole-value promotion
         except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
             pass
     return arr, alt_pair

@@ -111,7 +111,7 @@ def make_unique(args):
         # item]`): when a type promotion rewrote the column, the engine
         # tags adopted-converted vs kept-original items — a kept number 1
         # never dups an adopted cast "1" (fuzz seed 5300531)
-        tags = getattr(env, "_item_type_tags", None)
+        tags = env.item_type_tags
         if tags is not None and len(tags) == len(df) and comparator is None:
             t = np.asarray(tags, dtype=np.int8)
             t = np.where(s.isna().to_numpy(), 0, t)  # undefined: one type
@@ -259,7 +259,7 @@ def make_sort(args):
             # items vs kept raw numbers under convert:false; fuzz seed
             # 13003105, node-verified); it REPLACES array.sort for the row
             mism = np.zeros(n, dtype=bool)
-            tags = getattr(env, "_item_type_tags", None)
+            tags = env.item_type_tags
             # joi resolves settings.by BEFORE the typeof check (array.js:
             # 753-766), so mismatching is about the BY-VALUE types — the
             # promotion tags only apply when the by-field is one the
@@ -267,7 +267,7 @@ def make_sort(args):
             # 26000610, node-verified: struct items with a cast x field
             # sorted by y error array.sort, not .mismatching; seed
             # 13003105: sorted by the cast x itself, .mismatching)
-            _tf = getattr(env, "_item_type_tag_fields", None)
+            _tf = env.item_type_tag_fields
             _tags_apply = (by in _tf) if (by and _tf is not None) else not by
             if tags is not None and len(tags) == len(v) and _tags_apply:
                 t0 = np.asarray(tags, dtype=np.int8)

@@ -149,6 +149,12 @@ class Env:
         # (validator.js:465 passes Hoek.clone(state.ancestors[0]), prefs);
         # set by the object/root eval that owns the sibling columns
         self.row_getter = None
+        # typeof side-channel an array node leaves for its own unique()/
+        # sort() rules: per flat item, did it ADOPT a converted value when
+        # a type promotion rewrote the column (None: no promotion), and
+        # which struct fields the promotion retyped (None: the whole value)
+        self.item_type_tags = None
+        self.item_type_tag_fields = None
 
     @property
     def convert(self) -> bool:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -666,15 +667,11 @@ def validate_dataset(
             **REMOTE_KWARGS)
         tmp_stream = os.path.join(out_dir, f".stream-{shard_id:04d}")
         if os.path.exists(tmp_stream):
-            import shutil
-
             shutil.rmtree(tmp_stream)
         out.write_parquet(tmp_stream)
         shard_tmp = manifest.shard_dir(shard_id) + ".tmp"
         summary = _finalize_shard(tmp_stream, shard_tmp)
         manifest.finalize_shard_dir(shard_id, shard_tmp)
-        import shutil
-
         shutil.rmtree(tmp_stream, ignore_errors=True)
         manifest.mark_shard(
             shard_id,
@@ -710,7 +707,11 @@ def validate_dataset(
         dup_dir = os.path.join(out_dir, "uniqueness")
         if not manifest.stage_done("uniqueness"):
             dups = uniqueness_pass_hashed(unique_ds_factory, unique_key)
-            os.makedirs(dup_dir, exist_ok=True)
+            # a fresh pass owns the directory: parquet files left by an
+            # earlier run (resume=False) or a crashed pass would be read
+            # back beside the new ones and double-count duplicates
+            shutil.rmtree(dup_dir, ignore_errors=True)
+            os.makedirs(dup_dir)
             if isinstance(dups, pa.Table):  # zero-candidate fast path
                 import pyarrow.parquet as _pq
 

@@ -194,3 +194,36 @@ def test_single_wraps_json_unparseable_string():
     res = run(obj({"x": schema}), t)
     assert list(res.ok) == [True, True], res.violations.to_pylist()
     assert res.value.column("x").to_pylist() == [["a", "b"], ["plain"]]
+
+
+# ------------------------------------------------- one items loop per batch
+def _row_violations(res, row):
+    return [(v["path"], v["item_index"], v["code"], v["context"], v["message"])
+            for v in res.violations.to_pylist() if v["row"] == row]
+
+
+def test_empty_row_result_does_not_depend_on_its_batch():
+    # array.js:341-350: after the loop the missed requireds are reported
+    # before the missed ordered slots — for an empty row validated alone
+    # (every item list in the batch empty) and beside a non-empty row alike
+    schema = obj({"a": jr.array().items(jr.string().required())
+                  .ordered(jr.number().required(), jr.number().required())})
+    for prefs in ({}, {"abort_early": False}):
+        cs = compile_schema(schema, prefs=prefs)
+        alone = cs.validate_table(pa.table({"a": pa.array([[]], type=pa.list_(pa.float64()))}))
+        beside = cs.validate_table(pa.table({"a": pa.array([[], [1.0]])}))
+        got = _row_violations(alone, 0)
+        assert got == _row_violations(beside, 0), prefs
+        assert got[0][2:4] == ("array.includesRequiredUnknowns", '{"unknownMisses": 1}')
+        assert not alone.ok[0] and not beside.ok[0]
+
+
+def test_ordered_slot_item_does_not_claim_a_required_item():
+    # the ordered branch `continue`s before the requireds loop
+    # (array.js:222-231 vs :233-258): row 0's only item fills the slot,
+    # so the required items schema misses; row 1's second item claims it
+    schema = obj({"a": jr.array().ordered(jr.number()).items(jr.number().required())})
+    res = run(schema, pa.table({"a": pa.array([[1.0], [1.0, 2.0]])}))
+    assert [(v["row"], v["code"], v["context"]) for v in res.violations.to_pylist()] == [
+        (0, "array.includesRequiredUnknowns", '{"unknownMisses": 1}')]
+    assert list(res.ok) == [False, True]

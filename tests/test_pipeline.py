@@ -115,6 +115,12 @@ def test_full_run_resume_and_drift(ray_session, shard_files, tmp_path):
     rep3 = validate_dataset(factories, **kwargs)
     assert rep3.rows == rep.rows and rep3.failed == rep.failed
 
+    # fresh rerun into the used out_dir: the old uniqueness output must not
+    # be counted again beside the new one
+    rep_fresh = validate_dataset(factories, **{**kwargs, "resume": False})
+    assert rep_fresh.duplicates == rep.duplicates
+    assert rep_fresh.duplicate_rows_excess == rep.duplicate_rows_excess
+
     # drift: same distribution vs own snapshot -> below thresholds
     snap = json.load(open(f"{out_dir}/snapshot.json"))
     out2 = str(tmp_path / "run2")
