@@ -1,7 +1,8 @@
 .PHONY: test fuzz-ci bench scaling oracle digest digest-save loc
 
+# the tier-1 command of ROADMAP.md: every test runs, none stops the rest
 test:
-	python -m pytest tests/ -x -q
+	ray stop --force >/dev/null 2>&1; timeout -k 10 2670 python -m pytest tests/ -q --continue-on-collection-errors -p no:cacheprovider
 
 # standing differential-fuzz sweep vs the real reference under node
 # (~4-5 min; the per-suite 120-seed slice runs in tests/test_fuzz_ci.py)

@@ -13,7 +13,7 @@ Compilation happens once (driver, or per validator actor in ``__init__``);
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -778,19 +778,21 @@ def _finalize(nr: NodeResult, flags: dict, undef: np.ndarray, scope: np.ndarray,
                 # results keep their errors
                 fm &= defined
             if fm.any():
-                if env.abort_early:
-                    # joi had already RETURNED at the row's first hard
-                    # error — warns that would have fired after that point
-                    # were never emitted, and the failover's error-clear
-                    # must not resurrect them (fuzz seeds 29003478 /
-                    # 49000734 / 30500135, node-verified)
-                    _drop_post_abort_warns(nr.errors, fm, n)
                 # failover clears ERRORS only (validator.js:359-364
-                # `errors = []`); warns persist (fuzz seed 44)
-                for rec in nr.errors:
-                    if not rec.warn:
-                        _keep_fired(rec, ~fm[rec.rows if rec.rows is not None
-                                             else np.nonzero(rec.mask)[0]])
+                # `errors = []`); warns persist (fuzz seed 44) — except,
+                # under abortEarly, the warns past the row's abort point:
+                # joi had already RETURNED there, and the clear must not
+                # resurrect them (fuzz seeds 29003478 / 49000734 /
+                # 30500135, node-verified)
+                cut = _abort_early_keep(nr.errors) if env.abort_early else None
+                for i, rec in enumerate(nr.errors):
+                    drop = fm[_fired_rows(rec)]
+                    if rec.warn:
+                        if cut is None:
+                            continue
+                        drop &= ~cut[i]
+                    if drop.any():
+                        _keep_fired(rec, ~drop)
                 nr.errors[:] = [r for r in nr.errors if r.warn or (
                     len(r.rows) if r.rows is not None else r.mask.any())]
                 nr.failed = nr.failed & ~fm
@@ -956,7 +958,7 @@ def eval_node(
     abortEarly ON under a non-aborting caller (validator.js merges prefs
     per node, :116-118), joi returns at that node's first error per row —
     the subtree's error recs get a local-abort group id so
-    ``_assemble_violations`` applies the abort-early filter SCOPED to this
+    ``_assemble_violations`` applies the abortEarly cut SCOPED to this
     node's emissions (fuzz seed 15100028: ordered-array slot any.only must
     suppress the later array.sparse/orderedLength under local abort).
     Outer tags overwrite inner ones — the outer abort subsumes."""
@@ -2575,43 +2577,82 @@ def _keep_fired(rec: ErrRec, keep: np.ndarray) -> None:
         rec.values = [v for v, k in zip(rec.values, keep) if k]
 
 
-def _drop_post_abort_warns(errors: list, fm: np.ndarray, n: int):
-    """Under abortEarly joi RETURNED at the row's first hard error — warns
-    that would have fired after it were never emitted, and a failover's
-    error-clear must not resurrect them (fuzz seeds 29003478/30500135).
-    Ordering follows joi's walk like _abort_early_filter: (ordering-group
-    first emission index, FIRE-time item index, emission index) — an
-    item-0 warn precedes an item-1 hard error from an EARLIER rec
-    (fuzz seed 49000734, node-verified).  The three keys are ranked with
-    one lexsort, exact for any item index."""
+def _fired_rows(rec: ErrRec) -> np.ndarray:
+    """A rec's fired rows: ``rows`` for span-level recs, else ``mask.nonzero()``."""
+    return rec.rows if rec.rows is not None else np.nonzero(rec.mask)[0]
+
+
+def _abort_early_keep(errors: list) -> list:
+    """abortEarly's one cut: joi returns from validate() at a row's first
+    error, so only the reports emitted before that point survive
+    (validator.js:260-320).  Returns a keep mask over each rec's fired
+    rows (``_fired_rows`` order).
+
+    Each row's reports are walked in joi's order: (ordering-group first
+    emission index, FIRE-time item index, emission index) — an item-0
+    warn precedes an item-1 error from an EARLIER rec (fuzz seed
+    49000734, node-verified), and within one item joi walks the item
+    object's keys in emission order (fuzz seed 59130).
+
+    - the row's first NON-SOFT error aborts and is kept; warnings before
+      it are kept;
+    - a SOFT error (the inclusions-loop converted-sparse, array.js:
+      286-292) does not abort its own node: later errors of its ordering
+      group ride along, until a non-soft one of that group (kept), a
+      finalize push, or the first error from another group (not kept —
+      the node returned and the parent key loop aborted, object.js:
+      125-128);
+    - a finalize push (any.default/any.failover, validator.js:359-364,
+      385) aborts like any error, and one not kept above still rides
+      along when the row never aborted, when its path is the root's, or
+      when the abort anchor (the aborting error, else the last pending
+      soft error) lies in its subtree: that node's finalize ran after its
+      rules errored (fuzz seeds 17100263 / 18000711)."""
+    fired = [_fired_rows(rec) for rec in errors]
+    lens = np.asarray([len(r) for r in fired], dtype=np.int64)
+    total = int(lens.sum())
+    if not total:
+        return [np.ones(k, dtype=bool) for k in lens]
     group_first: dict[int, int] = {}
-    if not errors:
-        return
-    fired, eff, items, pos = [], [], [], []
-    for i, rec in enumerate(errors):
-        rows = rec.rows if rec.rows is not None else np.nonzero(rec.mask)[0]
+    eff = np.asarray([i if rec.order is None or not k else group_first.setdefault(id(rec.order), i)
+                      for i, (rec, k) in enumerate(zip(errors, lens))], dtype=np.int64)
+    rec_of = np.repeat(np.arange(len(errors)), lens)
+    rows = np.concatenate(fired).astype(np.int64)
+    items = []
+    for rec, k in zip(errors, lens):
         it = rec.fire_items if rec.fire_items is not None else rec.item_index
-        fired.append(rows)
-        eff.append(np.full(len(rows), i if rec.order is None
-                           else group_first.setdefault(id(rec.order), i), dtype=np.int64))
-        items.append(np.asarray(it, dtype=np.int64) if it is not None
-                     else np.full(len(rows), -1, dtype=np.int64))
-        pos.append(np.full(len(rows), i, dtype=np.int64))
-    # keys only tie within one rec (the emission index is part of them),
-    # and a rec is never compared with itself
-    order = np.lexsort((np.concatenate(pos), np.concatenate(items), np.concatenate(eff)))
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    keys = np.split(rank, np.cumsum([len(r) for r in fired])[:-1])
-    first_key = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    for rec, rows, key in zip(errors, fired, keys):
-        if not rec.warn and len(rows):
-            np.minimum.at(first_key, rows, key)
-    for rec, rows, key in zip(errors, fired, keys):
-        if rec.warn and len(rows):
-            drop = fm[rows] & (key > first_key[rows])
-            if drop.any():
-                _keep_fired(rec, ~drop)
+        items.append(np.full(k, -1) if rec.rows is None or it is None else it)
+    order = np.lexsort((rec_of, np.concatenate(items).astype(np.int64), eff[rec_of], rows))
+    # everything below is in walk order; ``seg`` numbers each row's run
+    rec_s, grp, r_s = rec_of[order], eff[rec_of[order]], rows[order]
+    flags = np.asarray([(not r.warn, r.soft, r.post_abort) for r in errors], dtype=bool)[rec_s]
+    err = flags[:, 0]
+    soft, fin = err & flags[:, 1], err & flags[:, 2]
+    hard = err & ~soft & ~fin
+    new_row = np.r_[True, r_s[1:] != r_s[:-1]]
+    starts, seg = np.flatnonzero(new_row), np.cumsum(new_row) - 1
+    pos = np.arange(total)
+    none = np.iinfo(np.int64).max
+    # the row's first soft error fixes the group a pending soft belongs to
+    s0 = np.minimum.reduceat(np.where(soft, pos, none), starts)[seg]
+    other = err & (pos > s0) & (grp != grp[np.minimum(s0, total - 1)])
+    abort = np.minimum.reduceat(np.where(hard | fin | other, pos, none), starts)[seg]
+    # the aborting report itself is kept when it is a non-soft error of
+    # the pending soft group (or with none pending), or a finalize push
+    # with no soft error pending
+    keep = (pos < abort) | ((pos == abort) & ((hard & ~other) | (fin & (s0 > pos))))
+    lost = np.flatnonzero(fin & ~keep)
+    if len(lost):
+        # the anchor: the aborting error when it was kept, else the last
+        # pending soft error before it
+        last_soft = np.maximum.reduceat(np.where(soft & (pos < abort), pos, -1), starts)[seg]
+        anchor = np.where(keep[np.minimum(abort, total - 1)], abort, last_soft)
+        for i in lost:
+            fp, kp = errors[rec_s[i]].path, errors[rec_s[anchor[i]]].path
+            keep[i] = fp == "" or kp == fp or kp.startswith(fp + ".")
+    out = np.empty(total, dtype=bool)
+    out[order] = keep
+    return np.split(out, np.cumsum(lens)[:-1])
 
 
 def _parent_row_getter(columns: dict, results: dict):
@@ -2706,10 +2747,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
         # index shift below can re-point item_index post-hoc
         made: list = []
         for rec in sub.errors:
-            if rec.rows is not None:
-                fired = rec.rows
-            else:
-                fired = np.nonzero(rec.mask)[0]
+            fired = _fired_rows(rec)
             rows = parents[fired]
             # pre-filter by the branch scope so ``fired`` stays aligned
             # with the rec's post-filter rows (add_err drops out-of-scope
@@ -2754,7 +2792,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
         # joi reuses that result in the inclusions stage (array.js:274-278
         # previousCheck), no re-leak
         for rec, keepv, rows, vals in _probe_warns(
-                sub.errors, m, forced_abort or env.prefs.get("abort_early", True),
+                sub.errors, forced_abort or env.prefs.get("abort_early", True),
                 None if exclude is None else ~exclude):
             nr2 = ErrRec(rec.code, np.zeros(m, bool), rec.path, rec.context,
                          rec.seq, rec.warn, rec.message)
@@ -3486,23 +3524,20 @@ def _dep_presence(name, results, children, parent_present, n, separator="."):
     return mask
 
 
-def _probe_warns(errors: list, n: int, abort: bool = True, allow: Optional[np.ndarray] = None):
+def _probe_warns(errors: list, abort: bool = True, allow: Optional[np.ndarray] = None):
     """The warn reports a probe leaks: a probe is a real validate call, so
     its warn-rule reports reach the main state as they fire (validator.js:
     303-306).  Under abortEarly, which every $_match probe forces
-    (base.js:719-726), only warns emitted before the row's first hard
-    error leak.  Walks ``errors`` in emission order (joi's walk) and
-    yields ``(rec, keep, rows, values)`` for each warn with a kept row:
+    (base.js:719-726), only the warns ``_abort_early_keep`` keeps leak.
+    Yields ``(rec, keep, rows, values)`` for each warn with a kept row:
     ``keep`` masks the rec's rows, ``rows``/``values`` are the kept ones.
     ``allow`` (indexed by row) further limits the rows that may leak."""
-    aborted = np.zeros(n, dtype=bool)
-    for rec in errors:
-        rows = rec.rows if rec.rows is not None else np.nonzero(rec.mask)[0]
+    cut = _abort_early_keep(errors) if abort else None
+    for i, rec in enumerate(errors):
         if not rec.warn:
-            if abort:
-                aborted[rows] = True
             continue
-        keep = ~aborted[rows]
+        rows = _fired_rows(rec)
+        keep = cut[i] if cut is not None else np.ones(len(rows), dtype=bool)
         if allow is not None:
             keep &= allow[rows]
         if keep.any():
@@ -3533,7 +3568,7 @@ def _eval_structural_rule(node, cr, arr, env, path, scope, missing, resolved, fa
             if okm.any():
                 np.minimum.at(first, parents[okm], positions[okm])
             probed = positions <= first[parents]
-            for rec, _, kr, vals in _probe_warns(sub.errors, len(flat), allow=probed):
+            for rec, _, kr, vals in _probe_warns(sub.errors, allow=probed):
                 add_err(rec.code, np.zeros(n, bool), rec.context, seq=rec.seq,
                         warn=True, message=rec.message, item_rows=parents[kr],
                         item_index=positions[kr].astype(np.int32),
@@ -3594,7 +3629,7 @@ def _eval_structural_rule(node, cr, arr, env, path, scope, missing, resolved, fa
             # ('"value" must be...', path []) — $_match FORCES abortEarly
             # internally (base.js:721; node-verified: hard-first suppresses
             # the warn even under outer abortEarly:false)
-            for rec, _, rows, vals in _probe_warns(asub.errors, n):
+            for rec, _, rows, vals in _probe_warns(asub.errors):
                 wmask = np.zeros(n, dtype=bool)
                 wmask[rows] = True
                 add_err(rec.code, wmask, rec.context, seq=rec.seq, warn=True,
@@ -3717,11 +3752,9 @@ class CompiledSchema:
     """
 
     def __init__(self, schema: Schema | dict, prefs: dict | None = None, id_column: str | None = None):
-        if isinstance(schema, dict) and "type" not in schema:
-            schema = Schema.__new__(Schema)  # pragma: no cover - guarded below
-        if isinstance(schema, dict):
+        if isinstance(schema, dict) and "type" in schema:
             schema = build(schema)
-        if schema.type != "object":
+        if not isinstance(schema, Schema) or schema.type != "object":
             raise ValueError("table schema root must be an object() with keys")
         self.schema = schema
         self.prefs = {**DEFAULT_PREFS, **(prefs or {}), **schema.prefs}
@@ -3739,9 +3772,7 @@ class CompiledSchema:
         root = pa.StructArray.from_arrays(list(columns.values()), names=list(columns),
                                           mask=pa.array(np.zeros(n, dtype=bool)))
         res = eval_node(self.root, root, Env(self.prefs), "")
-        # every column stripped: value keeps the input table, so it is
-        # never column-less
-        value = pa.Table.from_struct_array(res.value) if res.value.type.num_fields else tbl
+        value = pa.Table.from_struct_array(res.value)
         violations = self._assemble_violations(res.errors, columns, n)
         return BatchResult(value=value, violations=violations, ok=~res.failed)
 
@@ -3752,6 +3783,21 @@ class CompiledSchema:
             if not pa.types.is_string(idc.type):
                 idc = pc.cast(idc, pa.string())
             ids = idc
+        # abortEarly's cut runs on the recs, before anything renders: over
+        # every rec when the call aborts early, else scoped to each
+        # schema-local abortEarly subtree (validator.js merges prefs per
+        # node) — recs outside any subtree keep all their rows
+        if self.prefs.get("abort_early", True):
+            cut = _abort_early_keep(errors)
+        else:
+            cut = [None] * len(errors)
+            groups: dict[int, list[int]] = {}
+            for i, rec in enumerate(errors):
+                if rec.local_abort:
+                    groups.setdefault(rec.local_abort, []).append(i)
+            for idx in groups.values():
+                for i, keep in zip(idx, _abort_early_keep([errors[i] for i in idx])):
+                    cut[i] = keep
         # per-REC scalar columns (one entry per rec, repeated into row
         # position at the end via a single np.repeat index — the per-rec
         # `list.extend([x] * k)` pattern was ~40% of validate wall-time on
@@ -3759,20 +3805,15 @@ class CompiledSchema:
         rows_l, item_l = [], []
         counts: list[int] = []
         path_r, code_r, ctx_r, warn_r, seq_r = [], [], [], [], []
-        rec_r: list = []  # emission order (joi's traversal order)
-        sub_r: list = []  # true emission index (group-internal tiebreak)
-        soft_r: list = []  # non-aborting errors (see ErrRec.soft)
-        labort_r: list = []  # schema-local abortEarly group ids (0 = none)
-        fitem_l: list = []  # FIRE-time item indexes (pre-splice walk order)
-        fin_r: list = []  # finalize pushes (any.default/failover throws)
         msg_r: list = []  # str (constant per rec) or list (per row)
-        group_first: dict[int, int] = {}  # ordering-group -> first emission index
-        for rec_idx, rec in enumerate(errors):
-            if rec.rows is not None:
-                rows = rec.rows
-                items = rec.item_index if rec.item_index is not None else np.full(len(rows), -1, np.int32)
+        for rec, keep in zip(errors, cut):
+            if keep is not None and not keep.all():
+                rec = replace(rec)
+                _keep_fired(rec, keep)
+            rows = _fired_rows(rec)
+            if rec.rows is not None and rec.item_index is not None:
+                items = rec.item_index
             else:
-                rows = np.nonzero(rec.mask)[0]
                 items = np.full(len(rows), -1, dtype=np.int32)
             if len(rows) == 0:
                 continue
@@ -3834,21 +3875,6 @@ class CompiledSchema:
             ctx_r.append(ctx_json)
             warn_r.append(bool(rec.warn))
             seq_r.append(rec.seq)
-            # recs sharing an ordering group collapse to the group's first
-            # emission index so their errors interleave by item position
-            # (joi's item-outer array loop)
-            g = rec.order
-            rec_r.append(rec_idx if g is None else group_first.setdefault(id(g), rec_idx))
-            # true emission index: within one ordering group and item, joi
-            # walks the item object's KEYS in topo order — the lift
-            # preserves it as rec emission order (x's warn precedes y's
-            # aborting error; fuzz seed 59130)
-            sub_r.append(rec_idx)
-            soft_r.append(bool(rec.soft))
-            labort_r.append(int(rec.local_abort))
-            fin_r.append(bool(rec.post_abort))
-            fi = rec.fire_items
-            fitem_l.append(fi.astype(np.int64) if fi is not None else items.astype(np.int64))
         if not rows_l:
             empty = {name: pa.array([], type=t) for name, t in zip(VIOLATION_SCHEMA.names, VIOLATION_SCHEMA.types)}
             return pa.table(empty)
@@ -3882,180 +3908,11 @@ class CompiledSchema:
                 "severity": sev_pair.take(pa.array(np.repeat(
                     np.asarray(warn_r, dtype=np.int64), reps))),
                 "_seq": pa.array(np.repeat(np.asarray(seq_r, dtype=np.int32), reps)),
-                "_rec": pa.array(np.repeat(np.asarray(rec_r, dtype=np.int32), reps)),
-                "_sub": pa.array(np.repeat(np.asarray(sub_r, dtype=np.int32), reps)),
-                "_soft": pa.array(np.repeat(np.asarray(soft_r, dtype=bool), reps)),
-                "_labort": pa.array(np.repeat(np.asarray(labort_r, dtype=np.int32), reps)),
-                "_fitem": pa.array(np.concatenate(fitem_l) if fitem_l else [], type=pa.int64()),
-                "_fin": pa.array(np.repeat(np.asarray(fin_r, dtype=bool), reps)),
             }
         )
-        if self.prefs.get("abort_early", True):
-            # joi returns at the FIRST aborting error of the whole
-            # validate() call — per table row that is the earliest non-soft
-            # error by (emission order, item index); soft errors and
-            # warnings emitted BEFORE it ride along (array.js:286-292)
-            t = _abort_early_filter(t)
-        else:
-            # schema-local abortEarly subtrees under a non-aborting call:
-            # apply the same first-error-per-row filter SCOPED to each
-            # tagged node's emissions (validator.js merges prefs per node)
-            la = t["_labort"].to_numpy()
-            gids = np.unique(la[la > 0])
-            if len(gids):
-                base_part = t.filter(pa.array(la == 0))
-                parts = [base_part]
-                for g in gids:
-                    parts.append(_abort_early_filter(t.filter(pa.array(la == g))))
-                t = pa.concat_tables(parts)
         # deterministic order (FIXTURES.md determinism rules): (row, path, seq, item)
         t = t.sort_by([("row", "ascending"), ("path", "ascending"), ("_seq", "ascending"), ("item_index", "ascending")])
-        return t.drop_columns(["_seq", "_rec", "_sub", "_soft", "_labort", "_fitem", "_fin"])
-
-
-def _abort_early_filter(t: pa.Table) -> pa.Table:
-    """abortEarly keeps, per row, exactly what joi accumulates before it
-    returns, walking errors in evaluation order (emission index, then item
-    index):
-
-    - a NON-SOFT error aborts immediately (kept, everything after drops);
-    - a SOFT error (the inclusions-loop converted-sparse) does NOT abort
-      its own node — later errors from the SAME ordering group ride along
-      — but once the node returns, the PARENT key loop sees result.errors
-      and aborts (object.js:125-128), so the first error from a DIFFERENT
-      group after a soft one is never reached;
-    - warnings ride along until the abort point."""
-    if t.num_rows == 0:
-        return t
-    is_err_col = as_bool_np(pc.equal(t["severity"], "error"), t.num_rows)
-    rows = t["row"].to_numpy()
-    recs = t["_rec"].to_numpy().astype(np.int64)
-    subs = t["_sub"].to_numpy().astype(np.int64)
-    # ordering follows joi's walk at FIRE time (pre-splice indexes) when
-    # the strip-splice bookkeeping re-pointed item_index for display
-    items = (t["_fitem"].to_numpy().astype(np.int64)
-             if "_fitem" in t.column_names
-             else t["item_index"].to_numpy().astype(np.int64))
-    soft = t["_soft"].to_numpy(zero_copy_only=False).astype(bool)
-    # finalize pushes (any.default/any.failover throws) are part of their
-    # key's error bundle (validator.js:359-364,:385 push into the node's
-    # errors before it returns): they ABORT later keys like any error
-    # (object.js:125-128 breaks on the bundle), and when the bundle's
-    # FIRST error is a rule/base error the fin still rides along (same
-    # node's finalize ran after it) — fuzz seeds 17100263 / 18000711
-    fin = (t["_fin"].to_numpy(zero_copy_only=False).astype(bool)
-           if "_fin" in t.column_names else np.zeros(t.num_rows, dtype=bool))
-    is_err = is_err_col
-    if not soft.any():
-        # fast path (no converted-sparse in the batch — the common case):
-        # vectorized first-error-per-row + preceding warnings
-        hard_idx = np.nonzero(is_err)[0]
-        if len(hard_idx) == 0:
-            return t
-        order = np.lexsort((subs[hard_idx], items[hard_idx], recs[hard_idx], rows[hard_idx]))
-        sorted_rows = rows[hard_idx][order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = sorted_rows[1:] != sorted_rows[:-1]
-        keep_err = hard_idx[order[first]]
-        keep = np.zeros(t.num_rows, dtype=bool)
-        keep[keep_err] = True
-        warn_idx = np.nonzero(~is_err)[0]
-        if len(warn_idx):
-            first_rec = np.full(int(rows.max()) + 1, np.iinfo(np.int64).max, dtype=np.int64)
-            first_item = np.full(int(rows.max()) + 1, np.iinfo(np.int64).max, dtype=np.int64)
-            first_sub = np.full(int(rows.max()) + 1, np.iinfo(np.int64).max, dtype=np.int64)
-            first_rec[rows[keep_err]] = recs[keep_err]
-            first_item[rows[keep_err]] = items[keep_err]
-            first_sub[rows[keep_err]] = subs[keep_err]
-            w_rows = rows[warn_idx]
-            before = (recs[warn_idx] < first_rec[w_rows]) | (
-                (recs[warn_idx] == first_rec[w_rows]) & (
-                    (items[warn_idx] < first_item[w_rows])
-                    | ((items[warn_idx] == first_item[w_rows])
-                       & (subs[warn_idx] < first_sub[w_rows]))
-                )
-            )
-            keep[warn_idx[before]] = True
-        if fin.any():
-            # an unselected fin rides along iff its NODE ran: it survives
-            # when the row's aborting error came from the fin's own
-            # subtree (same path or deeper — the node's rules errored,
-            # then ITS finalize pushed); an abort at a different key
-            # means the fin's node never validated.  A root-level fin
-            # (path "") always rides: the root's finalize runs after the
-            # keys loop returns its bundle.
-            paths_all = np.asarray(t["path"].to_pylist(), dtype=object)
-            first_rec_i = np.full(int(rows.max()) + 1, -1, dtype=np.int64)
-            first_rec_i[rows[keep_err]] = keep_err
-            for i in np.nonzero(fin)[0]:
-                if keep[i]:
-                    continue  # selected as the row's first error
-                j = int(first_rec_i[int(rows[i])])
-                if j < 0:
-                    keep[i] = True
-                    continue
-                kp, fp = str(paths_all[j]), str(paths_all[i])
-                if kp == fp or kp.startswith(fp + ".") or fp == "":
-                    keep[i] = True
-        return t.filter(pa.array(keep))
-    order = np.lexsort((subs, items, recs, rows))
-    paths_all = np.asarray(t["path"].to_pylist(), dtype=object)
-    keep = np.zeros(t.num_rows, dtype=bool)
-    cur_row = None
-    soft_group = None  # rec index of the group holding a pending abort
-    soft_idx = None  # emission idx of the pending soft error
-    aborted = False
-    abort_at: dict[int, int] = {}  # row -> idx of the aborting emission
-    for i in order:
-        r = int(rows[i])
-        if r != cur_row:
-            cur_row, soft_group, soft_idx, aborted = r, None, None, False
-        if aborted:
-            continue  # unselected fins get the path-scoped pass below
-        if not is_err[i]:  # warning
-            keep[i] = True
-            continue
-        if fin[i]:
-            # a fin reached before any abort: with a pending soft error it
-            # rides iff it came from the soft error's own subtree (that
-            # node's finalize); either way the bundle aborts later keys
-            if soft_group is not None:
-                sp, fp = str(paths_all[soft_idx]), str(paths_all[i])
-                if sp == fp or sp.startswith(fp + ".") or fp == "":
-                    keep[i] = True
-                aborted = True
-                abort_at.setdefault(r, int(soft_idx))
-            else:
-                keep[i] = True
-                aborted = True
-                abort_at.setdefault(r, int(i))
-            continue
-        if soft_group is not None and int(recs[i]) != soft_group:
-            # the soft error's node returned; parent aborts — the abort
-            # anchor is the SOFT error's node (its finalize ran), so fins
-            # from that subtree still ride in the path-scoped pass
-            aborted = True
-            abort_at.setdefault(r, int(soft_idx))
-            continue
-        keep[i] = True
-        if soft[i]:
-            soft_group, soft_idx = int(recs[i]), int(i)
-        else:
-            aborted = True
-            abort_at.setdefault(r, int(i))
-    if fin.any():
-        # same path-scoped ride-along as the fast path
-        for i in np.nonzero(fin)[0]:
-            if keep[i]:
-                continue
-            j = abort_at.get(int(rows[i]))
-            if j is None:
-                keep[i] = True
-                continue
-            kp, fp = str(paths_all[j]), str(paths_all[i])
-            if kp == fp or kp.startswith(fp + ".") or fp == "":
-                keep[i] = True
-    return t.filter(pa.array(keep))
+        return t.drop_columns(["_seq"])
 
 
 def compile_schema(schema: Schema | dict, prefs: dict | None = None, id_column: str | None = None) -> CompiledSchema:

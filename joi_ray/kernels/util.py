@@ -102,7 +102,7 @@ class ErrRec:
     #: any.failover): kept beside the row's first error under abortEarly
     post_abort: bool = False
     #: group id of a schema-local abortEarly subtree (0 = none): the
-    #: abort-early filter applies within the group
+    #: abortEarly cut (``_abort_early_keep``) applies within the group
     local_abort: int = 0
 
 

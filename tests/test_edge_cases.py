@@ -2,11 +2,13 @@
 per-column chain (empty x required x default, allow x coerce-failure,
 strip inside items, all-null columns, zero-width batches, deep nesting)."""
 
+import numpy as np
 import pyarrow as pa
 import pytest
 
 import joi_ray as jr
-from joi_ray import compile_schema, object as obj
+from joi_ray import VIOLATION_SCHEMA, compile_schema, object as obj
+from joi_ray.kernels.util import ErrRec
 
 
 def V(schema_root, tbl, prefs=None):
@@ -156,21 +158,83 @@ def test_post_when_unmatchable_valids_refused():
 
 
 def test_post_abort_warn_order_exact_for_large_item_index():
-    # the post-abort warn drop orders by (emission, fire-time item,
-    # position); an item index past 2**21 must not spill into the
-    # emission field: the warn at position 0 fired first and stays
-    import numpy as np
-
-    from joi_ray.engine import _drop_post_abort_warns
-    from joi_ray.kernels.util import ErrRec
+    # the abortEarly cut orders by (emission, fire-time item, position);
+    # an item index past 2**21 must not spill into the emission field:
+    # the warn at position 0 fired first and stays
+    from joi_ray.engine import _abort_early_keep, _keep_fired
 
     for item in (5, 2**21 + 1):
         warn = ErrRec("string.creditCard", np.array([True]), "a", warn=True,
                       item_index=np.array([item]))
         warn.rows, warn.fire_items = np.array([0]), np.array([item])
         hard = ErrRec("any.invalid", np.array([True]), "a")
-        _drop_post_abort_warns([warn, hard], np.array([True]), 1)
+        _keep_fired(warn, _abort_early_keep([warn, hard])[0])
         assert warn.rows.tolist() == [0], item
+
+
+def _item_rec(code, path, item, **kw):
+    rec = ErrRec(code, np.zeros(1, dtype=bool), path, **kw)
+    rec.rows, rec.item_index = np.array([0]), np.array([item], dtype=np.int32)
+    rec.fire_items = rec.item_index.copy()
+    return rec
+
+
+def test_abort_early_cut_soft_error_keeps_its_own_group_only():
+    # a soft error (the inclusions-loop converted sparse, array.js:286-292)
+    # does not abort its node: a later warning or error of its ordering
+    # group is kept (the error aborts); the first error from another group is not kept (the node
+    # returned and the parent key loop aborted)
+    from joi_ray.engine import _abort_early_keep
+
+    grp = object()
+    soft = _item_rec("array.sparse", "a", 0, order=grp, soft=True)
+    other = ErrRec("any.invalid", np.array([True]), "b")
+    warn = _item_rec("string.creditCard", "a", 1, order=grp, warn=True)
+    later = _item_rec("number.base", "a", 2, order=grp)
+    keep = _abort_early_keep([soft, warn, later, other])
+    assert [k.tolist() for k in keep] == [[True], [True], [True], [False]]
+    # the row's first non-soft error comes from another group: not kept
+    assert [k.tolist() for k in _abort_early_keep([soft, other])] == [[True], [False]]
+    # without the soft flag the first error aborts and is the only one kept
+    hard = _item_rec("array.sparse", "a", 0, order=grp)
+    keep = _abort_early_keep([hard, warn, later, other])
+    assert [k.tolist() for k in keep] == [[True], [False], [False], [False]]
+
+
+def test_abort_early_cut_finalize_push_rides_on_ancestor_paths():
+    # a finalize push joi made after the row's abort point rides along when
+    # the aborting error lies in its node's subtree (that node's finalize
+    # ran after its rules errored) or at the root; a sibling's push does not
+    from joi_ray.engine import _abort_early_keep
+
+    def push(path):
+        return ErrRec("any.default", np.array([True]), path, post_abort=True)
+
+    first = ErrRec("number.min", np.array([True]), "a.b")
+    pushes = [push("a.b"), push("a"), push(""), push("a.c"), push("a.bc")]
+    keep = _abort_early_keep([first] + pushes)
+    assert [k.tolist() for k in keep] == [[True], [True], [True], [True], [False], [False]]
+    # a push that aborts the row is kept; one after it in another subtree is not
+    assert [k.tolist() for k in _abort_early_keep([push("a.c"), push("d")])] == [[True], [False]]
+
+
+def test_abort_early_cut_scoped_to_local_abort_groups():
+    # with abortEarly off, a schema-local abortEarly subtree (validator.js
+    # merges prefs per node) cuts its own recs alone; recs outside every
+    # subtree keep all their rows
+    cs = compile_schema(obj({"a": jr.number()}), prefs={"abort_early": False})
+    recs = [
+        ErrRec("any.invalid", np.array([True]), "a", local_abort=1),
+        ErrRec("any.required", np.array([True]), "a", local_abort=1),
+        ErrRec("any.invalid", np.array([True]), "b"),
+        ErrRec("any.required", np.array([True]), "b"),
+        ErrRec("any.required", np.array([True]), "c", local_abort=2),
+        ErrRec("any.invalid", np.array([True]), "c", local_abort=2),
+    ]
+    v = cs._assemble_violations(recs, {}, 1)
+    assert list(zip(v["path"].to_pylist(), v["code"].to_pylist())) == [
+        ("a", "any.invalid"), ("b", "any.invalid"), ("b", "any.required"), ("c", "any.required")]
+    assert v.column_names == VIOLATION_SCHEMA.names
 
 
 @pytest.mark.parametrize("node", [
@@ -188,3 +252,10 @@ def test_cross_type_default_lands_on_every_node_type(node, source):
         "b": pa.array([1, None], pa.int64()), "c": [0.0, 2.5]}))
     assert r.violations.num_rows == 0
     assert r.value["b"].to_pylist() == [1.0, 2.5]
+
+
+@pytest.mark.parametrize("spec", [{}, {"a": {"type": "string"}}], ids=["empty", "keys_only"])
+def test_dict_schema_without_type_is_refused(spec):
+    # a dict description needs its "type"; a bare key map is not an object()
+    with pytest.raises(ValueError, match="root must be an object"):
+        compile_schema(spec)

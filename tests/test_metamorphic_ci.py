@@ -1,11 +1,18 @@
-"""Batch-split invariant on a fixed slice of the fuzz generator.
+"""Metamorphic invariants on a fixed slice of the fuzz generator.
 
-Each table row is an independent joi ``validate()`` call, so validating a
-whole table must give what validating each one-row slice gives, once the
-slices' rows are re-offset: the same ``ok`` mask and the same violations
-(row, path, item index, code, context, message, severity), in the same
-order.  ``tools/fuzz_spec.gen_case`` seeds 0-299 are checked twice: with
-the case's own prefs and with ``{"abortEarly": False, **prefs}``, the
+- Batch split: each table row is an independent joi ``validate()`` call,
+  so validating a whole table must give what validating each one-row
+  slice gives, once the slices' rows are re-offset: the same ``ok`` mask
+  and the same violations (row, path, item index, code, context, message,
+  severity), in the same order.
+- Physical layout: the Arrow layout of the input is not part of the
+  value, so a table split into two chunks, a table sliced at a non-zero
+  offset, and top-level string columns dictionary-encoded or cast to
+  ``large_string`` and list columns cast to ``large_list`` must give the
+  plain table's ``ok`` mask, violations and output value.
+
+``tools/fuzz_spec.gen_case`` seeds 0-299 are checked twice: with the
+case's own prefs and with ``{"abortEarly": False, **prefs}``, the
 convention of ``tools/corpus_digest.py``.  Seeds whose build, compile or
 whole-table validation raises are skipped (the digest records them as
 raised cases).
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 import joi_ray as jr
@@ -53,8 +61,44 @@ def _split_mismatch(spec, tbl: pa.Table, prefs: dict):
     return None
 
 
-@pytest.mark.parametrize("abort_early_off", [False, True], ids=["own_prefs", "abort_early_off"])
-def test_batch_split_invariant(abort_early_off, monkeypatch):
+def _recast(tbl: pa.Table, is_type, cast) -> pa.Table:
+    return pa.table({c: cast(tbl[c]) if is_type(tbl[c].type) else tbl[c] for c in tbl.column_names})
+
+
+def _layouts(tbl: pa.Table):
+    """(name, table) for each physical layout of ``tbl``'s rows."""
+    yield "two_chunks", pa.concat_tables([tbl.slice(0, tbl.num_rows // 2),
+                                          tbl.slice(tbl.num_rows // 2)])
+    yield "offset", pa.concat_tables([tbl.slice(0, 1), tbl]).combine_chunks().slice(1)
+    if any(pa.types.is_string(t) for t in tbl.schema.types):
+        yield "dictionary", _recast(tbl, pa.types.is_string, pc.dictionary_encode)
+        yield "large_string", _recast(tbl, pa.types.is_string, lambda c: c.cast(pa.large_string()))
+    if any(pa.types.is_list(t) for t in tbl.schema.types):
+        yield "large_list", _recast(tbl, pa.types.is_list,
+                                    lambda c: c.cast(pa.large_list(c.type.value_type)))
+
+
+def _layout_mismatch(spec, tbl: pa.Table, prefs: dict):
+    """None when every layout gives the plain table's result, else the
+    first layout that differs and what differs."""
+    def result(t):
+        res = cs.validate_table(t)
+        return np.asarray(res.ok, dtype=bool).tolist(), _violations(res), res.value.to_pylist()
+
+    try:
+        cs = jr.compile_schema(build_spec_py(spec), prefs=prefs_to_py(prefs))
+        plain = result(tbl)
+    except Exception:  # noqa: BLE001 - the case is outside the invariant
+        return None
+    for name, t in _layouts(tbl):
+        got = result(t)
+        for what, a, b in zip(("ok", "violations", "value"), got, plain):
+            if a != b:
+                return f"{name} {what}: {a} vs plain {b}"
+    return None
+
+
+def _sweep(check, abort_early_off: bool, monkeypatch) -> dict:
     # gen_case reads these to pin sweeps; the slice must not depend on them
     for k in ("FUZZ_KINDS", "FUZZ_STRIP_P", "FUZZ_ROWS", "FUZZ_PREFS", "FUZZ_MANIFEST"):
         monkeypatch.delenv(k, raising=False)
@@ -63,7 +107,22 @@ def test_batch_split_invariant(abort_early_off, monkeypatch):
         spec, tbl, prefs = gen_case(seed)
         if abort_early_off:
             prefs = {"abortEarly": False, **prefs}
-        why = _split_mismatch(spec, tbl, prefs)
+        why = check(spec, tbl, prefs)
         if why:
             bad[seed] = why
+    return bad
+
+
+_PREFS = pytest.mark.parametrize("abort_early_off", [False, True], ids=["own_prefs", "abort_early_off"])
+
+
+@_PREFS
+def test_batch_split_invariant(abort_early_off, monkeypatch):
+    bad = _sweep(_split_mismatch, abort_early_off, monkeypatch)
+    assert not bad, bad
+
+
+@_PREFS
+def test_physical_layout_invariant(abort_early_off, monkeypatch):
+    bad = _sweep(_layout_mismatch, abort_early_off, monkeypatch)
     assert not bad, bad

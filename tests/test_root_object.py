@@ -82,3 +82,12 @@ def test_absent_key_joins_output_only_when_defaulted():
     x = pa.array([{"a": 1.0}, {"a": None}], pa.struct([("a", pa.float64())]))
     res = compile_schema(obj({"x": obj(s)})).validate_table(pa.table({"x": x}))
     assert res.value["x"].to_pylist() == [{"a": 1.0, "b": 5}, {"a": None, "b": 5}]
+
+
+def test_every_key_stripped_gives_empty_objects():
+    # joi deletes a stripped key from the object (object.js:117-141): when
+    # every key strips, each row's value is {} — the table keeps its row
+    # count with no columns, not the input columns
+    res = compile_schema(obj({"a": jr.string().strip()})).validate_table(pa.table({"a": ["x", None, "y"]}))
+    assert res.value.num_rows == 3
+    assert res.value.to_pylist() == [{}, {}, {}]
