@@ -88,16 +88,12 @@ class NodeResult:
     #: value, so object.js's strip delete is row-dependent; fuzz seed 98)
     strip_rows: Optional[np.ndarray] = None
     raw_value: Optional[pa.Array] = None
-    #: CONVERTED values of a raw()-flagged node: joi shadows them
-    #: (validator.js:414-417) so sibling refs resolve the converted value
-    #: even though the output keeps the original — and the shadow is set
-    #: in finalize, i.e. even for rows that ERRORED
-    shadow_value: Optional[pa.Array] = None
-    shadow_mask: Optional[np.ndarray] = None  # rows holding a shadow entry
-    #: CROSS-TYPE shadow entries (alternatives branches shadowing different
-    #: runtime types): disjoint (row-mask, column) pairs consumed by the
-    #: sibling-ref post-processing as AltView branches
-    shadow_pairs: Optional[list] = None
+    #: joi's shadow map (validator.js:414-417): the CONVERTED values of
+    #: raw()/strip() nodes, set in finalize even for rows that ERRORED, so
+    #: sibling refs resolve them although the output keeps the original.
+    #: Ordered (row-mask, column) pairs, later pairs winning; a pair's
+    #: column may have any type (``_failed_overlay`` reads them)
+    shadow: list = field(default_factory=list)
     #: rows whose value was SET by this node's finalize (default/failover
     #: adoption) — joi's `value !== undefined` afterwards, so a whens
     #: WRAPPER default must not re-fill them (validator.js:383; the
@@ -1002,10 +998,19 @@ def _eval_node_impl(
     if node.whens:
         scope, pre_errs, pre_failed = _wrapper_valids_stage(node, arr, env, path, scope, n)
         merged = NodeResult(value=arr, missing=np.zeros(n, bool), failed=np.zeros(n, bool))
-        parts = []
+        parts, branch_pairs, promoted = [], [], False
         for branch, sel in _when_branches(node.whens[0], arr, env, scope, n):
-            _merge_into(merged, eval_node(branch, arr, env, path, scope=sel), sel)
+            sub = eval_node(branch, arr, env, path, scope=sel)
+            promoted |= _merge_into(merged, sub, sel)
             parts.append((branch, sel))
+            if sel.any():
+                branch_pairs.append((sel, combine(sub.value)))
+        if promoted:
+            # the branches emitted DIFFERENT output types: ref consumers
+            # read each branch's typed value per row — joi's object holds
+            # 42 (number) next to '42' (string), the one Arrow column
+            # cannot (fuzz seed 9641)
+            merged.alt_view = AltView(merged.value, branch_pairs)
         merged.errors[:0] = pre_errs
         merged.failed |= pre_failed
         return _finish_whens(node, merged, parts, env, path, scope)
@@ -1464,8 +1469,7 @@ def _eval_node_impl(
         # whose COERCION failed that is still the original ('1' stays a
         # string when boolean coercion missed), which our converted column
         # holds as null; those rows fall back to the raw-original path
-        nr.shadow_value = nr.value
-        nr.shadow_mask = scope & ~(null_mask(nr.value) & ~null_mask(original))
+        nr.shadow.append((scope & ~(null_mask(nr.value) & ~null_mask(original)), nr.value))
         # a result flag REVERTS the finalize fill in the output slot
         # (validator.js:413-421 runs after the default step: raw returns
         # the ORIGINAL — undefined for missing input — and strip returns
@@ -1646,23 +1650,13 @@ def _finish_whens(node: CNode, merged: NodeResult, parts, env: Env, path, scope)
     lbl = {}
     if "label" in node.flags and not node.schema.metas.get("_label_pre_when"):
         lbl = {"label": node.flags["label"]}
-    nr = _whens_alt(merged)
-    _finalize(nr, node.wrapper_fins or {}, undef, scope, env, _rec_appender(nr.errors, path, lbl))
-    return nr
-
-
-def _whens_alt(merged: NodeResult) -> NodeResult:
-    """After a whens branch merge: when branches emitted DIFFERENT output
-    types (the column was promoted), expose each branch's typed value to
-    ref consumers per row — joi's heterogeneous object holds 42 (number)
-    next to '42' (string); the single Arrow column cannot, so rule-arg
-    asserts and when-conditions read through this view (fuzz seed 9641)."""
-    if getattr(merged, "_mixed_types", False) and getattr(merged, "_branch_pairs", None):
-        merged.alt_view = AltView(merged.value, merged._branch_pairs)
+    _finalize(merged, node.wrapper_fins or {}, undef, scope, env, _rec_appender(merged.errors, path, lbl))
     return merged
 
 
-def _merge_into(merged: NodeResult, sub: NodeResult, sel: np.ndarray):
+def _merge_into(merged: NodeResult, sub: NodeResult, sel: np.ndarray) -> bool:
+    """Merge one when() branch result into ``merged`` on its ``sel`` rows.
+    Returns whether the branch output PROMOTED the column to its type."""
     merged.errors.extend(sub.errors)
     if sub.missing is not None:
         merged.missing = merged.missing | (sub.missing & sel)
@@ -1673,16 +1667,12 @@ def _merge_into(merged: NodeResult, sub: NodeResult, sel: np.ndarray):
         if ff.any():
             merged.fin_filled = (
                 ff if merged.fin_filled is None else merged.fin_filled | ff)
-    if len(sel) and sel.any() and sub.value is not None:
+    # shadow entries (raw-flagged branches) survive the merge per row
+    merged.shadow += _shadow_on(sub.shadow, sel)
+    promoted = False
+    if sel.any() and sub.value is not None:
         sel_arr = pa.array(sel)
-        sub_val = combine(sub.value) if isinstance(sub.value, pa.ChunkedArray) else sub.value
-        # per-branch typed values: collected so that a cross-type merge can
-        # expose the per-row view joi's heterogeneous object would hold —
-        # a then-branch number must reach sibling refs as a NUMBER even
-        # when an otherwise-branch cast('string') promoted the column
-        if not hasattr(merged, "_branch_pairs"):
-            merged._branch_pairs = []
-        merged._branch_pairs.append((sel.copy(), sub_val))
+        sub_val = combine(sub.value)
         try:
             merged.value = pc.if_else(sel_arr, sub_val, merged.value)
         except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
@@ -1712,7 +1702,7 @@ def _merge_into(merged: NodeResult, sub: NodeResult, sel: np.ndarray):
             if not widened:
                 # cross-type branch output (a cast('string') branch over a
                 # float column): promote the merged column to the branch type
-                merged._mixed_types = True
+                promoted = True
                 try:
                     base = pc.cast(merged.value, sub_val.type, safe=False)
                 except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
@@ -1721,32 +1711,6 @@ def _merge_into(merged: NodeResult, sub: NodeResult, sel: np.ndarray):
                     merged.value = pc.if_else(sel_arr, sub_val, base)
                 except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
                     pass
-    # shadow entries (raw-flagged branches) survive the merge per row
-    if sub.shadow_value is not None and len(sel) and sel.any():
-        sm = sub.shadow_mask if sub.shadow_mask is not None else np.ones(len(sel), bool)
-        eff = sel & sm
-        if eff.any():
-            sv = combine(sub.shadow_value) if isinstance(sub.shadow_value, pa.ChunkedArray) else sub.shadow_value
-            if merged.shadow_value is None and not merged.shadow_pairs:
-                merged.shadow_value = sv
-                merged.shadow_mask = eff.copy()
-            elif merged.shadow_value is not None and sv.type == merged.shadow_value.type:
-                try:
-                    merged.shadow_value = pc.if_else(pa.array(eff), sv, merged.shadow_value)
-                    merged.shadow_mask = merged.shadow_mask | eff
-                except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-                    pass
-            else:
-                # CROSS-TYPE branch shadows (a cast('string') otherwise
-                # branch next to a numeric then branch): keep per-row typed
-                # pairs instead of dropping the entry (fuzz seed 63506)
-                if merged.shadow_pairs is None:
-                    merged.shadow_pairs = []
-                    if merged.shadow_value is not None:
-                        merged.shadow_pairs.append(
-                            (merged.shadow_mask.copy(), merged.shadow_value))
-                        merged.shadow_value = merged.shadow_mask = None
-                merged.shadow_pairs.append((eff.copy(), sv))
     # strip from a branch applies per ROW — only where the branch matched
     # (joi resolves whens per value, so object.js's strip delete is
     # row-dependent; fuzz seed 98: an unmatched switch case's strip must
@@ -1759,6 +1723,12 @@ def _merge_into(merged: NodeResult, sub: NodeResult, sel: np.ndarray):
             rows = rows & ~sub.failed
         if rows.any():
             merged.strip_rows = rows if merged.strip_rows is None else merged.strip_rows | rows
+    return promoted
+
+
+def _shadow_on(shadow: list, rows: np.ndarray) -> list:
+    """The shadow pairs restricted to ``rows``, empty ones dropped."""
+    return [(rows & m, v) for m, v in shadow if (rows & m).any()]
 
 
 def node_validity(node: CNode, arr, env: Env, scope: np.ndarray) -> np.ndarray:
@@ -1788,80 +1758,55 @@ def _strip_survivors(res: NodeResult, orig, n: int):
 
 
 def _failed_overlay(res: NodeResult, orig, n: int, mode: str):
-    """joi writes result.value into the object ONLY when the child
-    validated cleanly (object.js:125-140): an errored key keeps its
-    ORIGINAL value, so later sibling refs see the raw input (e.g. a
-    required-missing key with a default resolves undefined, raising
-    any.ref on ref-limit rules).  Cross-type originals (string input to a
-    number key) can't share the Arrow column: "strict" consumers (rule
-    args) get undefined — asserts fail either way -> any.ref; "loose"
-    consumers (when-conditions, whose schema re-coerces the raw value)
-    get the converted value."""
-    val = combine(res.value) if isinstance(res.value, pa.ChunkedArray) else res.value
+    """One sibling's value as a ref sees it.  joi writes result.value into
+    the object ONLY when the child validated cleanly (object.js:125-140):
+    an errored key keeps its ORIGINAL value, so later sibling refs see the
+    raw input (e.g. a required-missing key with a default resolves
+    undefined, raising any.ref on ref-limit rules).
+
+    Refs read joi's shadow first (validator.js:414-417, ref.js _resolve):
+    ``res.shadow`` is walked once, later pairs winning.  A pair of the
+    column's type is written into the column, one of another type becomes
+    an AltView pair (fuzz seed 63506); either way it takes its rows from
+    the earlier AltView pairs (fuzz seed 27000130, node-verified: a failed
+    strip-branch's numeric shadow feeds min(ref), not the matched
+    cast('string') branch's '42'), and shadowed rows leave the failed-row
+    fallback below.
+
+    "dual" consumers (rule limits, templates, when-conditions) get
+    (column or AltView, original, failed mask) and pick per row.
+    "strict" consumers get one column: a view whose pairs share one type
+    and cover every clean row (a raw() key's shadow) becomes a column of
+    that type; a view that cannot (a clean 'xy' beside a blocked
+    failover 5) keeps the stored column.  Failed rows get their original
+    when it shares the column's type, else undefined — asserts fail
+    either way -> any.ref."""
+    val = combine(res.value)
     f = res.failed
-    # a raw()-flagged key outputs the ORIGINAL, but joi shadows the
-    # converted value in finalize — EVEN for errored rows — and refs hit
-    # the shadow first (validator.js:414-417, ref.js _resolve).  Shadowed
-    # rows therefore resolve the converted value and stop counting as
-    # failed for the raw-original overlay below.
-    sh = res.shadow_value
     alt = res.alt_view
-    if sh is not None:
-        sh = combine(sh) if isinstance(sh, pa.ChunkedArray) else sh
-        shm = res.shadow_mask
-        shm = shm if shm is not None else np.ones(n, dtype=bool)
-        try:
-            if sh.type == val.type:
-                val = pc.if_else(pa.array(shm), sh, val)
-                if isinstance(alt, AltView):
-                    # the shadow wins over branch-value pairs per row
-                    # (ref.js _resolve checks the shadow FIRST) — a
-                    # cast-branch's typed pair must not override the
-                    # folded shadow for shadowed rows (fuzz seed
-                    # 27000130, node-verified: a failed strip-branch's
-                    # numeric shadow feeds min(ref), not the matched
-                    # cast('string') branch's '42')
-                    pairs = [(m & ~shm, a) for m, a in alt.pairs]
-                    pairs = [(m, a) for m, a in pairs if m.any()]
-                    alt = AltView(val, pairs) if pairs else None
+    if res.shadow:
+        pairs = list(alt.pairs) if alt is not None else []
+        for m, a in res.shadow:
+            pairs = [(pm & ~m, pv) for pm, pv in pairs]
+            if a.type == val.type:
+                val = pc.if_else(pa.array(m), a, val)
             else:
-                # cross-type shadow (cast branch): per-row typed view
-                pairs = ([(m, a) for m, a in alt.pairs] if isinstance(alt, AltView) else [])
-                alt = AltView(val, pairs + [(shm, sh)])
-        except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-            pass
-        if f is not None:
-            f = f & ~shm
-    sps = res.shadow_pairs
-    if sh is None and sps:
-        # cross-type branch shadows (alternatives): the shadow WINS over
-        # the branch value per row (ref.js _resolve checks shadow first),
-        # so shadow pairs append AFTER any branch-value AltView pairs —
-        # _ref_arg_check applies pairs in order, last match winning.
-        # Same-type entries fold into the column only when no earlier
-        # pairs could override them.
-        pairs0 = [(m, a) for m, a in alt.pairs] if isinstance(alt, AltView) else []
-        extra = []
-        for m, a in sps:
-            if not pairs0 and a.type == val.type:
-                try:
-                    val = pc.if_else(pa.array(m), a, val)
-                    continue
-                except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-                    pass
-            extra.append((m, a))
-        if extra:
-            alt = AltView(val, pairs0 + extra)
-        if f is not None:
-            shm_all = np.zeros(n, dtype=bool)
-            for m, _ in sps:
-                shm_all |= m
-            f = f & ~shm_all
+                pairs.append((m, a))
+            if f is not None:
+                f = f & ~m
+        pairs = [(pm, pv) for pm, pv in pairs if pm.any()]
+        alt = AltView(val, pairs) if pairs else None
+    if mode == "strict" and alt is not None and len({pv.type for _, pv in alt.pairs}) == 1:
+        clean = ~null_mask(val) if f is None else ~null_mask(val) & ~f
+        if not (clean & ~np.logical_or.reduce([pm for pm, _ in alt.pairs])).any():
+            val = pa.nulls(n, alt.pairs[0][1].type)
+            for pm, pv in alt.pairs:
+                val = pc.if_else(pa.array(pm), pv, val)
     if f is None or not f.any() or orig is None:
         if mode == "dual":
             return (alt if alt is not None else val, None, None)
         return val
-    orig = combine(orig) if isinstance(orig, pa.ChunkedArray) else orig
+    orig = combine(orig)
     if mode == "dual":
         # consumer resolves per row itself: converted for clean rows, the
         # RAW original (through its own type's semantics) for errored rows
@@ -1870,11 +1815,9 @@ def _failed_overlay(res: NodeResult, orig, n: int, mode: str):
         fm = pa.array(f)
         if orig.type == val.type:
             return pc.if_else(fm, orig, val)
-        if mode == "strict":
-            return pc.if_else(fm, pa.nulls(n, val.type), val)
+        return pc.if_else(fm, pa.nulls(n, val.type), val)
     except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-        pass
-    return val
+        return val
 
 
 def _resolve_when_ref(r, arr, env: Env, n: int):
@@ -2108,45 +2051,40 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
     # rows a BRANCH default/failover filled (presence-ignore lets missing
     # rows through): defined now — the node default must skip them
     branch_filled = np.zeros(n, dtype=bool)
-    value = arr
     branch_values: list[tuple[np.ndarray, object]] = []  # (rows, converted)
     branch_outcomes: list[tuple[str, list]] = []
     # raw() shadows persist from every ATTEMPTED branch, failed ones
     # included — joi's finalize writes the shadow per branch try
     # (validator.js:414-417), so a failed trim().raw() branch still feeds
     # the trimmed value to later refs (fuzz seed 38925, node-verified)
-    shadow_pairs: list[tuple[np.ndarray, object]] = []
-
-    def _collect_shadow(sub, tried: np.ndarray):
-        if sub.shadow_value is not None:
-            sm = sub.shadow_mask if sub.shadow_mask is not None else np.ones(n, bool)
-            eff = tried & sm
-            if eff.any():
-                shadow_pairs.append((eff, sub.shadow_value))
-            # rows whose COERCION failed inside a raw() branch: joi's
-            # shadow holds the value finalize saw — the ORIGINAL ('true'
-            # stays a string when number coercion missed; fuzz seed 59592).
-            # EMPTIED rows are different: finalize saw UNDEFINED (the
-            # empty() conversion), so they shadow nothing — a later
-            # is:'' condition must NOT resolve the raw '' (fuzz seed
-            # 35000213, node-verified)
-            if sub.raw_value is not None:
-                rest = tried & ~sm
-                if sub.missing is not None:
-                    rest &= ~sub.missing
-                if rest.any():
-                    shadow_pairs.append((rest, sub.raw_value))
-
+    shadow: list = []
     for m in node.matches:
         still = active & ~matched & ~decided
         if not still.any():
             break
-        if "schema" in m:
-            # one evaluation per branch: validity mask and coerced value both
-            # come from the same NodeResult
-            sub = eval_node(m["schema"], arr, env, path, scope=still)
-            _collect_shadow(sub, still)
-            hit = still & ~sub.failed
+        # a conditional entry (alternatives.when) returns the selected
+        # branch's result AS-IS — pass or fail, later matches are not
+        # tried for that row (lib/types/alternatives.js:47-57)
+        tries = [(m["schema"], still)] if "schema" in m else _when_branches(m, arr, env, still, n)
+        for bn, sel in tries:
+            if bn is None or not sel.any():
+                continue
+            sub = eval_node(bn, arr, env, path, scope=sel)
+            shadow += _shadow_on(sub.shadow, sel)
+            if sub.shadow and sub.raw_value is not None:
+                # rows whose COERCION failed inside a raw() branch: joi's
+                # shadow holds the value finalize saw — the ORIGINAL
+                # ('true' stays a string when number coercion missed; fuzz
+                # seed 59592).  EMPTIED rows are different: finalize saw
+                # UNDEFINED (the empty() conversion), so they shadow
+                # nothing — a later is:'' condition must NOT resolve the
+                # raw '' (fuzz seed 35000213, node-verified)
+                rest = sel & ~np.logical_or.reduce([sm for sm, _ in sub.shadow])
+                if sub.missing is not None:
+                    rest &= ~sub.missing
+                if rest.any():
+                    shadow.append((rest, sub.raw_value))
+            hit = sel & ~sub.failed
             matched |= hit
             if sub.strip:
                 strip_hit |= hit
@@ -2159,39 +2097,17 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
                 ff = sub.fin_filled if sub.fin_filled is not None else np.zeros(n, bool)
                 undef_hit |= hit & sub.missing & ~ff
                 branch_filled |= hit & ff
-            branch_outcomes.append((m["schema"].type, sub.errors))
-            # warn-rule reports push to the MAIN state immediately in joi
-            # (validator.js:303-306), so every ATTEMPTED branch leaks its
-            # warnings — matched, failed, and no-match rows alike
-            # (node-verified; fuzz seed 1400069 family)
-            errors.extend(r for r in sub.errors if r.warn)
             if hit.any():
                 branch_values.append((hit, sub.value))
-            continue
-        # conditional entry (alternatives.when): the selected branch's
-        # result is returned AS-IS — pass or fail, later matches are not
-        # tried for that row (lib/types/alternatives.js:47-57)
-        if "peek" in m:
-            cond = node_validity(m["peek"], arr, env, still)
-        else:
-            cond = _when_condition(m["is"], _resolve_when_ref(m["ref"], arr, env, n), env, still, n)
-        for branch, sel in (("then", still & cond), ("otherwise", still & ~cond)):
-            bn = m.get(branch)
-            if bn is None or not sel.any():
+            if "schema" in m:
+                branch_outcomes.append((bn.type, sub.errors))
+                # warn-rule reports push to the MAIN state immediately in
+                # joi (validator.js:303-306), so every ATTEMPTED branch
+                # leaks its warnings — matched, failed, and no-match rows
+                # alike (node-verified; fuzz seed 1400069 family)
+                errors.extend(r for r in sub.errors if r.warn)
                 continue
-            sub = eval_node(bn, arr, env, path, scope=sel)
-            _collect_shadow(sub, sel)
             decided |= sel
-            ok_rows = sel & ~sub.failed
-            matched |= ok_rows
-            if sub.strip:
-                strip_hit |= ok_rows
-            elif sub.strip_rows is not None:
-                strip_hit |= ok_rows & sub.strip_rows
-            if sub.missing is not None:
-                ff = sub.fin_filled if sub.fin_filled is not None else np.zeros(n, bool)
-                undef_hit |= ok_rows & sub.missing & ~ff
-                branch_filled |= ok_rows & ff
             errors.extend(sub.errors)
             failed |= sel & sub.failed
             # a DECIDED branch failure keeps its processed value (joi
@@ -2201,8 +2117,6 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
             # node-verified) unless the input itself was undefined
             defined_failed |= sel & sub.failed & ~(
                 sub.missing if sub.missing is not None else np.zeros(n, bool))
-            if ok_rows.any():
-                branch_values.append((ok_rows, sub.value))
     if invalid_open is not None:
         defined_failed |= invalid_open & matched
     value, alt_view = _finalize_branch_values(arr, branch_values, n)
@@ -2284,7 +2198,8 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
                 if isinstance(m, str):
                     rec.message = m
     nr = NodeResult(value=value, errors=errors, missing=missing, failed=failed,
-                    strip_rows=strip_hit if strip_hit.any() else None, alt_view=alt_view)
+                    strip_rows=strip_hit if strip_hit.any() else None, alt_view=alt_view,
+                    shadow=shadow)
     _finalize(nr, node.flags,
               # undefined at finalize = missing + no-branch-match failures
               # (value = base.value leaves undefined, validator.js:234) +
@@ -2299,33 +2214,6 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
         # test_alternatives_strip_branch_feeds_node_default)
         keep = nr.strip_rows & ~nr.failed
         nr.strip_rows = keep if keep.any() else None
-    if shadow_pairs:
-        # normalize to DISJOINT masks, later branch tries taking precedence
-        seen = np.zeros(n, dtype=bool)
-        norm: list = []
-        for eff, sv in reversed(shadow_pairs):
-            m = eff & ~seen
-            if m.any():
-                norm.append((m, combine(sv) if isinstance(sv, pa.ChunkedArray) else sv))
-                seen |= m
-        norm.reverse()
-        types = {v.type for _, v in norm}
-        if len(types) == 1:
-            sh_val, sh_mask = None, np.zeros(n, dtype=bool)
-            for eff, sv in norm:
-                if sh_val is None:
-                    sh_val, sh_mask = sv, eff.copy()
-                else:
-                    try:
-                        sh_val = pc.if_else(pa.array(eff), sv, sh_val)
-                        sh_mask = sh_mask | eff
-                    except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-                        pass
-            nr.shadow_value, nr.shadow_mask = sh_val, sh_mask
-        else:
-            # cross-type branch shadows (a number branch next to a failed
-            # string attempt): per-row typed pairs for the ref consumers
-            nr.shadow_pairs = norm
     return nr
 
 

@@ -107,12 +107,12 @@ class ErrRec:
 
 
 class AltView:
-    """Per-row TYPED view of an alternatives column whose branches
-    converted to different types (number vs boolean vs string): the value
-    COLUMN had to keep originals (one Arrow type), but ref consumers need
-    the per-row converted value joi would see (value.b === true).  ``base``
-    is the column as stored; ``pairs`` are (row-mask, converted-array) per
-    matching branch."""
+    """Per-row TYPED view of a column that cannot hold every value joi
+    would see (value.b === true next to value.b === 5): alternatives
+    branches or when() branches converting to different types, a blocked
+    default/failover adoption, a cross-type shadow or item promotion.
+    ``base`` is the column as stored; ``pairs`` are (row-mask, typed
+    array), later pairs winning where masks overlap."""
 
     def __init__(self, base, pairs):
         self.base = base
@@ -173,13 +173,13 @@ class Env:
         test:618-673).  ``map``/``adjust`` options post-process the
         resolved value (lib/ref.js:145-151).
 
-        ``mode`` controls how rows whose sibling FAILED validation resolve
-        when its original input type clashes with the converted column
-        (joi keeps the raw JS value there — object.js:125-140):
-        "strict" (rule args) -> undefined, so arg asserts raise any.ref
-        like the raw value would; "loose" (when-conditions) -> the
-        converted value, which the condition schema's own coercion would
-        have produced from the raw input anyway."""
+        ``mode`` picks the shape of a sibling ref (joi keeps the raw JS
+        value of a FAILED sibling — object.js:125-140): "dual" (rule
+        limits, templates, when-conditions) -> (converted or AltView,
+        original, failed mask), resolved per row by the consumer;
+        "strict" (the default: valid/default/failover/multiple refs and
+        the other one-column consumers) -> one column, where failed rows
+        whose original type clashes with the column resolve undefined."""
         parts = r.parts
         if r.kind == "local":
             # local bindings exist only during error rendering; in rule-arg
@@ -444,7 +444,7 @@ def _resolved_cells(val, orig, f, fired: np.ndarray) -> list:
     for joi's any.ref report value — {[.]} in custom messages renders it."""
     def cell(col, i):
         if isinstance(col, AltView):
-            for m, a in col.pairs:
+            for m, a in reversed(col.pairs):
                 if m[i]:
                     return combine(a)[i].as_py()
             col = col.base

@@ -10,6 +10,10 @@
   offset, and top-level string columns dictionary-encoded or cast to
   ``large_string`` and list columns cast to ``large_list`` must give the
   plain table's ``ok`` mask, violations and output value.
+- Row permutation: rows are independent, so a table whose rows are
+  permuted (a permutation seeded by the case seed) must give the
+  permuted ``ok`` mask, each row's violations with the rows remapped, in
+  the same order, and the permuted output value.
 
 ``tools/fuzz_spec.gen_case`` seeds 0-299 are checked twice: with the
 case's own prefs and with ``{"abortEarly": False, **prefs}``, the
@@ -39,7 +43,7 @@ def _violations(res, offset: int = 0) -> list:
     return list(zip(*(v[c] for c in _COLS)))
 
 
-def _split_mismatch(spec, tbl: pa.Table, prefs: dict):
+def _split_mismatch(spec, tbl: pa.Table, prefs: dict, seed: int):
     """None when the whole-table run equals the one-row runs, else a
     description of the first difference."""
     try:
@@ -78,7 +82,7 @@ def _layouts(tbl: pa.Table):
                                     lambda c: c.cast(pa.large_list(c.type.value_type)))
 
 
-def _layout_mismatch(spec, tbl: pa.Table, prefs: dict):
+def _layout_mismatch(spec, tbl: pa.Table, prefs: dict, seed: int):
     """None when every layout gives the plain table's result, else the
     first layout that differs and what differs."""
     def result(t):
@@ -98,6 +102,39 @@ def _layout_mismatch(spec, tbl: pa.Table, prefs: dict):
     return None
 
 
+def _by_row(viol: list, rows) -> dict:
+    """Each row's violations (without the row), in order, keyed by
+    ``rows[row]``."""
+    out: dict = {}
+    for v in viol:
+        out.setdefault(int(rows[v[0]]), []).append(v[1:])
+    return out
+
+
+def _permutation_mismatch(spec, tbl: pa.Table, prefs: dict, seed: int):
+    """None when the permuted table gives the permuted result, else what
+    differs."""
+    perm = np.random.default_rng(seed).permutation(tbl.num_rows)
+    try:
+        cs = jr.compile_schema(build_spec_py(spec), prefs=prefs_to_py(prefs))
+        plain = cs.validate_table(tbl)
+    except Exception:  # noqa: BLE001 - the case is outside the invariant
+        return None
+    got = cs.validate_table(tbl.take(pa.array(perm)))
+    ok, want = np.asarray(got.ok, dtype=bool).tolist(), np.asarray(plain.ok, dtype=bool)[perm].tolist()
+    if ok != want:
+        return f"ok {ok} vs permuted {want}"
+    a, b = _by_row(_violations(got), perm), _by_row(_violations(plain), range(tbl.num_rows))
+    if a != b:
+        r = next(r for r in sorted(set(a) | set(b)) if a.get(r) != b.get(r))
+        return f"row {r} violations: permuted {a.get(r)} vs plain {b.get(r)}"
+    value, plain_value = got.value.to_pylist(), plain.value.to_pylist()
+    want = [plain_value[i] for i in perm]
+    if value != want:
+        return f"value {value} vs permuted {want}"
+    return None
+
+
 def _sweep(check, abort_early_off: bool, monkeypatch) -> dict:
     # gen_case reads these to pin sweeps; the slice must not depend on them
     for k in ("FUZZ_KINDS", "FUZZ_STRIP_P", "FUZZ_ROWS", "FUZZ_PREFS", "FUZZ_MANIFEST"):
@@ -107,7 +144,7 @@ def _sweep(check, abort_early_off: bool, monkeypatch) -> dict:
         spec, tbl, prefs = gen_case(seed)
         if abort_early_off:
             prefs = {"abortEarly": False, **prefs}
-        why = check(spec, tbl, prefs)
+        why = check(spec, tbl, prefs, seed)
         if why:
             bad[seed] = why
     return bad
@@ -125,4 +162,10 @@ def test_batch_split_invariant(abort_early_off, monkeypatch):
 @_PREFS
 def test_physical_layout_invariant(abort_early_off, monkeypatch):
     bad = _sweep(_layout_mismatch, abort_early_off, monkeypatch)
+    assert not bad, bad
+
+
+@_PREFS
+def test_row_permutation_invariant(abort_early_off, monkeypatch):
+    bad = _sweep(_permutation_mismatch, abort_early_off, monkeypatch)
     assert not bad, bad

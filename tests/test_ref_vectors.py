@@ -249,3 +249,72 @@ def test_any_ref_report_value_is_resolved_arg():
     assert r.violations["message"].to_pylist() == ["v=abc on x"]
     r2 = jr.compile_schema(s, prefs={"abort_early": False}).validate_table(pa.table({"x": [7.0]}))
     assert r2.violations["message"].to_pylist() == ["v= on x"]
+
+
+# ---- refs read joi's shadow (validator.js:414-417, ref.js _resolve): the
+# converted value of a raw() key, whatever node wraps it
+
+def _ok(res):
+    return [bool(b) for b in res.ok]
+
+
+def _codes(res):
+    return sorted((v["row"], v["path"], v["code"]) for v in res.violations.to_pylist())
+
+
+_ALT_RAW = jr.alternatives().try_(jr.number().raw(), jr.boolean().raw())
+_NESTED_TBL = pa.table({"a": ["5", "true", "7"], "b": [4.0, 1.0, 9.0], "k": [1, 1, 1]})
+
+
+@pytest.mark.parametrize("a", [
+    _ALT_RAW,
+    jr.any_().when("k", is_=1, then=_ALT_RAW),
+    jr.alternatives().try_(_ALT_RAW),
+], ids=["plain", "in_when", "in_alternatives"])
+def test_cross_type_shadow_survives_nesting(a):
+    # '5' and '7' shadow as numbers, 'true' as a boolean the number limit
+    # rejects: a when() or alternatives around the same node keeps that
+    res = run(obj({"a": a, "b": jr.number().max(jr.ref("a")), "k": jr.number()}), _NESTED_TBL)
+    assert _ok(res) == [True, False, False]
+    assert _codes(res) == [(1, "b", "any.ref"), (2, "b", "number.max")]
+
+
+_RAW_A = {"a": jr.number().raw()}
+
+
+def test_valid_ref_reads_raw_shadow():
+    res = run(obj({**_RAW_A, "b": jr.number().valid(jr.ref("a"))}),
+              pa.table({"a": ["5", "6"], "b": [5.0, 7.0]}))
+    assert _ok(res) == [True, False]
+    assert _codes(res) == [(1, "b", "any.only")]
+
+
+def test_default_ref_adopts_raw_shadow():
+    res = run(obj({**_RAW_A, "b": jr.number().default(jr.ref("a"))}),
+              pa.table({"a": ["5", "6"], "b": pa.array([None, None], pa.float64())}))
+    assert _ok(res) == [True, True]
+    assert res.value.column("a").to_pylist() == ["5", "6"]
+    assert res.value.column("b").to_pylist() == [5, 6]
+
+
+def test_multiple_ref_reads_raw_shadow():
+    res = run(obj({**_RAW_A, "b": jr.number().multiple(jr.ref("a"))}),
+              pa.table({"a": ["5", "6"], "b": [10.0, 7.0]}))
+    assert _ok(res) == [True, False]
+    assert _codes(res) == [(1, "b", "number.multiple")]
+
+
+def test_max_ref_reads_raw_shadow():
+    res = run(obj({**_RAW_A, "b": jr.number().max(jr.ref("a"))}),
+              pa.table({"a": ["5", "6"], "b": [4.0, 7.0]}))
+    assert _ok(res) == [True, False]
+    assert _codes(res) == [(1, "b", "number.max")]
+
+
+def test_valid_ref_keeps_clean_rows_beside_blocked_failover():
+    # the failover 5 cannot live in a's string column (an AltView pair);
+    # the clean 'xy' row must still resolve 'xy', not undefined
+    s = obj({"a": jr.string().min(2).failover(5), "b": jr.any_().valid(jr.ref("a"))})
+    res = run(s, pa.table({"a": ["xy", "z"], "b": ["xy", "xy"]}))
+    assert _ok(res) == [True, False]
+    assert _codes(res) == [(1, "b", "any.only")]
