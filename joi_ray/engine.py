@@ -29,7 +29,8 @@ from .kernels import structs as k_structs
 from .kernels import messages as k_messages
 from .kernels.messages import render
 from .kernels.template import Template
-from .kernels.util import AltView, Env, ErrRec, as_bool_np, combine, null_mask, resolve_template_column
+from .kernels.util import (AltView, Env, ErrRec, as_bool_np, combine, null_mask, ref_cell, ref_parts,
+                           resolve_template_column)
 
 DEFAULT_PREFS = {
     "convert": True,          # lib/common.js:25
@@ -434,24 +435,15 @@ class _TakeEnv(Env):
         super().__init__(base.prefs, base._resolve_sibling, base.ancestors)
         self._idx = idx_arr
 
-    def resolve_ref(self, r, n, mode: str = "strict"):
+    def resolve_ref(self, r, n):
+        v = super().resolve_ref(r, len(self._idx))
         if getattr(r, "kind", None) in ("context", "local"):
             # global/local refs are row-independent: bound -> python
             # scalar, unbound -> nulls already sized to THIS scope —
             # re-taking self._idx would double-scope (parent-sized indices)
-            return super().resolve_ref(r, len(self._idx), mode=mode)
-        v = super().resolve_ref(r, len(self._idx), mode=mode)
-        if isinstance(v, tuple) and len(v) == 3:
-            val, orig, f = v
-            if isinstance(val, AltView):
-                val = val.take(self._idx)
-            elif isinstance(val, (pa.Array, pa.ChunkedArray)):
-                val = combine(val).take(self._idx)
-            if isinstance(orig, (pa.Array, pa.ChunkedArray)):
-                orig = combine(orig).take(self._idx)
-            if f is not None:
-                f = f[np.asarray(self._idx)]
-            return (val, orig, f)
+            return v
+        if isinstance(v, AltView):
+            return v.take(self._idx)
         if isinstance(v, (pa.Array, pa.ChunkedArray)):
             return combine(v).take(self._idx)
         return v
@@ -527,10 +519,17 @@ def _set_membership_refs(arr: pa.Array, refs: list[Ref], env: Env, m: np.ndarray
             col = resolve_template_column(r, env, n)
         else:
             col = env.resolve_ref(r, n)
+        if isinstance(col, (pa.Array, pa.ChunkedArray, AltView)):
+            # each row against its own resolved value: a piece of another
+            # type than the column matches nothing (joi's ===)
+            for rows, c in ref_parts(col, n):
+                try:
+                    m |= rows & as_bool_np(pc.equal(arr, c), n)
+                except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
+                    continue
+            continue
         try:
-            if isinstance(col, (pa.Array, pa.ChunkedArray)):
-                m |= as_bool_np(pc.equal(arr, combine(col)), n)
-            elif isinstance(col, (list, tuple, set, frozenset)):
+            if isinstance(col, (list, tuple, set, frozenset)):
                 # ref resolved to an array -> membership over its items
                 # (lib/values.js:127-136: Array.isArray(item) -> findIndex)
                 vs = pa.array(list(col))
@@ -635,19 +634,15 @@ def _adopt_fn_values(arr, fired, vals, n: int):
     return None
 
 
-def _dflt_pair(n: int, fired, vals, threw=None):
+def _dflt_pair(n: int, fired, vals):
     """(mask, full-length typed array) AltView pair for a BLOCKED
     default/failover adoption, or ``None`` when even a values-only array
     cannot be built (mixed-type fn results — stays a tracked ceiling)."""
     mask = np.zeros(n, dtype=bool)
+    mask[fired] = True
     lst = [None] * n
-    for j, (i, v) in enumerate(zip(fired, vals)):
-        if threw is not None and threw[j]:
-            continue
-        mask[int(i)] = True
+    for i, v in zip(fired, vals):
         lst[int(i)] = v
-    if not mask.any():
-        return None
     try:
         return (mask, pa.array(lst))
     except (pa.ArrowInvalid, pa.ArrowTypeError, pa.ArrowNotImplementedError):
@@ -668,37 +663,39 @@ def _fill_source(arr, mask, src, clean, env: Env, record, code: str):
 
     - a function runs per row (see ``_fn_default_values``); a throw
       records ``code`` (any.default / any.failover) and leaves the row;
-    - a template evaluates per row (Joi.x: '{a + 1}' yields the value);
-    - a Ref resolves as a column, or as one value like a literal;
+    - a Ref or a template (Joi.x: '{a + 1}' yields the value) resolves
+      to a column or an AltView, taken piece by piece (``ref_parts``:
+      later pairs first, the stored base last, so a view's typed values
+      claim the column before its base does);
     - a literal is one value for every row.
 
-    One adoption rule for every source: a Ref column of the column's own
-    type, or a literal that round-trips in it (``_rt_eq``), fills with one
-    vectorized ``if_else``; any other values go through
+    One adoption rule for every source and every piece: a column of the
+    column's own type, or a literal that round-trips in it (``_rt_eq``),
+    fills with one vectorized ``if_else``; any other values go through
     ``_adopt_fn_values`` (the column's type, then a whole-column rebuild
     in the values' type).  When that fails, a literal that no ``clean``
     row competes with rebuilds the column from the filled rows alone;
     anything else goes into an AltView pair (the one-type-per-column
     ceiling) so sibling refs still see it.
     Returns (arr, rows whose value is now defined, thrown rows,
-    blocked-adoption pair or None)."""
+    blocked-adoption pairs)."""
     n = len(arr)
     thrown = np.zeros(n, dtype=bool)
+    defined = np.zeros(n, dtype=bool)
+    pairs: list = []
     rows = np.nonzero(mask)[0]
     rebuild = False
     if isinstance(src, Ref):
         src = env.resolve_ref(src, n)
         if src is None:
-            return arr, np.zeros(n, dtype=bool), thrown, None
-    if isinstance(src, (pa.Array, pa.ChunkedArray)):
-        rv = combine(src)
-        if pa.types.is_null(arr.type) or rv.type == arr.type:
-            base = pa.nulls(n, rv.type) if pa.types.is_null(arr.type) else arr
-            # a ref resolving undefined leaves the row undefined
-            return pc.if_else(pa.array(mask), rv, base), mask & ~null_mask(rv), thrown, None
-        vals = rv.take(pa.array(rows)).to_pylist()
+            return arr, defined, thrown, pairs
     elif isinstance(src, Template):
-        vals = resolve_template_column(src, env, n).take(pa.array(rows)).to_pylist()
+        src = resolve_template_column(src, env, n)
+    # (rows to fill, values): an Arrow column over every row, or a list
+    # with one value per row to fill
+    groups: list = []
+    if isinstance(src, (pa.Array, pa.ChunkedArray, AltView)):
+        groups = [(mask & prows, rv) for prows, rv in ref_parts(src, n)]
     elif callable(src):
         vals, threw, ferr = _fn_default_values(src, rows, env)
         if threw.any():
@@ -708,29 +705,41 @@ def _fill_source(arr, mask, src, clean, env: Env, record, code: str):
                 # finalize pushes AFTER the abort point (validator.js:
                 # 359-364, 385) — rides along under abortEarly
                 rec.post_abort = True
-            rows = rows[~threw]
-            vals = [v for v, t in zip(vals, threw) if not t]
+        groups.append((mask & ~thrown, [v for v, t in zip(vals, threw) if not t]))
     else:
         s = _scalar_for(src, arr.type)
         if s is not None and _rt_eq(src, s.as_py()):
-            return pc.if_else(pa.array(mask), s, arr), mask, thrown, None
-        vals = [src] * len(rows)
+            return pc.if_else(pa.array(mask), s, arr), mask, thrown, pairs
+        groups.append((mask, [src] * len(rows)))
         # the literal's type cannot live in the column: when no clean row
         # needs the old type, the column is rebuilt from the filled rows
         # alone so the literal still lands (fuzz seed 5000296: a number
         # over an all-failing string column under convert:false)
         rebuild = not clean.any()
-    # a source yielding undefined leaves the row undefined
-    defined = np.zeros(n, dtype=bool)
-    defined[rows[[v is not None for v in vals]]] = True
-    if not len(rows):
-        return arr, defined, thrown, None
-    adopted = _adopt_fn_values(arr, rows, vals, n)
-    if adopted is None and rebuild:
-        adopted = _adopt_fn_values(pa.nulls(n), rows, vals, n)
-    if adopted is not None:
-        return adopted, defined, thrown, None
-    return arr, defined, thrown, _dflt_pair(n, rows, vals)
+    for pm, vals in groups:
+        if not pm.any():
+            continue
+        if isinstance(vals, pa.Array):
+            if pa.types.is_null(arr.type) or vals.type == arr.type:
+                base = pa.nulls(n, vals.type) if pa.types.is_null(arr.type) else arr
+                arr = pc.if_else(pa.array(pm), vals, base)
+                # a ref resolving undefined leaves the row undefined
+                defined |= pm & ~null_mask(vals)
+                continue
+            vals = vals.filter(pa.array(pm)).to_pylist()
+        rows = np.nonzero(pm)[0]
+        # a source yielding undefined leaves the row undefined
+        defined[rows[[v is not None for v in vals]]] = True
+        adopted = _adopt_fn_values(arr, rows, vals, n)
+        if adopted is None and rebuild:
+            adopted = _adopt_fn_values(pa.nulls(n), rows, vals, n)
+        if adopted is not None:
+            arr = adopted
+        else:
+            pair = _dflt_pair(n, rows, vals)
+            if pair is not None:
+                pairs.append(pair)
+    return arr, defined, thrown, pairs
 
 
 def _finalize(nr: NodeResult, flags: dict, undef: np.ndarray, scope: np.ndarray,
@@ -763,11 +772,10 @@ def _finalize(nr: NodeResult, flags: dict, undef: np.ndarray, scope: np.ndarray,
         if "failover" in flags:
             fm = nr.failed & scope
             if fm.any():
-                value, defined, thrown, pair = _fill_source(
+                value, defined, thrown, got = _fill_source(
                     value, fm, flags["failover"], scope & ~undef & ~nr.failed, env, record,
                     "any.failover")
-                if pair is not None:
-                    pairs.append(pair)
+                pairs += got
                 filled |= defined
                 # joi adopts only a failover that is not undefined
                 # (validator.js:357-364): thrown rows and undefined
@@ -797,11 +805,10 @@ def _finalize(nr: NodeResult, flags: dict, undef: np.ndarray, scope: np.ndarray,
             # now (failover(-1)+default(10) yields -1; fuzz seed 19000479)
             dm = undef & scope & ~filled
             if dm.any():
-                value, defined, thrown, pair = _fill_source(
+                value, defined, thrown, got = _fill_source(
                     value, dm, flags["default"], scope & ~undef & ~nr.failed, env, record,
                     "any.default")
-                if pair is not None:
-                    pairs.append(pair)
+                pairs += got
                 filled |= defined
                 nr.failed = nr.failed | thrown
     if flags.get("cast"):
@@ -1068,10 +1075,7 @@ def _eval_node_impl(
                 _lim = _maxr["args"]["limit"]
                 if isinstance(_lim, Ref):
                     rv = env.resolve_ref(_lim, n)
-                    if isinstance(rv, (pa.Array, pa.ChunkedArray)):
-                        lv = combine(rv).to_pylist()
-                    else:
-                        lv = [rv] * n
+                    lv = [ref_cell(rv, i) for i in range(n)]
                     bad_lim = np.array(
                         [not (isinstance(v, (int, float)) and not isinstance(v, bool)
                               and v >= 0 and float(v).is_integer()) for v in lv],
@@ -1757,105 +1761,66 @@ def _strip_survivors(res: NodeResult, orig, n: int):
     return orig.take(pa.array(np.arange(n), mask=~f))
 
 
-def _failed_overlay(res: NodeResult, orig, n: int, mode: str):
-    """One sibling's value as a ref sees it.  joi writes result.value into
-    the object ONLY when the child validated cleanly (object.js:125-140):
-    an errored key keeps its ORIGINAL value, so later sibling refs see the
-    raw input (e.g. a required-missing key with a default resolves
-    undefined, raising any.ref on ref-limit rules).
+def _failed_overlay(res: NodeResult, orig):
+    """One sibling's value as a ref sees it, row by row (ref.js:137-143):
+    joi's shadow first (validator.js:414-417), then result.value — which
+    joi writes into the object ONLY when the child validated cleanly
+    (object.js:125-140): an errored key keeps its ORIGINAL value, so
+    later sibling refs see the raw input (e.g. a required-missing key
+    with a default resolves undefined, raising any.ref on ref-limit
+    rules).
 
-    Refs read joi's shadow first (validator.js:414-417, ref.js _resolve):
-    ``res.shadow`` is walked once, later pairs winning.  A pair of the
-    column's type is written into the column, one of another type becomes
-    an AltView pair (fuzz seed 63506); either way it takes its rows from
-    the earlier AltView pairs (fuzz seed 27000130, node-verified: a failed
+    One walk over ``res.shadow`` (later pairs winning), then the pair
+    (failed rows no shadow covers, original).  A pair of the column's
+    type is written into the column, one of another type becomes an
+    AltView pair (fuzz seed 63506); either way it takes its rows from the
+    earlier AltView pairs (fuzz seed 27000130, node-verified: a failed
     strip-branch's numeric shadow feeds min(ref), not the matched
-    cast('string') branch's '42'), and shadowed rows leave the failed-row
-    fallback below.
-
-    "dual" consumers (rule limits, templates, when-conditions) get
-    (column or AltView, original, failed mask) and pick per row.
-    "strict" consumers get one column: a view whose pairs share one type
-    and cover every clean row (a raw() key's shadow) becomes a column of
-    that type; a view that cannot (a clean 'xy' beside a blocked
-    failover 5) keeps the stored column.  Failed rows get their original
-    when it shares the column's type, else undefined — asserts fail
-    either way -> any.ref."""
+    cast('string') branch's '42').  Returns the column, or an AltView
+    when pairs of another type remain."""
     val = combine(res.value)
-    f = res.failed
-    alt = res.alt_view
-    if res.shadow:
-        pairs = list(alt.pairs) if alt is not None else []
-        for m, a in res.shadow:
-            pairs = [(pm & ~m, pv) for pm, pv in pairs]
-            if a.type == val.type:
-                val = pc.if_else(pa.array(m), a, val)
-            else:
-                pairs.append((m, a))
-            if f is not None:
-                f = f & ~m
-        pairs = [(pm, pv) for pm, pv in pairs if pm.any()]
-        alt = AltView(val, pairs) if pairs else None
-    if mode == "strict" and alt is not None and len({pv.type for _, pv in alt.pairs}) == 1:
-        clean = ~null_mask(val) if f is None else ~null_mask(val) & ~f
-        if not (clean & ~np.logical_or.reduce([pm for pm, _ in alt.pairs])).any():
-            val = pa.nulls(n, alt.pairs[0][1].type)
-            for pm, pv in alt.pairs:
-                val = pc.if_else(pa.array(pm), pv, val)
-    if f is None or not f.any() or orig is None:
-        if mode == "dual":
-            return (alt if alt is not None else val, None, None)
-        return val
-    orig = combine(orig)
-    if mode == "dual":
-        # consumer resolves per row itself: converted for clean rows, the
-        # RAW original (through its own type's semantics) for errored rows
-        return (alt if alt is not None else val, orig, f)
-    try:
-        fm = pa.array(f)
-        if orig.type == val.type:
-            return pc.if_else(fm, orig, val)
-        return pc.if_else(fm, pa.nulls(n, val.type), val)
-    except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-        return val
+    pairs = list(res.alt_view.pairs) if res.alt_view is not None else []
+    walk = list(res.shadow)
+    if res.failed is not None and res.failed.any() and orig is not None:
+        unshadowed = res.failed.copy()
+        for m, _ in res.shadow:
+            unshadowed &= ~m
+        walk.append((unshadowed, combine(orig)))
+    for m, a in walk:
+        pairs = [(pm & ~m, pv) for pm, pv in pairs]
+        if a.type == val.type:
+            val = pc.if_else(pa.array(m), a, val)
+        else:
+            pairs.append((m, a))
+    pairs = [(pm, pv) for pm, pv in pairs if pm.any()]
+    return AltView(val, pairs) if pairs else val
 
 
 def _resolve_when_ref(r, arr, env: Env, n: int):
     """Resolve a when-condition ref; a self ref ('.a', ancestor level 0 —
     lib/ref.js:40-49, test/ref.js:40-61) reaches into the node's OWN value
     via struct-field walk instead of the sibling scope.  Sibling refs
-    resolve DUAL (converted, original, failed-mask) so the condition can
-    probe the RAW value of an errored key exactly like joi."""
+    resolve like every ref (a column or an AltView), so the condition
+    probes the RAW value of an errored key exactly like joi."""
     if getattr(r, "level", None) == 0:
         from .kernels.util import _walk_ref_path
 
         return env._ref_post(r, _walk_ref_path(arr, r.parts, n))
-    return env.resolve_ref(r, n, mode="dual")
+    return env.resolve_ref(r, n)
 
 
 def _when_condition(is_node: CNode, resolved, env: Env, scope: np.ndarray, n: int) -> np.ndarray:
-    """Evaluate an is-condition against a (possibly dual-resolved) ref:
+    """Evaluate an is-condition against a resolved ref, once per piece:
     rows whose sibling ERRORED match against the raw original (joi's
     value[key] keeps it, object.js:125-140), the rest against the
-    converted value — each re-coerced by the condition schema itself."""
-    if isinstance(resolved, tuple) and len(resolved) == 3:
-        val, orig, f = resolved
-        if isinstance(val, AltView):
-            c1 = node_validity(is_node, combine(val.base), env, scope)
-            for m, a in val.pairs:
-                if m.any():
-                    c1 = np.where(m, node_validity(is_node, combine(a), env, scope), c1)
-        else:
-            val = combine(val) if isinstance(val, pa.ChunkedArray) else val
-            c1 = node_validity(is_node, val, env, scope)
-        if f is None or orig is None:
-            return c1
-        orig = combine(orig) if isinstance(orig, pa.ChunkedArray) else orig
-        c2 = node_validity(is_node, orig, env, scope)
-        return np.where(f, c2, c1)
-    if not isinstance(resolved, (pa.Array, pa.ChunkedArray)):
+    converted value or shadow — each re-coerced by the condition schema
+    itself."""
+    if not isinstance(resolved, (pa.Array, pa.ChunkedArray, AltView)):
         resolved = pa.array([resolved] * n)
-    return node_validity(is_node, combine(resolved), env, scope)
+    cond = np.zeros(n, dtype=bool)
+    for rows, col in ref_parts(resolved, n):
+        cond = np.where(rows, node_validity(is_node, col, env, scope), cond)
+    return cond
 
 
 def _finalize_branch_values(arr, branch_values, n: int):
@@ -2623,6 +2588,8 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
     def make_child_env():
         def resolve_ancestor(name: str):
             col = env.resolve_ref(Ref(name), n)
+            if isinstance(col, AltView):
+                return col.take(parent_idx)
             if isinstance(col, (pa.Array, pa.ChunkedArray)):
                 return combine(col).take(parent_idx)
             return col
@@ -3239,9 +3206,9 @@ def _eval_object(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fa
             add_err(code, scope & parent_present, ctx, seq=-2)
     results: dict[str, NodeResult] = {}
 
-    def resolve_sibling(name: str, mode: str = "strict"):
+    def resolve_sibling(name: str):
         if name in results:
-            return _failed_overlay(results[name], children.get(name), n, mode)
+            return _failed_overlay(results[name], children.get(name))
         if name in children:
             return children[name]
         return pa.nulls(n)  # refs to absent keys resolve undefined (lib/ref.js)
@@ -3508,20 +3475,24 @@ def _eval_structural_rule(node, cr, arr, env, path, scope, missing, resolved, fa
                 # undefined.context) — we implement the documented intent;
                 # the fuzzer tracks the crash as assert_context_crash.
                 subject = env.resolve_ref(r, n)
-            if not isinstance(subject, (pa.Array, pa.ChunkedArray)):
+            if not isinstance(subject, (pa.Array, pa.ChunkedArray, AltView)):
                 subject = pa.array([subject] * n)
-            asub = eval_node(cnode, combine(subject), env.match_env(), "", scope=active)
-            ok = ~(asub.failed if asub.failed is not None else np.zeros(n, bool))
-            # the assert sub-$_match is a real validate call: its warn
-            # reports leak to the main state with joi's root-ish path
-            # ('"value" must be...', path []) — $_match FORCES abortEarly
-            # internally (base.js:721; node-verified: hard-first suppresses
-            # the warn even under outer abortEarly:false)
-            for rec, _, rows, vals in _probe_warns(asub.errors):
-                wmask = np.zeros(n, dtype=bool)
-                wmask[rows] = True
-                add_err(rec.code, wmask, rec.context, seq=rec.seq, warn=True,
-                        message=rec.message, path_override=rec.path, values=vals)
+            ok = np.ones(n, dtype=bool)
+            for prows, col in ref_parts(subject, n):
+                asub = eval_node(cnode, col, env.match_env(), "", scope=active & prows)
+                if asub.failed is not None:
+                    ok &= ~(asub.failed & prows)
+                # the assert sub-$_match is a real validate call: its warn
+                # reports leak to the main state with joi's root-ish path
+                # ('"value" must be...', path []) — $_match FORCES
+                # abortEarly internally (base.js:721; node-verified:
+                # hard-first suppresses the warn even under outer
+                # abortEarly:false)
+                for rec, _, rows, vals in _probe_warns(asub.errors):
+                    wmask = np.zeros(n, dtype=bool)
+                    wmask[rows] = True
+                    add_err(rec.code, wmask, rec.context, seq=rec.seq, warn=True,
+                            message=rec.message, path_override=rec.path, values=vals)
             add_err("object.assert", active & ~ok,
                     {"ref": r.path, "message": args.get("message") or "pass the assertion test"},
                     seq=cr.seq, warn=cr.warn, message=cr.message)

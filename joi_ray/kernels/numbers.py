@@ -9,7 +9,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .util import Env, RuleOut, as_bool_np, cmp_mask
+from .util import AltView, Env, RuleOut, as_bool_np, cmp_mask, ref_parts
 
 MAX_SAFE = 2**53 - 1
 
@@ -195,25 +195,20 @@ def make_multiple(args):
 
     def kernel(arr, env: Env) -> RuleOut:
         n = len(arr)
-        # strict resolution is exact for multiple's assert (finite>0): the
-        # same-type raw overlay covers errored rows, and cross-type raws
-        # (strings/buffers) fail typeof===number exactly like undefined
         b, ctx = (env.resolve_ref(base, n), {"multiple": base.display}) if hasattr(base, "kind") else (base, {"multiple": base})
         v = arr.to_numpy(zero_copy_only=False).astype(np.float64)
-        if isinstance(b, (pa.Array, pa.ChunkedArray)):
-            from .util import combine as _combine
-
-            ba = _combine(b) if isinstance(b, pa.ChunkedArray) else b
-            t = ba.type
-            is_num = pa.types.is_integer(t) or pa.types.is_floating(t) or pa.types.is_decimal(t)
-            if is_num and not pa.types.is_boolean(t):
-                b = np.asarray(ba.cast(pa.float64(), safe=False).to_numpy(zero_copy_only=False), dtype=np.float64)
-                b = np.where(as_bool_np(pc.is_null(ba), n), np.nan, b)
-                with np.errstate(invalid="ignore"):
-                    refbad = ~(np.isfinite(b) & (b > 0))
-            else:
-                b = np.full(n, np.nan)
-                refbad = np.ones(n, dtype=bool)
+        if isinstance(b, (pa.Array, pa.ChunkedArray, AltView)):
+            # the base per row, each piece through its own type: numbers
+            # keep their value, anything else (a string, a Buffer, null)
+            # fails the ref arg assert like undefined
+            bv = np.full(n, np.nan)
+            for rows, ba in ref_parts(b, n):
+                t = ba.type
+                if pa.types.is_integer(t) or pa.types.is_floating(t) or pa.types.is_decimal(t):
+                    bv = np.where(rows, ba.cast(pa.float64(), safe=False).to_numpy(zero_copy_only=False), bv)
+            b = bv
+            with np.errstate(invalid="ignore"):
+                refbad = ~(np.isfinite(b) & (b > 0))
             if refbad.any():
                 # ref arg assert (number.js:178-184): finite positive number,
                 # else any.ref fires instead (validator.js:281-293)

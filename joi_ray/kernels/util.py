@@ -110,9 +110,10 @@ class AltView:
     """Per-row TYPED view of a column that cannot hold every value joi
     would see (value.b === true next to value.b === 5): alternatives
     branches or when() branches converting to different types, a blocked
-    default/failover adoption, a cross-type shadow or item promotion.
-    ``base`` is the column as stored; ``pairs`` are (row-mask, typed
-    array), later pairs winning where masks overlap."""
+    default/failover adoption, a cross-type shadow, item promotion or a
+    failed sibling's raw original.  ``base`` is the column as stored;
+    ``pairs`` are (row-mask, typed array), later pairs winning where masks
+    overlap.  Consumers read it through ``ref_parts`` and ``ref_cell``."""
 
     def __init__(self, base, pairs):
         self.base = base
@@ -123,6 +124,39 @@ class AltView:
             combine(self.base).take(idx),
             [(m[np.asarray(idx)], combine(a).take(idx)) for m, a in self.pairs],
         )
+
+    def parts(self, n: int) -> list:
+        """Disjoint (rows, column) pieces covering every row: each pair on
+        the rows no later pair took, the base on the rest."""
+        rest = np.ones(n, dtype=bool)
+        out = []
+        for m, a in reversed(self.pairs):
+            rows = m & rest
+            if rows.any():
+                out.append((rows, combine(a)))
+                rest &= ~rows
+        if rest.any():
+            out.append((rest, combine(self.base)))
+        return out
+
+
+def ref_parts(v, n: int) -> list:
+    """(rows, column) pieces of a resolved ref column or AltView; a
+    consumer runs its kernel once per piece, each with its own type."""
+    if isinstance(v, AltView):
+        return v.parts(n)
+    return [(np.ones(n, dtype=bool), combine(v))]
+
+
+def ref_cell(v, i: int):
+    """Row ``i`` of a resolved ref: a column, an AltView (the last pair
+    covering the row wins) or a scalar."""
+    if isinstance(v, AltView):
+        for m, a in reversed(v.pairs):
+            if m[i]:
+                return combine(a)[i].as_py()
+        v = v.base
+    return combine(v)[i].as_py() if isinstance(v, (pa.Array, pa.ChunkedArray)) else v
 
 
 class Env:
@@ -164,22 +198,19 @@ class Env:
     def abort_early(self) -> bool:
         return self.prefs.get("abort_early", True)
 
-    def resolve_ref(self, r: Ref, n: int, mode: str = "strict"):
-        """Resolve a Ref to an Arrow array (length n) or a Python scalar.
+    def resolve_ref(self, r: Ref, n: int):
+        """Resolve a Ref to an Arrow array (length n), an AltView or a
+        Python scalar.
 
         Dotted paths traverse struct fields; the virtual ``length`` segment
         resolves list/string lengths (lib/ref.js resolve walks JS
         properties, so ``a.length`` reaches the array length — ref.js
         test:618-673).  ``map``/``adjust`` options post-process the
-        resolved value (lib/ref.js:145-151).
-
-        ``mode`` picks the shape of a sibling ref (joi keeps the raw JS
-        value of a FAILED sibling — object.js:125-140): "dual" (rule
-        limits, templates, when-conditions) -> (converted or AltView,
-        original, failed mask), resolved per row by the consumer;
-        "strict" (the default: valid/default/failover/multiple refs and
-        the other one-column consumers) -> one column, where failed rows
-        whose original type clashes with the column resolve undefined."""
+        resolved value (lib/ref.js:145-151).  A sibling resolves to the
+        value joi's ref reads per row (the engine's ``_failed_overlay``):
+        the shadow, else the converted value, else — for an errored key —
+        the raw original (object.js:125-140); rows whose value cannot live
+        in the column come as AltView pairs."""
         parts = r.parts
         if r.kind == "local":
             # local bindings exist only during error rendering; in rule-arg
@@ -220,21 +251,7 @@ class Env:
         if level == 1:
             if self._resolve_sibling is None:
                 raise KeyError(f"sibling ref {r.path} outside an object scope")
-            try:
-                base = self._resolve_sibling(parts[0], mode=mode)
-            except TypeError:
-                base = self._resolve_sibling(parts[0])
-            if isinstance(base, tuple) and len(base) == 3:
-                val, orig, f = base
-                if parts[1:]:
-                    # dotted path: degrade to the converted column
-                    base_v = val.base if isinstance(val, AltView) else val
-                    return self._ref_post(r, _walk_ref_path(base_v, parts[1:], n))
-                if f is None and not isinstance(val, AltView):
-                    return self._ref_post(r, val)
-                post_val = val if isinstance(val, AltView) else self._ref_post(r, val)
-                post_orig = self._ref_post(r, orig) if orig is not None else None
-                return (post_val, post_orig, f)
+            base = self._resolve_sibling(parts[0])
         else:
             idx = level - 1
             if idx > len(self.ancestors):
@@ -243,7 +260,14 @@ class Env:
         return self._ref_post(r, _walk_ref_path(base, parts[1:], n))
 
     def _ref_post(self, r: Ref, value):
-        """Apply a Ref's map/adjust options to the resolved value."""
+        """Apply a Ref's map/adjust options to the resolved value.  On an
+        AltView they see each row's own value only: every piece, nulled
+        outside its rows (a hidden raw '5' never reaches ``v + 1``)."""
+        if isinstance(value, AltView) and (r.map or r.adjust is not None):
+            n = len(value.base)
+            return AltView(pa.nulls(n), [
+                (rows, self._ref_post(r, col.take(pa.array(np.arange(n), mask=~rows))))
+                for rows, col in value.parts(n)])
         if r.map:
             if isinstance(value, (pa.Array, pa.ChunkedArray)):
                 if isinstance(value, pa.ChunkedArray):
@@ -327,105 +351,67 @@ def _walk_ref_path(base, parts: list[str], n: int):
     return cur
 
 
-def resolve_limit(limit, env: Env, n: int, mode: str = "strict"):
+def resolve_limit(limit, env: Env, n: int):
     """A rule limit may be a literal, a Ref, or a Template (Joi.x) ->
     (value_or_array, ctx_repr).  Template limits resolve per row (joi's
     Common.isResolvable rule args — validator.js:281-293); the context
     limit renders the template SOURCE like joi's any.ref display."""
     if isinstance(limit, Ref):
-        v = env.resolve_ref(limit, n, mode=mode)
-        return v, {"limit": limit.display}
+        return env.resolve_ref(limit, n), {"limit": limit.display}
     if hasattr(limit, "resolve_value"):  # kernels.template.Template
-        vals = resolve_template_column(limit, env, n, mixed="altview")
-        # 3-tuple dual shape routes through the same arg-assert path as
-        # refs (cmp_mask) — orig/f absent, so only the resolved side checks
-        return (vals, None, None), {"limit": limit.display}
+        return resolve_template_column(limit, env, n), {"limit": limit.display}
     return limit, {"limit": limit}
 
 
-def resolve_template_column(tmpl, env: Env, n: int, mixed: str = "text"):
+def resolve_template_column(tmpl, env: Env, n: int):
     """Per-row evaluation of a template against sibling refs — inherently
     row-wise (rare feature; bounded by the batch).
 
-    Refs resolve DUAL like rule args (errored siblings keep their raw
-    original — a cast('string') key that failed its rules feeds the raw
-    number into '{b * 2}', node-verified via fuzz seed 34467); a missing
-    sibling is JS undefined inside the formula (NaN under arithmetic), and
-    a NaN result maps to null so the arg assert fires any.ref exactly like
-    joi's Common.isNumber gate."""
+    Refs resolve like every other consumer's (errored siblings keep their
+    raw original — a cast('string') key that failed its rules feeds the
+    raw number into '{b * 2}', node-verified via fuzz seed 34467); a
+    missing sibling is JS undefined inside the formula (NaN under
+    arithmetic).  Each row keeps joi's value (template.js:150-159): a NaN
+    stays NaN, so arg asserts fire any.ref and its report renders the
+    RESOLVED value ('v=NaN on c' — fuzz seed 10004430); per-row results of
+    different types come as an AltView."""
     from .template import _UNDEFINED
 
     cache: dict = {}
 
-    def col(name):
+    def resolve(name, i):
         if name not in cache:
-            cache[name] = env.resolve_ref(Ref(name), n, mode="dual")
-        return cache[name]
-
-    def cell(v, i):
-        if isinstance(v, AltView):
-            # per-row typed view: LAST matching pair wins (shadow pairs
-            # append after branch-value pairs — ref.js shadow-first)
-            for m, a in reversed(v.pairs):
-                if m[i]:
-                    return combine(a)[i].as_py()
-            v = v.base
-        return combine(v)[i].as_py() if isinstance(v, (pa.Array, pa.ChunkedArray)) else v
+            cache[name] = env.resolve_ref(Ref(name), n)
+        x = ref_cell(cache[name], i)
+        return _UNDEFINED if x is None else x
 
     vals = []
     for i in range(n):
-        def resolve(name, _i=i):
-            v = col(name)
-            if isinstance(v, tuple) and len(v) == 3:
-                val, orig, f = v
-                x = (cell(orig, _i) if (f is not None and orig is not None and f[_i])
-                     else cell(val, _i))
-            else:
-                x = cell(v, _i)
-            return _UNDEFINED if x is None else x
-
         try:
-            x = tmpl.resolve_value(resolve)
+            x = tmpl.resolve_value(lambda name: resolve(name, i))
         except Exception:
             x = None
-        if x is _UNDEFINED:
-            x = None  # undefined results fail joi's arg asserts
-        elif isinstance(x, float) and x != x:
-            # NaN also fails the asserts (np.isnan gate in _ref_arg_check)
-            # but stays NaN so joi's any.ref report renders it as the
-            # RESOLVED value ('v=NaN on c' — fuzz seed 10004430); text
-            # consumers still get the null mapping below
-            if mixed != "altview":
-                x = None
-        vals.append(x)
+        vals.append(None if x is _UNDEFINED else x)  # undefined fails joi's arg asserts
     try:
         return pa.array(vals)
     except (pa.ArrowInvalid, pa.ArrowTypeError):
-        if mixed == "altview":
-            # per-row heterogeneous results (a clean cast('string') sibling
-            # concatenates, an errored one feeds its raw number): keep each
-            # row's own TYPE through the AltView so the arg assert judges
-            # per row — strings fail Common.isNumber, numbers compare
-            # (fuzz seed 32696, node-verified)
-            base = pa.array([x if isinstance(x, str) else None for x in vals], pa.string())
-            pairs = []
-            num_m = np.array([isinstance(x, (int, float)) and not isinstance(x, bool)
-                              for x in vals])
-            if num_m.any():
-                pairs.append((num_m, pa.array(
-                    [float(x) if m else None for x, m in zip(vals, num_m)], pa.float64())))
-            bool_m = np.array([isinstance(x, bool) for x in vals])
-            if bool_m.any():
-                pairs.append((bool_m, pa.array(
-                    [x if m else None for x, m in zip(vals, bool_m)], pa.bool_())))
-            import datetime as _dt
+        pass
+    # per-row heterogeneous results (a clean cast('string') sibling
+    # concatenates, an errored one feeds its raw number): keep each row's
+    # own TYPE through the AltView so consumers judge per row — strings
+    # fail Common.isNumber, numbers compare (fuzz seed 32696,
+    # node-verified)
+    import datetime as _dt
 
-            dt_m = np.array([isinstance(x, _dt.datetime) for x in vals])
-            if dt_m.any():
-                pairs.append((dt_m, pa.array(
-                    [x if m else None for x, m in zip(vals, dt_m)], pa.timestamp("ms"))))
-            return AltView(base, pairs)
-        return pa.array([None if x is None else str(x) for x in vals])
+    base = pa.array([x if isinstance(x, str) else None for x in vals], pa.string())
+    pairs = []
+    for is_t, conv, ty in ((lambda x: isinstance(x, (int, float)) and not isinstance(x, bool), float, pa.float64()),
+                           (lambda x: isinstance(x, bool), bool, pa.bool_()),
+                           (lambda x: isinstance(x, _dt.datetime), None, pa.timestamp("ms"))):
+        m = np.array([is_t(x) for x in vals])
+        if m.any():
+            pairs.append((m, pa.array([(conv(x) if conv else x) if k else None for x, k in zip(vals, m)], ty)))
+    return AltView(base, pairs)
 
 
 #: per-arg-kind (assert, reason) mirroring the reference rule definitions:
@@ -439,49 +425,9 @@ _ARG_REASONS = {
 }
 
 
-def _resolved_cells(val, orig, f, fired: np.ndarray) -> list:
-    """Per-fired-row RESOLVED arg values (pre-normalize, dual raw/converted)
-    for joi's any.ref report value — {[.]} in custom messages renders it."""
-    def cell(col, i):
-        if isinstance(col, AltView):
-            for m, a in reversed(col.pairs):
-                if m[i]:
-                    return combine(a)[i].as_py()
-            col = col.base
-        if isinstance(col, (pa.Array, pa.ChunkedArray)):
-            return combine(col)[i].as_py()
-        return col
-
-    out = []
-    for i in np.nonzero(fired)[0]:
-        i = int(i)
-        src = orig if (f is not None and orig is not None and f[i]) else val
-        try:
-            out.append(cell(src, i))
-        except Exception:
-            out.append(None)
-    return out
-
-
 def _ref_arg_check(lim, arg: str, n: int) -> tuple[pa.Array, np.ndarray]:
     """Validate a ref-resolved limit column against the rule's arg assert
     (lib/validator.js:281-293) -> (normalized_lim, bad_mask)."""
-    if isinstance(lim, AltView):
-        # mixed-type alternatives: check each branch's converted rows with
-        # its own type's model, the uncovered rest with the base column
-        lim_v, bad_v = _ref_arg_check(lim.base, arg, n)
-        for m, a in lim.pairs:
-            if not m.any():
-                continue
-            lim_i, bad_i = _ref_arg_check(a, arg, n)
-            if pa.types.is_null(lim_v.type) and not pa.types.is_null(lim_i.type):
-                lim_v = pa.nulls(n, lim_i.type)
-            try:
-                lim_v = pc.if_else(pa.array(m), lim_i, lim_v)
-            except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-                pass
-            bad_v = np.where(m, bad_i, bad_v)
-        return lim_v, bad_v
     t = lim.type
     is_num = pa.types.is_integer(t) or pa.types.is_floating(t) or pa.types.is_decimal(t)
     if arg == "date":
@@ -631,74 +577,40 @@ def cmp_mask(arr, op: str, limit, env: Env, arg: str = "number") -> tuple[np.nda
     rule error (lib/validator.js:281-293); the offending mask travels back
     in ``ctx["__ref_err__"]`` for the rules loop to emit."""
     n = len(arr)
-    # rule args resolve DUAL: joi validates the per-row value (converted
-    # for clean siblings, the RAW original for errored ones —
-    # object.js:125-140) against the arg assert, and the TYPE of each side
-    # picks its own semantics (a cast('string') key fails Common.limit on
-    # clean rows while its raw float passes on failed rows; a Buffer '123'
-    # legacy-parses to year 123 while the string '123' is epoch 123)
-    lim, ctx = resolve_limit(limit, env, n, mode="dual")
-    if isinstance(lim, tuple) and len(lim) == 3:
-        val, orig, f = lim
-        val = combine(val) if isinstance(val, pa.ChunkedArray) else val
-        lim_v, bad_v = _ref_arg_check(val, arg, n)
-        if f is None or orig is None:
-            lim, refbad = lim_v, bad_v
-        else:
-            orig = combine(orig) if isinstance(orig, pa.ChunkedArray) else orig
-            lim_o, bad_o = _ref_arg_check(orig, arg, n)
-            try:
-                lim = pc.if_else(pa.array(f), lim_o, lim_v)
-            except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-                lim = lim_v
-            refbad = np.where(f, bad_o, bad_v)
-        if refbad.any():
-            ctx["__ref_err__"] = (
-                refbad,
-                {
-                    "arg": "date" if arg == "date" else "limit",
-                    "ref": limit.display,
-                    "reason": _ARG_REASONS[arg],
-                },
-                # joi's any.ref report VALUE is the RESOLVED (pre-normalize)
-                # arg (validator.js:289 $_createError('any.ref', resolved,
-                # ...)) — custom {[.]} messages render it per row
-                _resolved_cells(val, orig, f, refbad),
-            )
-        arr2, lim = _align_compare_types(arr, lim)
-        fn = {"ge": pc.greater_equal, "le": pc.less_equal, "gt": pc.greater, "lt": pc.less, "eq": pc.equal}[op]
-        ok = as_bool_np(fn(arr2, lim), n, fill=True)
-        return ok, ctx
-    if isinstance(lim, (pa.Array, pa.ChunkedArray)):
-        lim = combine(lim)
-        refbad = None
-        if isinstance(limit, Ref):
-            lim0 = lim
-            lim, refbad = _ref_arg_check(lim, arg, n)
-            if refbad.any():
-                ctx["__ref_err__"] = (
-                    refbad,
-                    {
-                        "arg": "date" if arg == "date" else "limit",
-                        "ref": limit.display,
-                        "reason": _ARG_REASONS[arg],
-                    },
-                    _resolved_cells(lim0, None, None, refbad),
-                )
-        arr, lim = _align_compare_types(arr, lim)
-    elif isinstance(limit, Ref):
-        # scalar resolution (context refs): same assert, whole batch
-        if not _scalar_ref_arg_ok(lim, arg):
-            ctx["__ref_err__"] = (
-                np.ones(n, dtype=bool),
-                {
-                    "arg": "date" if arg == "date" else "limit",
-                    "ref": limit.display,
-                    "reason": _ARG_REASONS[arg],
-                },
-                [lim] * int(n),
-            )
-            lim = None
+    lim, ctx = resolve_limit(limit, env, n)
     fn = {"ge": pc.greater_equal, "le": pc.less_equal, "gt": pc.greater, "lt": pc.less, "eq": pc.equal}[op]
+    err_ctx = {"arg": "date" if arg == "date" else "limit", "ref": getattr(limit, "display", None),
+               "reason": _ARG_REASONS[arg]}
+    if isinstance(lim, (pa.Array, pa.ChunkedArray, AltView)):
+        # joi validates each row's resolved value (converted or shadow for
+        # clean siblings, the RAW original for errored ones —
+        # object.js:125-140) against the arg assert, and the TYPE of each
+        # piece picks its own semantics (a cast('string') key fails
+        # Common.limit on clean rows while its raw float passes on failed
+        # rows; a Buffer '123' legacy-parses to year 123 while the string
+        # '123' is epoch 123)
+        ok = np.ones(n, dtype=bool)
+        refbad = np.zeros(n, dtype=bool)
+        for rows, col in ref_parts(lim, n):
+            lim_i, bad_i = _ref_arg_check(col, arg, n)
+            arr_i, lim_i = _align_compare_types(arr, lim_i)
+            ok = np.where(rows, as_bool_np(fn(arr_i, lim_i), n, fill=True), ok)
+            refbad |= rows & bad_i
+        if refbad.any():
+            # joi's any.ref report VALUE is the RESOLVED (pre-normalize)
+            # arg (validator.js:289 $_createError('any.ref', resolved,
+            # ...)) — custom {[.]} messages render it per row
+            cells = []
+            for i in np.nonzero(refbad)[0]:
+                try:
+                    cells.append(ref_cell(lim, int(i)))
+                except Exception:
+                    cells.append(None)
+            ctx["__ref_err__"] = (refbad, err_ctx, cells)
+        return ok, ctx
+    if isinstance(limit, Ref) and not _scalar_ref_arg_ok(lim, arg):
+        # scalar resolution (context refs): same assert, whole batch
+        ctx["__ref_err__"] = (np.ones(n, dtype=bool), err_ctx, [lim] * int(n))
+        lim = None
     ok = as_bool_np(fn(arr, lim), n, fill=True)  # null limit/val -> pass (skipped by active)
     return ok, ctx

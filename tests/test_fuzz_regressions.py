@@ -466,7 +466,7 @@ def test_date_cast_string_iso_format():
 def test_cast_string_key_fails_limit_assert_for_refs():
     # joi assigns the CAST value into the object, so a ref-limit sees a
     # string and Common.limit raises any.ref — on CLEAN rows; on errored
-    # rows the raw number passes the assert (dual resolution)
+    # rows the raw number passes the assert (the errored key's original)
     s = jr.object({
         "a": jr.number().min(45).cast("string"),
         "b": jr.string().max(jr.ref("a")),

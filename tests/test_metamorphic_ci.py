@@ -14,6 +14,9 @@
   permuted (a permutation seeded by the case seed) must give the
   permuted ``ok`` mask, each row's violations with the rows remapped, in
   the same order, and the permuted output value.
+- Describe round trip: ``build(s.describe())`` is the same schema as
+  ``s``, so it must give the same ``ok`` mask, violations and output
+  value.
 
 ``tools/fuzz_spec.gen_case`` seeds 0-299 are checked twice: with the
 case's own prefs and with ``{"abortEarly": False, **prefs}``, the
@@ -135,6 +138,28 @@ def _permutation_mismatch(spec, tbl: pa.Table, prefs: dict, seed: int):
     return None
 
 
+def _describe_mismatch(spec, tbl: pa.Table, prefs: dict, seed: int):
+    """None when the schema rebuilt from its description gives the same
+    result, else what differs."""
+    def result(schema):
+        res = jr.compile_schema(schema, prefs=prefs_to_py(prefs)).validate_table(tbl)
+        return np.asarray(res.ok, dtype=bool).tolist(), _violations(res), res.value.to_pylist()
+
+    try:
+        schema = build_spec_py(spec)
+        plain = result(schema)
+    except Exception:  # noqa: BLE001 - the case is outside the invariant
+        return None
+    try:
+        got = result(jr.build(schema.describe()))
+    except Exception as e:  # noqa: BLE001 - a round trip that raises is a mismatch
+        return f"round trip raised {e!r}"
+    for what, a, b in zip(("ok", "violations", "value"), got, plain):
+        if a != b:
+            return f"{what}: {a} vs plain {b}"
+    return None
+
+
 def _sweep(check, abort_early_off: bool, monkeypatch) -> dict:
     # gen_case reads these to pin sweeps; the slice must not depend on them
     for k in ("FUZZ_KINDS", "FUZZ_STRIP_P", "FUZZ_ROWS", "FUZZ_PREFS", "FUZZ_MANIFEST"):
@@ -168,4 +193,10 @@ def test_physical_layout_invariant(abort_early_off, monkeypatch):
 @_PREFS
 def test_row_permutation_invariant(abort_early_off, monkeypatch):
     bad = _sweep(_permutation_mismatch, abort_early_off, monkeypatch)
+    assert not bad, bad
+
+
+@_PREFS
+def test_describe_round_trip_invariant(abort_early_off, monkeypatch):
+    bad = _sweep(_describe_mismatch, abort_early_off, monkeypatch)
     assert not bad, bad

@@ -318,3 +318,87 @@ def test_valid_ref_keeps_clean_rows_beside_blocked_failover():
     res = run(s, pa.table({"a": ["xy", "z"], "b": ["xy", "xy"]}))
     assert _ok(res) == [True, False]
     assert _codes(res) == [(1, "b", "any.only")]
+
+
+# ---- one resolution for every ref consumer (ref.js:137-143): a clean row
+# reads the converted value or shadow, an errored key its raw original
+# (object.js:125-140), whatever rule takes the ref
+
+_FAILOVER_A = {"a": jr.string().min(2).failover(5)}
+_FAILOVER_TBL = {"a": ["xy", "z"]}
+
+
+def test_valid_ref_reads_blocked_failover():
+    # row 1's a is the number 5 (a failover the string column cannot hold)
+    res = run(obj({**_FAILOVER_A, "b": jr.number().valid(jr.ref("a"))}),
+              pa.table({**_FAILOVER_TBL, "b": [3.0, 5.0]}))
+    assert _ok(res) == [False, True]
+    assert _codes(res) == [(0, "b", "any.only")]
+
+
+def test_multiple_ref_reads_blocked_failover():
+    # row 0's 'xy' fails multiple's number assert; row 1's 5 divides 10
+    res = run(obj({**_FAILOVER_A, "b": jr.number().multiple(jr.ref("a"))}),
+              pa.table({**_FAILOVER_TBL, "b": [3.0, 10.0]}))
+    assert _ok(res) == [False, True]
+    assert _codes(res) == [(0, "b", "any.ref")]
+
+
+def test_default_ref_reads_blocked_failover():
+    res = run(obj({**_FAILOVER_A, "b": jr.number().default(jr.ref("a"))}),
+              pa.table({**_FAILOVER_TBL, "b": pa.array([None, None], pa.float64())}))
+    assert _ok(res) == [True, True]
+    assert res.value.column("b").to_pylist()[1] == 5
+
+
+def test_valid_ref_reads_failed_sibling_original_of_another_type():
+    # a's 'x' fails number.base and keeps the raw string, which b matches
+    s = obj({"a": jr.number(), "b": jr.string().valid(jr.ref("a"))})
+    res = run(s, pa.table({"a": ["5", "x"], "b": ["5", "x"]}))
+    assert _ok(res) == [False, False]
+    assert _codes(res) == [(0, "b", "any.only"), (1, "a", "number.base")]
+
+
+_RAW_A_TBL = {"a": ["5", "6"]}
+
+
+def test_adjust_applies_to_raw_shadow():
+    s = obj({**_RAW_A, "b": jr.number().max(jr.ref("a", adjust=lambda v: v * 2))})
+    res = run(s, pa.table({**_RAW_A_TBL, "b": [9.0, 13.0]}))
+    assert _ok(res) == [True, False]
+    assert _codes(res) == [(1, "b", "number.max")]
+
+
+def test_map_applies_to_raw_shadow():
+    s = obj({**_RAW_A, "b": jr.number().max(jr.ref("a", map=[[5, 1], [6, 100]]))})
+    res = run(s, pa.table({**_RAW_A_TBL, "b": [3.0, 7.0]}))
+    assert _ok(res) == [False, True]
+    assert _codes(res) == [(0, "b", "number.max")]
+
+
+def test_template_valid_keeps_each_row_type():
+    # '{a}' resolves the value itself (template.js:150-159): row 1's number
+    # 5 does not equal the string '5'
+    s = obj({**_FAILOVER_A, "b": jr.any_().valid(jr.x("{a}"))})
+    res = run(s, pa.table({**_FAILOVER_TBL, "b": ["xy", "5"]}))
+    assert _ok(res) == [True, False]
+    assert _codes(res) == [(1, "b", "any.only")]
+
+
+def test_assert_root_ref_reads_failed_sibling_original():
+    # '/x' on row 0 is the raw 'a' (object.js:125-140), which number()
+    # rejects, so the assertion fails there too
+    s = obj({"x": jr.number(),
+             "o": obj({"k": jr.any_()}).assert_("/x", jr.number().min(3))})
+    res = run(s, pa.table({"x": ["a", "5"], "o": pa.array([{"k": 1}, {"k": 2}])}))
+    assert _ok(res) == [False, True]
+    assert _codes(res) == [(0, "o", "object.assert"), (0, "x", "number.base")]
+
+
+def test_adjust_skips_rows_a_view_hides():
+    # the raw strings under a's numeric shadow are not a's value, so an
+    # adjust that only takes numbers never sees them
+    s = obj({**_RAW_A, "b": jr.number().max(jr.ref("a", adjust=lambda v: v + 1))})
+    res = run(s, pa.table({**_RAW_A_TBL, "b": [6.0, 8.0]}))
+    assert _ok(res) == [True, False]
+    assert _codes(res) == [(1, "b", "number.max")]
