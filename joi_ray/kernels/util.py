@@ -125,27 +125,24 @@ class AltView:
             [(m[np.asarray(idx)], combine(a).take(idx)) for m, a in self.pairs],
         )
 
-    def parts(self, n: int) -> list:
-        """Disjoint (rows, column) pieces covering every row: each pair on
-        the rows no later pair took, the base on the rest."""
-        rest = np.ones(n, dtype=bool)
-        out = []
-        for m, a in reversed(self.pairs):
-            rows = m & rest
-            if rows.any():
-                out.append((rows, combine(a)))
-                rest &= ~rows
-        if rest.any():
-            out.append((rest, combine(self.base)))
-        return out
-
 
 def ref_parts(v, n: int) -> list:
-    """(rows, column) pieces of a resolved ref column or AltView; a
-    consumer runs its kernel once per piece, each with its own type."""
-    if isinstance(v, AltView):
-        return v.parts(n)
-    return [(np.ones(n, dtype=bool), combine(v))]
+    """Disjoint (rows, column) pieces of a resolved ref column or AltView,
+    covering every row: each pair on the rows no later pair took, the base
+    on the rest.  A consumer runs its kernel once per piece, each with its
+    own type."""
+    if not isinstance(v, AltView):
+        return [(np.ones(n, dtype=bool), combine(v))]
+    rest = np.ones(n, dtype=bool)
+    out = []
+    for m, a in reversed(v.pairs):
+        rows = m & rest
+        if rows.any():
+            out.append((rows, combine(a)))
+            rest &= ~rows
+    if rest.any():
+        out.append((rest, combine(v.base)))
+    return out
 
 
 def ref_cell(v, i: int):
@@ -261,13 +258,16 @@ class Env:
 
     def _ref_post(self, r: Ref, value):
         """Apply a Ref's map/adjust options to the resolved value.  On an
-        AltView they see each row's own value only: every piece, nulled
-        outside its rows (a hidden raw '5' never reaches ``v + 1``)."""
+        AltView they see each row's own value only: every piece on its own
+        rows, spread back null elsewhere (a hidden raw '5' never reaches
+        ``v + 1``)."""
         if isinstance(value, AltView) and (r.map or r.adjust is not None):
             n = len(value.base)
-            return AltView(pa.nulls(n), [
-                (rows, self._ref_post(r, col.take(pa.array(np.arange(n), mask=~rows))))
-                for rows, col in value.parts(n)])
+            pairs = []
+            for rows, col in ref_parts(value, n):
+                out = combine(self._ref_post(r, col.filter(pa.array(rows))))
+                pairs.append((rows, out.take(pa.array(np.cumsum(rows) - 1, mask=~rows))))
+            return AltView(pa.nulls(n), pairs)
         if r.map:
             if isinstance(value, (pa.Array, pa.ChunkedArray)):
                 if isinstance(value, pa.ChunkedArray):
@@ -323,7 +323,12 @@ class Env:
 def _walk_ref_path(base, parts: list[str], n: int):
     """Walk remaining ref path segments into struct fields.  ``length`` is a
     virtual segment on list/string values (JS property access semantics,
-    ref.js test:618-673); unknown segments resolve undefined (all-null)."""
+    ref.js test:618-673); unknown segments resolve undefined (all-null).
+    An AltView walks every piece, so each row reads its own value's path
+    (ref.js:137-143)."""
+    if parts and isinstance(base, AltView):
+        return AltView(_walk_ref_path(base.base, parts, n),
+                       [(m, _walk_ref_path(a, parts, n)) for m, a in base.pairs])
     cur = base
     for p in parts:
         if isinstance(cur, pa.ChunkedArray):

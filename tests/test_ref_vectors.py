@@ -402,3 +402,50 @@ def test_adjust_skips_rows_a_view_hides():
     res = run(s, pa.table({**_RAW_A_TBL, "b": [6.0, 8.0]}))
     assert _ok(res) == [True, False]
     assert _codes(res) == [(1, "b", "number.max")]
+
+
+def test_adjust_sees_no_hidden_row_of_a_numeric_piece():
+    # a's converted column holds 5 on row 0 only; row 1 is the raw 'x'.
+    # The numeric piece never hands its hidden row to the adjust (as NaN)
+    adj = lambda v: v if isinstance(v, str) else int(v) * 2  # noqa: E731
+    s = obj({"a": jr.number(), "b": jr.number().max(jr.ref("a", adjust=adj))})
+    res = run(s, pa.table({"a": ["5", "x"], "b": [10.0, 1.0]}))
+    assert _ok(res) == [True, False]
+    assert _codes(res) == [(1, "a", "number.base"), (1, "b", "any.ref")]
+
+
+# ---- a dotted ref over a view walks each row's own value (ref.js:137-143)
+
+_RAW_LIST = {"x": jr.array().items(jr.number()).raw()}
+_RAW_LIST_TBL = {"x": pa.array([["1", "2"], ["3"]])}
+
+
+def test_dotted_ref_walks_raw_shadow():
+    s = obj({**_RAW_LIST, "n": jr.number().max(jr.ref("x.length"))})
+    res = run(s, pa.table({**_RAW_LIST_TBL, "n": [2.0, 1.0]}))
+    assert _ok(res) == [True, True]
+
+
+def test_root_dotted_ref_walks_raw_shadow():
+    s = obj({**_RAW_LIST, "o": obj({"n": jr.number().max(jr.ref("/x.length"))})})
+    res = run(s, pa.table({**_RAW_LIST_TBL, "o": pa.array([{"n": 2.0}, {"n": 1.0}])}))
+    assert _ok(res) == [True, True]
+
+
+def test_dotted_ref_walks_failed_sibling_original():
+    # a keeps its raw strings, so 'a.length' is their length: 5 > 3 fails
+    s = obj({"a": jr.number(), "b": jr.number().max(jr.ref("a.length"))})
+    res = run(s, pa.table({"a": ["abc", "abcdef"], "b": [5.0, 5.0]}))
+    assert _codes(res) == [(0, "a", "number.base"), (0, "b", "number.max"),
+                           (1, "a", "number.base")]
+
+
+def test_dotted_ref_walks_failed_struct_sibling_original():
+    # o errored on row 1, so the parent keeps its raw {x: '5'}: 'o.x' is
+    # the string '5' there (any.ref) and the converted 5 on row 0
+    s = obj({"o": obj({"x": jr.number(), "y": jr.number()}),
+             "b": jr.number().max(jr.ref("o.x"))})
+    res = run(s, pa.table({"o": pa.array([{"x": "5", "y": "1"}, {"x": "5", "y": "q"}]),
+                           "b": [6.0, 6.0]}))
+    assert _codes(res) == [(0, "b", "number.max"), (1, "b", "any.ref"),
+                           (1, "o.y", "number.base")]
