@@ -30,6 +30,7 @@ digest-save:
 digest:
 	python3 tools/corpus_digest.py --check $(DIGEST)
 
-# physical and code lines (no blanks, comments or docstrings) per file of joi_ray/
+# physical and code lines (no blanks, comments or docstrings) per file of joi_ray/,
+# then every function over 150 lines, longest first
 loc:
 	python3 tools/loc.py

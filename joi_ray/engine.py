@@ -2,9 +2,15 @@
 
 This is the Ray-Data-native replacement for the reference's per-value
 recursive-descent interpreter (``/root/reference/lib/validator.js:112-257``).
-The same stage order is preserved per column — coerce → empty → presence →
-valids/invalids → base type → rules loop → finalize — but every stage is a
+The same stage order is preserved per column, but every stage is a
 vectorized mask/kernel over an Arrow column instead of a per-value branch.
+Each stage is a module-level function of one ``_Node`` (the node, its env,
+scope, current value and masks), run by ``_eval_node_impl`` in joi's
+order: ``_coerce_stage`` → ``_empty_stage`` → ``_presence_stage`` →
+``_valids_stage`` → ``_base_stage`` (base checks, then ``_eval_object`` /
+``_eval_array``) → ``_rules_stage`` → ``_finalize_stage``.  when()
+wrappers run ``_eval_whens`` and alternatives ``_eval_alternatives``
+instead.  ``_Node.add`` and ``_Node.adopt`` are the only report paths.
 
 Compilation happens once (driver, or per validator actor in ``__init__``);
 ``validate_table`` then runs per batch with no Python-per-row work.
@@ -742,8 +748,7 @@ def _fill_source(arr, mask, src, clean, env: Env, record, code: str):
     return arr, defined, thrown, pairs
 
 
-def _finalize(nr: NodeResult, flags: dict, undef: np.ndarray, scope: np.ndarray,
-              env: Env, record) -> None:
+def _finalize(nr: NodeResult, flags: dict, undef: np.ndarray, c: "_Node") -> None:
     """joi's ``internals.finalize`` (validator.js:351-430), one stage for
     every node type — scalar, array, object, alternatives and when()
     wrappers:
@@ -760,11 +765,22 @@ def _finalize(nr: NodeResult, flags: dict, undef: np.ndarray, scope: np.ndarray,
     ``noDefaults`` skips the first two (test/base.js:1104-1155).  The
     caller passes what differs between node types: ``flags`` holding the
     default/failover/cast, ``undef`` (rows whose value is undefined at
-    finalize) and ``record(code, mask, ctx) -> ErrRec | None``, which
-    records a thrown function's any.default/any.failover.  Applies the
+    finalize) and the node context ``c``, whose scope, env and recorder
+    serve every node type alike.  A thrown function's any.failover and
+    any.default are recorded through ``c.add``: the node's error() covers
+    the failover's report but not the default's, since joi pushes
+    any.failover before its error() override and any.default after it
+    (validator.js:359-364, 368-380, 385); a label set before a when()
+    stays off both (the wrapper that finalizes is unlabeled).  Applies the
     outcome to ``nr``: value, failed, errors, ``fin_filled``,
     ``strip_rows`` and the AltView pairs of blocked adoptions."""
     n = len(undef)
+    scope, env = c.scope, c.env
+    pre_when = bool(c.node.schema.metas.get("_label_pre_when"))
+
+    def record(code, mask, ctx):
+        return c.add(code, mask, ctx, seq=10_001, no_label=pre_when, override=code != "any.default")
+
     value = combine(nr.value)
     pairs: list = []
     filled = np.zeros(n, dtype=bool)
@@ -949,6 +965,145 @@ def _json_parse_column(arr: pa.Array, want: str):
 _LOCAL_ABORT_GID = [0]
 
 
+class _Node:
+    """One node evaluation, shared by its stage functions: the node, the
+    env with the schema-local prefs merged, the ``scope`` rows, the current
+    value ``arr`` (a stage writes it as soon as the value changes), the
+    ``original`` input and the masks the stages hand on.
+
+    ``add`` and ``adopt`` are the node's only report paths, so every
+    report follows joi's one rule: ``$_createError`` reads the node's
+    merged prefs (validator.js:116-118), and finalize applies the node's
+    ``error()`` to every report the node returns (validator.js:368-380)."""
+
+    __slots__ = ("node", "env", "path", "scope", "arr", "original", "errors", "failed",
+                 "resolved", "missing", "base_fail", "coerce_bad", "presence", "label",
+                 "alt_pair")
+
+    def __init__(self, node: CNode, arr: pa.Array, env: Env, path: str,
+                 scope: Optional[np.ndarray]):
+        n = len(arr)
+        self.node, self.env, self.path = node, env, path
+        self.scope = np.ones(n, dtype=bool) if scope is None else scope
+        self.arr = self.original = arr
+        self.errors: list[ErrRec] = []
+        self.failed = np.zeros(n, dtype=bool)
+        self.resolved = np.zeros(n, dtype=bool)
+        self.missing = self.base_fail = self.coerce_bad = self.presence = None
+        self.label = node.flags.get("label")
+        #: blocked cross-type item promotion of an array: (rows, typed column)
+        self.alt_pair = None
+
+    def _override(self, code: str, path: str, ctx) -> Optional[str]:
+        """The node's error() message for one report (lib/base.js:136-142;
+        it beats a rule's message()); a callable is asked once per error
+        family.  None when the node sets neither."""
+        node_err = self.node.flags.get("error")
+        if node_err is not None:
+            return node_err
+        fn = self.node.schema.metas.get("error_fn")
+        if fn is not None:
+            m = fn(code, path, dict(ctx or {}))
+            if isinstance(m, str):
+                return m
+        return None
+
+    def add(self, code, mask, ctx=None, seq=10_000, warn=False, message=None, item_rows=None,
+            item_index=None, path_override=None, values=None, group=None, soft=False,
+            path_ipos=None, no_label=False, override=True):
+        """Record one report over the ``mask`` rows (item reports: over
+        ``item_rows``/``item_index``), in scope only, and mark its rows
+        failed unless it is a warning.  ``override=False`` keeps the node's
+        error() off the report.  Returns the ErrRec, or None when no row is
+        in scope."""
+        scope = self.scope
+        mask = mask & scope
+        if item_rows is not None:
+            keep = scope[item_rows]
+            item_rows, item_index = item_rows[keep], item_index[keep]
+            if len(item_rows) == 0:
+                return None
+        elif not mask.any():
+            return None
+        p = path_override if path_override is not None else self.path
+        if self.label is not None and path_override is None and not no_label:
+            ctx = {**(ctx or {}), "label": self.label}
+        node_msg = self._override(code, p, ctx) if override else None
+        if node_msg is not None:
+            message = node_msg
+        if message is None:
+            # prefs-level messages map incl. errors.language sub-maps
+            message = k_messages.lookup_override(code, self.env.prefs)
+        if isinstance(message, str) and "{[.]}" in message:
+            # joi's per-row value token in custom templates works on ANY
+            # rule (node-verified) — normalize to the engine's {value}
+            # channel, substituted per fired row at render time
+            message = message.replace("{[.]}", "{value}")
+        if (isinstance(message, str) and "{value}" in message
+                and code == "any.ref" and values is None):
+            # the ARG-assert any.ref report value is the RESOLVED arg
+            # (validator.js:289); when the producer didn't capture it the
+            # resolution was undefined — renders '' (node-verified)
+            message = message.replace("{value}", "")
+        if item_rows is not None:
+            rec = ErrRec(code, mask, p, ctx or {}, seq, warn, message)
+            rec.rows = item_rows
+            rec.item_index = item_index
+            # FIRE-time item order: strip-splice bookkeeping re-points
+            # item_index post-hoc for display, but abortEarly ordering must
+            # follow joi's walk at emission time (fuzz seed 16300451: a
+            # stripped slot-0 warn precedes the slot-1 sparse even though
+            # both DISPLAY as index 0 post-splice)
+            rec.fire_items = np.asarray(item_index).copy()
+            rec.ipos = path_ipos
+            if values is not None:
+                rec.values = [v for v, k in zip(values, keep) if k]
+            rec.order, rec.soft = group, soft
+            self.errors.append(rec)
+            if not warn:
+                self.failed[item_rows] = True
+            return rec
+        if values is None and isinstance(message, str) and "{value}" in message:
+            # a custom template asked for the offending value ({[.]}) on a
+            # rule that doesn't natively carry one: extract the CURRENT
+            # node value for the fired rows only (joi renders the value at
+            # error-creation time)
+            try:
+                col = combine(self.arr)
+                values = [col[int(i)].as_py() for i in np.nonzero(mask)[0]]
+            except Exception:
+                values = None
+        rec = ErrRec(code, mask, p, ctx or {}, seq, warn, message)
+        rec.values = values
+        rec.order, rec.soft = group, soft
+        self.errors.append(rec)
+        if not warn:
+            np.logical_or(self.failed, mask, out=self.failed)
+        return rec
+
+    def adopt(self, recs) -> None:
+        """Take a child's reports as this node's own: the node's error()
+        applies to them (an object's covers its keys' reports as an
+        array's covers its items'), and their rows fail."""
+        for rec in recs:
+            node_msg = self._override(rec.code, rec.path, rec.context)
+            if node_msg is not None:
+                rec.message = node_msg.replace("{[.]}", "{value}")
+            self.errors.append(rec)
+            if not rec.warn:
+                self.failed[_fired_rows(rec)] = True
+
+    def gate(self, mask: np.ndarray) -> np.ndarray:
+        """Under the node-EFFECTIVE abortEarly (env carries schema-local
+        prefs) joi returns at the first stage error per row (validator.js:
+        194-247): rows that already failed get no later valids/base report.
+        With the outer abortEarly the table-level cut already keeps the
+        first report, so this only shows when a node-local
+        prefs({abortEarly:true}) rides under an outer abortEarly:false
+        (fuzz seed 16000129)."""
+        return mask & ~self.failed if self.env.abort_early else mask
+
+
 def eval_node(
     node: CNode,
     arr,
@@ -984,14 +1139,11 @@ def _eval_node_impl(
 ) -> NodeResult:
     """Validate one column/array against one compiled node.  ``scope`` masks
     which rows this evaluation applies to (used for struct children of null
-    parents and conditional branches); errors outside scope are suppressed."""
+    parents and conditional branches); errors outside scope are suppressed.
+    Runs the node's stages in joi's order over one ``_Node``."""
     arr = combine(arr)
     if pa.types.is_dictionary(arr.type):
         arr = arr.dictionary_decode()  # kernels operate on plain arrays
-    n = len(arr)
-    if scope is None:
-        scope = np.ones(n, dtype=bool)
-
     # schema-local prefs override call prefs (lib/validator.js:116-118,433-448)
     if node.schema.prefs:
         _e2 = Env({**env.prefs, **node.schema.prefs}, env._resolve_sibling, env.ancestors)
@@ -1000,37 +1152,30 @@ def _eval_node_impl(
         # failover fn a None parent)
         _e2.row_getter = env.row_getter
         env = _e2
-
-    # ---- conditionals: branch per row, each branch = base.concat(branch)
+    c = _Node(node, arr, env, path, scope)
     if node.whens:
-        scope, pre_errs, pre_failed = _wrapper_valids_stage(node, arr, env, path, scope, n)
-        merged = NodeResult(value=arr, missing=np.zeros(n, bool), failed=np.zeros(n, bool))
-        parts, branch_pairs, promoted = [], [], False
-        for branch, sel in _when_branches(node.whens[0], arr, env, scope, n):
-            sub = eval_node(branch, arr, env, path, scope=sel)
-            promoted |= _merge_into(merged, sub, sel)
-            parts.append((branch, sel))
-            if sel.any():
-                branch_pairs.append((sel, combine(sub.value)))
-        if promoted:
-            # the branches emitted DIFFERENT output types: ref consumers
-            # read each branch's typed value per row — joi's object holds
-            # 42 (number) next to '42' (string), the one Arrow column
-            # cannot (fuzz seed 9641)
-            merged.alt_view = AltView(merged.value, branch_pairs)
-        merged.errors[:0] = pre_errs
-        merged.failed |= pre_failed
-        return _finish_whens(node, merged, parts, env, path, scope)
-
-    errors: list[ErrRec] = []
-    original = arr
-
-    # ---- alternatives: first-match-wins over matches
+        return _eval_whens(c)
     if node.type == "alternatives":
-        return _eval_alternatives(node, arr, env, path, scope, errors)
+        return _eval_alternatives(c)
+    _coerce_stage(c)
+    _empty_stage(c)
+    _presence_stage(c)
+    _valids_stage(c)
+    _base_stage(c)
+    _rules_stage(c)
+    return _finalize_stage(c)
 
-    # ---- coerce
-    arr, base_fail, coerce_errs = _coerce3(node, arr, env)
+
+def _coerce_stage(c: _Node) -> None:
+    """Coerce, then the string pipeline and array sort.  A row with a
+    coerce-stage error returns IMMEDIATELY in joi (validator.js:150-156
+    finalize): it gets ONLY this report — the empty stage, presence,
+    valids, base, rules and defaults never see it (fuzz seed 5102192: ''
+    failing isoDate at coerce reports ONLY string.isoDate, never the
+    empty-converted any.required)."""
+    node, env = c.node, c.env
+    arr, c.base_fail, coerce_errs = _coerce3(node, c.arr, env)
+    n = len(arr)
 
     # string coerce pipeline in joi's FIXED stage order (string/index.js
     # :68-135): normalize -> case -> trim -> replace -> hex pad -> isoDate
@@ -1106,18 +1251,19 @@ def _eval_node_impl(
             if _sc is True or (_sc is None and env.convert):
                 arr, _serrs = k_lists.coerce_sort(arr, _srt["args"])
                 coerce_errs = list(coerce_errs) + _serrs
+    c.arr = arr
+    c.coerce_bad = np.zeros(n, dtype=bool)
+    for code, cmask in coerce_errs:
+        c.coerce_bad |= cmask
+        c.add(code, cmask, seq=-4)
+        c.resolved |= cmask
 
-    # rows with a coerce-stage error return IMMEDIATELY in joi
-    # (validator.js:150-156 finalize) — the empty stage, presence and
-    # defaults never see them (fuzz seed 5102192: '' failing isoDate at
-    # coerce reports ONLY string.isoDate, never the empty-converted
-    # any.required)
-    coerce_bad = np.zeros(n, dtype=bool)
-    for _cc, _cm in coerce_errs:
-        coerce_bad |= _cm
 
-    # ---- empty: values (or matching schemas) treated as missing
-    # (lib/validator.js:162-165; empty(schema) per lib/base.js:124-134)
+def _empty_stage(c: _Node) -> None:
+    """empty(): values (or matching schemas) treated as missing
+    (lib/validator.js:162-165; empty(schema) per lib/base.js:124-134),
+    then the missing mask."""
+    node, arr, n = c.node, c.arr, len(c.arr)
     if node.empty_values or node.empty_schemas:
         # the empty check probes the TRIMMED value when a trim() rule is
         # enabled, and matches under DEFAULT prefs (convert on) regardless
@@ -1130,130 +1276,47 @@ def _eval_node_impl(
         ):
             probe = pc.utf8_trim_whitespace(arr)
         em = (
-            _set_membership(probe, node.empty_values, [], node.flags.get("insensitive", False), env)
+            _set_membership(probe, node.empty_values, [], node.flags.get("insensitive", False), c.env)
             if node.empty_values
             else np.zeros(n, dtype=bool)
         )
         if node.empty_schemas:
-            eenv = Env({"convert": True}, env._resolve_sibling, env.ancestors)
+            eenv = Env({"convert": True}, c.env._resolve_sibling, c.env.ancestors)
             for es in node.empty_schemas:
-                em |= node_validity(es, probe, eenv, scope) & ~null_mask(probe)
-        em = em & ~coerce_bad
+                em |= node_validity(es, probe, eenv, c.scope) & ~null_mask(probe)
+        em = em & ~c.coerce_bad
         if em.any():
-            arr = pc.if_else(pa.array(em), pa.nulls(n, arr.type), arr)
+            c.arr = pc.if_else(pa.array(em), pa.nulls(n, arr.type), arr)
+    c.missing = null_mask(c.arr) & ~c.base_fail
 
-    missing = null_mask(arr) & ~base_fail
-    present = ~missing & ~base_fail
 
-    failed = np.zeros(n, dtype=bool)
-    resolved = np.zeros(n, dtype=bool)
-
-    def add_err(code, mask, ctx=None, seq=10_000, warn=False, message=None, item_rows=None, item_index=None, path_override=None, values=None, group=None, soft=False, path_ipos=None, no_label=False):
-        mask = mask & scope
-        if item_rows is not None:
-            keep = scope[item_rows]
-            item_rows, item_index = item_rows[keep], item_index[keep]
-            if len(item_rows) == 0:
-                return None
-        elif not mask.any():
-            return None
-        p = path_override if path_override is not None else path
-        if "label" in node.flags and path_override is None and not no_label:
-            ctx = {**(ctx or {}), "label": node.flags["label"]}
-        # node-level error() override (lib/base.js:136-142, applied at
-        # finalize lib/validator.js:368-380 — replaces every error of the
-        # node, so it beats per-rule message()); a callable is asked once
-        # per error family
-        node_err = node.flags.get("error")
-        if node_err is not None:
-            message = node_err
-        else:
-            fn = node.schema.metas.get("error_fn")
-            if fn is not None:
-                m = fn(code, p, dict(ctx or {}))
-                if isinstance(m, str):
-                    message = m
-        if message is None:
-            # prefs-level messages map incl. errors.language sub-maps
-            # (schema-local prefs are merged into env by eval_node)
-            message = k_messages.lookup_override(code, env.prefs)
-        if isinstance(message, str) and "{[.]}" in message:
-            # joi's per-row value token in custom templates works on ANY
-            # rule (node-verified) — normalize to the engine's {value}
-            # channel, substituted per fired row at render time
-            message = message.replace("{[.]}", "{value}")
-        if (isinstance(message, str) and "{value}" in message
-                and code == "any.ref" and values is None):
-            # the ARG-assert any.ref report value is the RESOLVED arg
-            # (validator.js:289); when the producer didn't capture it the
-            # resolution was undefined — renders '' (node-verified)
-            message = message.replace("{value}", "")
-        if item_rows is not None:
-            rec = ErrRec(code, mask, p, ctx or {}, seq, warn, message)
-            rec.rows = item_rows
-            rec.item_index = item_index
-            # FIRE-time item order: strip-splice bookkeeping re-points
-            # item_index post-hoc for display, but abortEarly ordering must
-            # follow joi's walk at emission time (fuzz seed 16300451: a
-            # stripped slot-0 warn precedes the slot-1 sparse even though
-            # both DISPLAY as index 0 post-splice)
-            rec.fire_items = np.asarray(item_index).copy()
-            rec.ipos = path_ipos
-            if values is not None:
-                rec.values = [v for v, k in zip(values, keep) if k]
-            rec.order, rec.soft = group, soft
-            errors.append(rec)
-            if not warn:
-                failed[item_rows] = True
-            return rec
-        if (values is None and isinstance(message, str) and "{value}" in message
-                and arr is not None):
-            # a custom template asked for the offending value ({[.]}) on a
-            # rule that doesn't natively carry one: extract the CURRENT
-            # node value for the fired rows only (joi renders the value at
-            # error-creation time)
-            try:
-                fired = np.nonzero(mask)[0]
-                col = combine(arr)
-                values = [col[int(i)].as_py() for i in fired]
-            except Exception:
-                values = None
-        rec = ErrRec(code, mask, p, ctx or {}, seq, warn, message)
-        rec.values = values
-        rec.order, rec.soft = group, soft
-        errors.append(rec)
-        if not warn:
-            np.logical_or(failed, mask, out=failed)
-        return rec
-
-    # ---- coerce-stage errors always abort early (validator.js:150-156):
-    # the row gets ONLY this error — no presence/valids/base/rules
-    for _code, _cmask in coerce_errs:
-        add_err(_code, _cmask & scope, seq=-4)
-        resolved |= _cmask
-
-    # ---- presence (lib/validator.js:168-190): the explicit flag wins,
-    # else prefs.presence supplies the default for every node
-    presence = node.flags.get("presence") or env.prefs.get("presence", "optional")
+def _presence_stage(c: _Node) -> None:
+    """Presence (lib/validator.js:168-190): the explicit flag wins, else
+    prefs.presence supplies the default for every node."""
+    node, missing = c.node, c.missing
+    c.presence = node.flags.get("presence") or c.env.prefs.get("presence", "optional")
     if node.allow_missing:
-        resolved |= missing
-    elif presence == "required":
-        add_err("any.required", missing, seq=-3)
-    elif presence == "forbidden":
+        c.resolved |= missing
+    elif c.presence == "required":
+        c.add("any.required", missing, seq=-3)
+    elif c.presence == "forbidden":
         # joi returns immediately on a present forbidden value
         # (validator.js:188-190) — any.unknown is the ONLY error; no
         # valids/base/rules run for those rows.  "Present" here includes
         # uncoercible values (joi's coerce emits no error for them; the
         # base check they would have hit never runs)
-        add_err("any.unknown", ~missing & scope & ~resolved & ~coerce_bad, seq=-3)
-        resolved |= True  # everything settled at this stage
-        base_fail = np.zeros(n, dtype=bool)
+        c.add("any.unknown", ~missing & c.scope & ~c.resolved & ~c.coerce_bad, seq=-3)
+        c.resolved |= True  # everything settled at this stage
+        c.base_fail = np.zeros(len(missing), dtype=bool)
     else:
-        resolved |= missing
+        c.resolved |= missing
 
-    # ---- valids / invalids (lib/validator.js:194-227)
+
+def _valids_stage(c: _Node) -> None:
+    """valids / invalids (lib/validator.js:194-227)."""
+    node, env, arr, n = c.node, c.env, c.arr, len(c.arr)
     insensitive = node.flags.get("insensitive", False)
-    active = scope & ~missing & ~resolved & ~failed
+    active = c.scope & ~c.missing & ~c.resolved & ~c.failed
     if node.allow_static or node.allow_refs:
         in_allow = _set_membership(arr, node.allow_static, node.allow_refs, insensitive, env)
         # a valids MATCH replaces the value with the stored valid in convert
@@ -1277,157 +1340,139 @@ def _eval_node_impl(
             for v in str_valids:
                 hit = in_allow & ~replaced & as_bool_np(pc.equal(lowered, v.lower()), n)
                 if hit.any():
-                    arr = pc.if_else(pa.array(hit), pa.scalar(v, type=arr.type), arr)
+                    c.arr = pc.if_else(pa.array(hit), pa.scalar(v, type=arr.type), c.arr)
                     replaced |= hit
         in_allow_orig = in_allow
-        if base_fail.any():
-            in_allow_orig = in_allow | _set_membership(original, node.allow_static, node.allow_refs, insensitive, env)
+        if c.base_fail.any():
+            in_allow_orig = in_allow | _set_membership(c.original, node.allow_static, node.allow_refs,
+                                                       insensitive, env)
         if node.flags.get("only"):
             # joi raises any.only even for rows that will also fail the
             # base type check (valids stage precedes base validate and
             # only abortEarly suppresses the second error)
-            miss_set = active & ~in_allow_orig
-            add_err("any.only", miss_set, {"valids": node.allow_static}, seq=-2)
-        resolved |= in_allow_orig
-        base_fail = base_fail & ~in_allow_orig
-    # under the node-EFFECTIVE abortEarly (env carries schema-local prefs)
-    # joi returns at the first stage error per row (validator.js:194-247):
-    # a valids any.only suppresses the invalids check and the base-stage
-    # errors for that row.  With the outer abortEarly the table-level
-    # filter already picks the first emission, so this gate only changes
-    # observable output when a node-local prefs({abortEarly:true}) rides
-    # under an outer abortEarly:false (fuzz seed 16000129)
-    _ae_gate = (lambda m: m & ~failed) if env.abort_early else (lambda m: m)
+            c.add("any.only", active & ~in_allow_orig, {"valids": node.allow_static}, seq=-2)
+        c.resolved |= in_allow_orig
+        c.base_fail = c.base_fail & ~in_allow_orig
     if node.invalid_static or node.invalid_refs:
-        in_invalid = _set_membership(arr, node.invalid_static, node.invalid_refs, insensitive, env)
-        add_err("any.invalid", _ae_gate(in_invalid & active & ~resolved), {"invalids": node.invalid_static}, seq=-2)
+        in_invalid = _set_membership(c.arr, node.invalid_static, node.invalid_refs, insensitive, env)
+        c.add("any.invalid", c.gate(in_invalid & active & ~c.resolved),
+              {"invalids": node.invalid_static}, seq=-2)
 
-    # ---- base type errors from coercion; date picks a format-specific
-    # code (date.js:39-49: strict -> date.strict, iso -> date.isoDate,
+
+def _base_stage(c: _Node) -> None:
+    """Base type checks, then the object/array recursion.  A row with a
+    base-stage error skips the rules loop (joi's "Base error always aborts
+    early", validator.js:236-247)."""
+    node, env = c.node, c.env
+    # base type errors from coercion; date picks a format-specific code
+    # (date.js:39-49: strict -> date.strict, iso -> date.isoDate,
     # timestamp -> date.timestamp.{javascript|unix})
     base_code = f"{node.type}.base"
     if node.type == "date":
         if not env.convert:
             base_code = "date.strict"
         else:
-            fmt = node.flags.get("format")
-            if fmt == "iso":
-                base_code = "date.isoDate"
-            elif fmt == "ms":
-                base_code = "date.timestamp.javascript"
-            elif fmt == "s":
-                base_code = "date.timestamp.unix"
-    # rows with base-stage errors skip the rules loop entirely (joi's
-    # "Base error always aborts early", validator.js:236-247) — track them
-    base_errored = base_fail & ~resolved
-    add_err(base_code, _ae_gate(base_fail & ~resolved), seq=-1)
+            base_code = {"iso": "date.isoDate", "ms": "date.timestamp.javascript",
+                         "s": "date.timestamp.unix"}.get(node.flags.get("format"), base_code)
+    base_errored = c.base_fail & ~c.resolved
+    c.add(base_code, c.gate(base_errored), seq=-1)
 
-    # ---- number base checks: NaN / Infinity / unsafe magnitude
-    if node.type == "number" and (pa.types.is_floating(arr.type) or pa.types.is_integer(arr.type)):
-        arr, base_errs = k_numbers.base_check(arr, env, node.flags)
+    # number base checks: NaN / Infinity / unsafe magnitude
+    if node.type == "number" and (pa.types.is_floating(c.arr.type) or pa.types.is_integer(c.arr.type)):
+        c.arr, base_errs = k_numbers.base_check(c.arr, env, node.flags)
         for code, mask, ctx in base_errs:
-            m = mask & ~missing & ~resolved
+            m = mask & ~c.missing & ~c.resolved
             base_errored |= m
-            add_err(code, _ae_gate(m), ctx, seq=-1)
+            c.add(code, c.gate(m), ctx, seq=-1)
 
-    # ---- string base: empty string is an error (string/index.js:139-148)
-    if node.type == "string" and (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
-        allow_empty = any(v == "" for v in node.allow_static)
-        if not allow_empty:
-            empty_mask = as_bool_np(pc.equal(pc.utf8_length(arr), 0), n)
-            m = empty_mask & scope & ~missing & ~resolved
+    # string base: empty string is an error (string/index.js:139-148)
+    if node.type == "string" and (pa.types.is_string(c.arr.type) or pa.types.is_large_string(c.arr.type)):
+        if not any(v == "" for v in node.allow_static):
+            empty_mask = as_bool_np(pc.equal(pc.utf8_length(c.arr), 0), len(c.arr))
+            m = empty_mask & c.scope & ~c.missing & ~c.resolved
             base_errored |= m
-            add_err("string.empty", _ae_gate(m), seq=-1)
+            c.add("string.empty", c.gate(m), seq=-1)
 
-    # ---- structural recursion
-    _list_alt_pair = None
-    if node.type == "array" and (pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)):
+    # structural recursion.  joi returns at the presence stage for
+    # forbidden values (validator.js:188-190): any.unknown is the only
+    # error — item and key schemas never run (node-verified, fuzz seed
+    # 14000246 family)
+    if c.presence == "forbidden":
+        pass
+    elif node.type == "array" and (pa.types.is_list(c.arr.type) or pa.types.is_large_list(c.arr.type)):
         # array ITEMS are rules in joi (array.js items/ordered are rule
         # entries), so item errors do NOT suppress length/unique rules
-        if presence == "forbidden":
-            # joi returns at the presence stage for forbidden values
-            # (validator.js:188-190): any.unknown is the only error — item
-            # schemas never run (node-verified, fuzz seed 14000246 family)
-            _list_alt_pair = None
-        else:
-            arr, _list_alt_pair = _eval_array(node, arr, env, path, scope, resolved, failed, add_err)
-    elif node.type == "object" and pa.types.is_struct(arr.type) and presence == "forbidden":
-        # same presence-stage return for objects: children are not validated
-        pass
-    elif node.type == "object" and pa.types.is_struct(arr.type):
+        c.arr, c.alt_pair = _eval_array(c)
+    elif node.type == "object" and pa.types.is_struct(c.arr.type):
         # object keys+dependencies live in def.validate (object.js:68) —
         # a child error suppresses the object's OWN rules for that row
-        failed_before_children = failed.copy()
-        arr = _eval_object(node, arr, env, path, scope, resolved, failed, errors, add_err)
-        base_errored |= failed & ~failed_before_children
-    resolved |= base_errored
+        failed_before_children = c.failed.copy()
+        c.arr = _eval_object(c)
+        base_errored |= c.failed & ~failed_before_children
+    c.resolved |= base_errored
 
-    # ---- rules loop (lib/validator.js:260-320)
-    # Per-value joi returns before the rules loop when the base type check
-    # failed; the columnar equivalent: Arrow columns are homogeneous, so a
-    # family-incompatible physical type means EVERY present row already
-    # carries {type}.base — running typed kernels would crash on the raw
-    # array (e.g. a regex over int64), so skip the loop wholesale.
-    rules = node.rules if _rule_type_ok(node.type, arr.type) else ()
+
+def _rules_stage(c: _Node) -> None:
+    """The rules loop (lib/validator.js:260-320).  Per-value joi returns
+    before the rules loop when the base type check failed; the columnar
+    equivalent: Arrow columns are homogeneous, so a family-incompatible
+    physical type means EVERY present row already carries {type}.base —
+    running typed kernels would crash on the raw array (e.g. a regex over
+    int64), so the loop is skipped wholesale."""
+    node, env, n = c.node, c.env, len(c.arr)
+    rules = node.rules if _rule_type_ok(node.type, c.arr.type) else ()
     for cr in rules:
         if cr.convert_phase and env.convert:
             continue  # already applied in the coerce phase
         if cr.fn is None:  # warning rule: always fires on present rows
-            active = scope & ~missing & ~resolved
-            add_err(cr.code, active, {"code": cr.code}, seq=cr.seq, warn=True, message=cr.message)
+            c.add(cr.code, c.scope & ~c.missing & ~c.resolved, {"code": cr.code}, seq=cr.seq,
+                  warn=True, message=cr.message)
             continue
         if isinstance(cr.fn, tuple) and cr.fn[0] == "structural":
-            _eval_structural_rule(node, cr, arr, env, path, scope, missing, resolved, failed, add_err)
+            _eval_structural_rule(c, cr)
             continue
-        active = scope & ~missing & ~resolved
+        active = c.scope & ~c.missing & ~c.resolved
         if env.abort_early:
-            active = active & ~failed
+            active = active & ~c.failed
         if not active.any() and cr.convert_phase is False:
             continue
         n_active = int(active.sum())
+        ref_err = None
         if (
             cr.name in _PURE_CHECK_RULES
-            and env.prefs.get("scoped_eval", True)
             and 0 < n_active < int(0.7 * n)
             and node.type != "array"  # list kernels need full offsets
         ):
+            # a pure check runs on the active rows only; its ok mask and
+            # any.ref rows scatter back to the column
             idx = np.nonzero(active)[0]
             idx_arr = pa.array(idx)
-            sub_env = _TakeEnv(env, idx_arr)
-            sub_arr = arr.take(idx_arr)
-            out = cr.fn(sub_arr, sub_env)
-            not_ok = ~out.ok
+            out = cr.fn(c.arr.take(idx_arr), _TakeEnv(env, idx_arr))
+            ok = np.ones(n, dtype=bool)
+            ok[idx] = out.ok
             ref_err = out.context.pop("__ref_err__", None) if out.context else None
             if ref_err is not None:
-                # ref-resolved arg failed the rule's assert: any.ref fires
-                # INSTEAD of the rule error (lib/validator.js:281-293);
-                # the report's value is the RESOLVED arg (for {[.]})
-                rsub, rctx, rvals = (*ref_err, None)[:3]
                 rmask = np.zeros(n, dtype=bool)
-                rmask[idx[rsub]] = True
-                add_err("any.ref", rmask, rctx, seq=cr.seq, warn=cr.warn,
-                        message=cr.message, values=rvals)
-                not_ok = not_ok & ~rsub
-            bad = np.zeros(n, dtype=bool)
-            bad[idx[not_ok]] = True
-            vals = None
-            if cr.code in k_messages.VALUE_CODES and not_ok.any():
-                vals = sub_arr.filter(pa.array(not_ok)).to_pylist()
-            add_err(cr.code, bad, out.context, seq=cr.seq, warn=cr.warn, message=cr.message, values=vals)
-            continue
-        out = cr.fn(arr, env)
-        if out.new_value is not None:
-            arr = out.new_value
-        bad = active & ~out.ok
-        alt_err = out.context.pop("__alt_err__", None) if out.context else None
-        if alt_err is not None:
-            # a kernel raising a DIFFERENT code for some rows (joi's
-            # comparator-thrown array.sort.mismatching replaces the rule's
-            # own error there)
-            amask, acode, actx = alt_err
-            add_err(acode, amask & active, actx, seq=cr.seq, warn=cr.warn)
-        ref_err = out.context.pop("__ref_err__", None) if out.context else None
+                rmask[idx[ref_err[0]]] = True
+                ref_err = (rmask, *ref_err[1:])
+        else:
+            out = cr.fn(c.arr, env)
+            if out.new_value is not None:
+                c.arr = out.new_value
+            ok = out.ok
+            alt_err = out.context.pop("__alt_err__", None) if out.context else None
+            if alt_err is not None:
+                # a kernel raising a DIFFERENT code for some rows (joi's
+                # comparator-thrown array.sort.mismatching replaces the
+                # rule's own error there)
+                amask, acode, actx = alt_err
+                c.add(acode, amask & active, actx, seq=cr.seq, warn=cr.warn)
+            ref_err = out.context.pop("__ref_err__", None) if out.context else None
+        bad = active & ~ok
         if ref_err is not None:
+            # ref-resolved arg failed the rule's assert: any.ref fires
+            # INSTEAD of the rule error (lib/validator.js:281-293); the
+            # report's value is the RESOLVED arg (for {[.]})
             rmask, rctx, rvals = (*ref_err, None)[:3]
             fired0 = rmask.copy()
             rmask = rmask & active
@@ -1436,32 +1481,32 @@ def _eval_node_impl(
                 # refilter to the active subset
                 keepm = rmask[np.nonzero(fired0)[0]]
                 rvals = [v for v, k in zip(rvals, keepm) if k]
-            add_err("any.ref", rmask, rctx, seq=cr.seq, warn=cr.warn,
-                    message=cr.message, values=rvals)
+            c.add("any.ref", rmask, rctx, seq=cr.seq, warn=cr.warn,
+                  message=cr.message, values=rvals)
             bad = bad & ~rmask
         if out.item_rows is not None:
             keep = active[out.item_rows]
-            add_err(cr.code, bad, out.context, seq=cr.seq, warn=cr.warn,
-                    message=cr.message, item_rows=out.item_rows[keep],
-                    item_index=out.item_index[keep])
+            c.add(cr.code, bad, out.context, seq=cr.seq, warn=cr.warn,
+                  message=cr.message, item_rows=out.item_rows[keep],
+                  item_index=out.item_index[keep])
             continue
         vals = None
         if cr.code in k_messages.VALUE_CODES and bad.any():
-            vals = arr.take(pa.array(np.nonzero(bad)[0])).to_pylist()
-        add_err(cr.code, bad, out.context, seq=cr.seq, warn=cr.warn, message=cr.message, values=vals)
+            vals = c.arr.take(pa.array(np.nonzero(bad)[0])).to_pylist()
+        c.add(cr.code, bad, out.context, seq=cr.seq, warn=cr.warn, message=cr.message, values=vals)
 
-    # ---- finalize (lib/validator.js:351-430): failover, default, cast
-    nr = NodeResult(value=arr, errors=errors, missing=missing, failed=failed,
+
+def _finalize_stage(c: _Node) -> NodeResult:
+    """finalize (lib/validator.js:351-430): failover, default, cast, then
+    the raw()/strip() result flags."""
+    node, original = c.node, c.original
+    nr = NodeResult(value=c.arr, errors=c.errors, missing=c.missing, failed=c.failed,
                     strip=bool(node.flags.get("strip")), raw_value=original)
-    if _list_alt_pair is not None:
+    if c.alt_pair is not None:
         # blocked cross-type item promotion: ref consumers see the per-row
         # typed value joi's assignment implies
-        nr.alt_view = AltView(arr, [_list_alt_pair])
-    # a pre-when label belongs to joi's branches; the finalize error fires
-    # on the unlabeled wrapper
-    no_label = bool(node.schema.metas.get("_label_pre_when"))
-    _finalize(nr, node.flags, missing, scope, env,
-              lambda code, mask, ctx: add_err(code, mask, ctx, seq=10_001, no_label=no_label))
+        nr.alt_view = AltView(c.arr, [c.alt_pair])
+    _finalize(nr, node.flags, c.missing, c)
     if node.flags.get("raw") or node.flags.get("strip"):
         # joi shadows the CONVERTED value for ANY result-flagged schema —
         # raw() AND strip() — unconditionally, even when the node errored
@@ -1473,7 +1518,7 @@ def _eval_node_impl(
         # whose COERCION failed that is still the original ('1' stays a
         # string when boolean coercion missed), which our converted column
         # holds as null; those rows fall back to the raw-original path
-        nr.shadow.append((scope & ~(null_mask(nr.value) & ~null_mask(original)), nr.value))
+        nr.shadow.append((c.scope & ~(null_mask(nr.value) & ~null_mask(original)), nr.value))
         # a result flag REVERTS the finalize fill in the output slot
         # (validator.js:413-421 runs after the default step: raw returns
         # the ORIGINAL — undefined for missing input — and strip returns
@@ -1573,56 +1618,57 @@ def _when_branches(w: dict, arr, env: Env, scope: np.ndarray, n: int):
     yield w["otherwise"], scope & ~cond
 
 
-def _wrapper_valids_stage(node: CNode, arr, env: Env, path, scope, n):
+def _eval_whens(c: _Node) -> NodeResult:
+    """A when() wrapper: its own valids stage, then each branch (branch =
+    base.concat(branch)) on its rows, merged, then the wrapper finalize.
+    joi's when() on a non-alternatives base returns a FRESH unlabeled
+    alternatives (base.js:364): a label set before the when() lives in
+    the branches, so the wrapper's own reports drop it."""
+    node, arr, env, n = c.node, c.arr, c.env, len(c.arr)
+    if node.schema.metas.get("_label_pre_when"):
+        c.label = None
+    c.scope = _wrapper_valids_stage(c)
+    merged = NodeResult(value=arr, errors=c.errors, missing=np.zeros(n, bool), failed=c.failed)
+    parts, branch_pairs, promoted = [], [], False
+    for branch, sel in _when_branches(node.whens[0], arr, env, c.scope, n):
+        sub = eval_node(branch, arr, env, c.path, scope=sel)
+        promoted |= _merge_into(merged, sub, sel)
+        parts.append((branch, sel))
+        if sel.any():
+            branch_pairs.append((sel, combine(sub.value)))
+    if promoted:
+        # the branches emitted DIFFERENT output types: ref consumers
+        # read each branch's typed value per row — joi's object holds
+        # 42 (number) next to '42' (string), the one Arrow column
+        # cannot (fuzz seed 9641)
+        merged.alt_view = AltView(merged.value, branch_pairs)
+    return _finish_whens(c, merged, parts)
+
+
+def _wrapper_valids_stage(c: _Node) -> np.ndarray:
     """joi's when() wrapper runs ITS OWN valids stage before the branch
     dispatch (validator.js:194-227 precedes the type validate): values
     added by valid()/invalid() AFTER the when live on the fresh wrapper
     (base.js:364 starts empty).  A wrapper-valid match returns the value
     VERBATIM — the branch (and its coercion) never runs; a no-match under
-    the wrapper's only flag pushes any.only (wrapper label) and CONTINUES
-    into the branches, so the branch's own any.only can follow (fuzz seed
-    54000083, node-verified — fires on missing rows too).  Returns
-    (reduced scope, pre-errors, pre-failed)."""
-    pre_errs: list[ErrRec] = []
-    pre_failed = np.zeros(n, dtype=bool)
-    wa = node.wrapper_allow
-    wi = node.wrapper_invalid
-    if not wa and not wi:
-        return scope, pre_errs, pre_failed
-    _wlbl = ({"label": node.flags["label"]}
-             if "label" in node.flags
-             and not node.schema.metas.get("_label_pre_when")
-             else {})
+    the wrapper's only flag pushes any.only and CONTINUES into the
+    branches, so the branch's own any.only can follow (fuzz seed
+    54000083, node-verified — fires on missing rows too).  Returns the
+    scope the branches run on."""
+    node, scope = c.node, c.scope
+    wa, wi = node.wrapper_allow, node.wrapper_invalid
     insensitive = node.flags.get("insensitive", False)
     if wa:
-        hit = _set_membership(arr, wa, [], insensitive, env) & scope
-        miss = scope & ~hit
-        scope = miss
-        if node.wrapper_only and miss.any():
-            rec = ErrRec("any.only", miss, path, {"valids": wa, **_wlbl}, -2)
-            pre_errs.append(rec)
-            pre_failed |= miss
+        scope = scope & ~_set_membership(c.arr, wa, [], insensitive, c.env)
+        if node.wrapper_only:
+            c.add("any.only", scope, {"valids": wa}, seq=-2)
     if wi:
-        inv = _set_membership(arr, wi, [], insensitive, env) & scope
-        if inv.any():
-            rec = ErrRec("any.invalid", inv, path, {"invalids": wi, **_wlbl}, -2)
-            pre_errs.append(rec)
-            pre_failed |= inv
-    return scope, pre_errs, pre_failed
+        c.add("any.invalid", _set_membership(c.arr, wi, [], insensitive, c.env) & scope,
+              {"invalids": wi}, seq=-2)
+    return scope
 
 
-def _rec_appender(errors: list, path: str, lbl: dict):
-    """``record`` for ``_finalize`` on nodes that build their ErrRecs
-    directly (alternatives, when() wrappers): the node label rides along
-    in the context; the node's error() override does not apply."""
-    def record(code, mask, ctx):
-        rec = ErrRec(code, mask, path, {**ctx, **lbl}, 10_001)
-        errors.append(rec)
-        return rec
-    return record
-
-
-def _finish_whens(node: CNode, merged: NodeResult, parts, env: Env, path, scope) -> NodeResult:
+def _finish_whens(c: _Node, merged: NodeResult, parts) -> NodeResult:
     """Wrapper finalize after a whens branch merge — joi's when() wraps the
     base in a FRESH alternatives (base.js:364), so chain calls AFTER the
     when apply in the WRAPPER's finalize over the merged branch result:
@@ -1651,10 +1697,7 @@ def _finish_whens(node: CNode, merged: NodeResult, parts, env: Env, path, scope)
     for cn, sel in parts:
         if cn.flags.get("strip"):
             undef |= sel  # strip branches return undefined even on error
-    lbl = {}
-    if "label" in node.flags and not node.schema.metas.get("_label_pre_when"):
-        lbl = {"label": node.flags["label"]}
-    _finalize(merged, node.wrapper_fins or {}, undef, scope, env, _rec_appender(merged.errors, path, lbl))
+    _finalize(merged, c.node.wrapper_fins or {}, undef, c)
     return merged
 
 
@@ -1915,14 +1958,16 @@ def _finalize_branch_values(arr, branch_values, n: int):
     return value, None
 
 
-def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeResult:
+def _eval_alternatives(c: _Node) -> NodeResult:
+    """alternatives: first-match-wins over the matches (alternatives.js:
+    27-94).  The node's own reports go through ``c.add``; a branch's
+    reports it passes on (a single-error no-match, a decided branch, a
+    leaked warn) through ``c.adopt``, so the node's error() replaces every
+    error it returns (lib/base.js:136-142 via validator finalize;
+    test/types/alternatives.js:350-361)."""
+    node, arr, env, path, scope = c.node, c.arr, c.env, c.path, c.scope
     n = len(arr)
-    missing = null_mask(arr)
-    failed = np.zeros(n, dtype=bool)
-    # node-level errors render the label flag (add_err does this for other
-    # types; alternatives builds ErrRecs directly)
-    _lbl = ({"label": node.flags["label"]} if "label" in node.flags else {})
-    _err_start = len(errors)
+    c.missing = missing = null_mask(arr)
     # prefs.presence supplies the default here exactly as for scalar nodes
     # (validator.js:168-190 runs before the type dispatch) — EXCEPT on an
     # ended-switch alternatives: a match entry carrying BOTH then and
@@ -1938,35 +1983,24 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
         for m in node.matches)
     presence = node.flags.get("presence") or (
         "ignore" if ended else env.prefs.get("presence", "optional"))
-    resolved = np.zeros(n, dtype=bool)
     if presence == "required":
-        req = missing & scope
-        if req.any():
-            rec = ErrRec("any.required", req, path, {**_lbl}, -3)
-            errors.append(rec)
-            failed |= req
+        c.add("any.required", missing, seq=-3)
     elif presence == "forbidden":
         # same presence-stage return as scalars (validator.js:183-190):
         # provided values error any.unknown and NOTHING else runs — the
         # forbidden default can arrive via schema-LOCAL prefs on the
         # alternatives node itself (fuzz seed 16100190)
-        bad = ~missing & scope
-        if bad.any():
-            rec = ErrRec("any.unknown", bad, path, {**_lbl}, -3)
-            errors.append(rec)
+        c.add("any.unknown", ~missing, seq=-3)
         # joi's presence return STILL runs finalize (validator.js:172-186
         # `return internals.finalize(...)`) — a node failover consumes the
         # any.unknown and a default fills undefined rows (fuzz seed
         # 48004116: forbidden + default(thrower) errors any.default on
         # the MISSING rows too)
-        nr = NodeResult(value=arr, errors=errors, missing=missing, failed=bad)
-        _finalize(nr, node.flags, missing, scope, env, _rec_appender(errors, path, _lbl))
+        nr = NodeResult(value=arr, errors=c.errors, missing=missing, failed=c.failed)
+        _finalize(nr, node.flags, missing, c)
         return nr
-    elif presence == "ignore":
-        pass  # undefined rows flow into the match loop (validator.js:170)
-    else:
-        resolved |= missing
-    active = (scope & ~failed) if presence == "ignore" else (scope & ~missing & ~failed)
+    # under 'ignore' undefined rows flow into the match loop (validator.js:170)
+    active = (scope & ~c.failed) if presence == "ignore" else (scope & ~missing & ~c.failed)
     defined_failed = np.zeros(n, dtype=bool)  # failed rows whose value joi KEEPS
     invalid_open = None  # invalid() rows still matched (abortEarly off)
     # allow/invalid sets apply to the alternatives node itself too — and
@@ -1975,23 +2009,15 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
     # CONTINUES into the matches, so the branch union's alternatives.base
     # follows it (fuzz seed 56000275, node-verified)
     if node.allow_static or node.allow_refs:
-        hit = _set_membership(arr, node.allow_static, node.allow_refs, node.flags.get("insensitive", False), env)
-        resolved |= hit
-        active &= ~hit
+        active &= ~_set_membership(arr, node.allow_static, node.allow_refs,
+                                   node.flags.get("insensitive", False), env)
         if node.flags.get("only"):
-            miss_only = active.copy()
-            if miss_only.any():
-                rec = ErrRec("any.only", miss_only, path,
-                             {"valids": node.allow_static, **_lbl}, -2)
-                errors.append(rec)
-                failed |= miss_only
-                defined_failed |= miss_only  # value kept
+            c.add("any.only", active, {"valids": node.allow_static}, seq=-2)
+            defined_failed |= active  # value kept
     if node.invalid_static or node.invalid_refs:
         inv = _set_membership(arr, node.invalid_static, node.invalid_refs, node.flags.get("insensitive", False), env) & active
         if inv.any():
-            rec = ErrRec("any.invalid", inv, path, {"invalids": node.invalid_static, **_lbl}, -2)
-            errors.append(rec)
-            failed |= inv
+            c.add("any.invalid", inv, {"invalids": node.invalid_static}, seq=-2)
             if env.abort_early:
                 # joi returns at the valids stage (validator.js:218-227):
                 # the row is never matched and its value stays
@@ -2070,11 +2096,10 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
                 # joi (validator.js:303-306), so every ATTEMPTED branch
                 # leaks its warnings — matched, failed, and no-match rows
                 # alike (node-verified; fuzz seed 1400069 family)
-                errors.extend(r for r in sub.errors if r.warn)
+                c.adopt([r for r in sub.errors if r.warn])
                 continue
             decided |= sel
-            errors.extend(sub.errors)
-            failed |= sel & sub.failed
+            c.adopt(sub.errors)
             # a DECIDED branch failure keeps its processed value (joi
             # returns the branch result as-is) — only try-style no-match
             # leaves value undefined (validator.js:234), so the node
@@ -2117,15 +2142,9 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
                 if len(parts) != 2 or parts[1] != "base":
                     nonbase |= rmask
         single = nomatch & (count == 1)
-        for rec, rmask in per_rec:
-            pm = rmask & single
-            if pm.any():
-                nr = ErrRec(rec.code, pm, rec.path, rec.context, rec.seq, rec.warn, rec.message)
-                errors.append(nr)
-        none_mask = nomatch & (count == 0)
-        if none_mask.any():
-            rec = ErrRec("alternatives.base", none_mask, path, {**_lbl}, 0)
-            errors.append(rec)
+        c.adopt([ErrRec(rec.code, rmask & single, rec.path, rec.context, rec.seq, rec.warn, rec.message)
+                 for rec, rmask in per_rec if (rmask & single).any()])
+        c.add("alternatives.base", nomatch & (count == 0), seq=0)
         types_mask = nomatch & (count > 1) & ~nonbase
         if types_mask.any():
             # joi pushes one type per branch ERROR in order, duplicates
@@ -2142,27 +2161,9 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
                 m = sigs.setdefault(tuple(ts), np.zeros(n, dtype=bool))
                 m[r] = True
             for ts, m in sigs.items():
-                rec = ErrRec("alternatives.types", m, path, {"types": list(ts), **_lbl}, 0)
-                errors.append(rec)
-        match_mask = nomatch & (count > 1) & nonbase
-        if match_mask.any():
-            rec = ErrRec("alternatives.match", match_mask, path, {**_lbl}, 0)
-            errors.append(rec)
-        failed |= nomatch
-    # error() override replaces EVERY error emitted by this node, branch
-    # pass-throughs included (lib/base.js:136-142 via validator finalize;
-    # test/types/alternatives.js:350-361)
-    node_err = node.flags.get("error")
-    err_fn = node.schema.metas.get("error_fn") if node_err is None else None
-    if node_err is not None or err_fn is not None:
-        for rec in errors[_err_start:]:
-            if node_err is not None:
-                rec.message = node_err
-            else:
-                m = err_fn(rec.code, rec.path, dict(rec.context or {}))
-                if isinstance(m, str):
-                    rec.message = m
-    nr = NodeResult(value=value, errors=errors, missing=missing, failed=failed,
+                c.add("alternatives.types", m, {"types": list(ts)}, seq=0)
+        c.add("alternatives.match", nomatch & (count > 1) & nonbase, seq=0)
+    nr = NodeResult(value=value, errors=c.errors, missing=missing, failed=c.failed,
                     strip_rows=strip_hit if strip_hit.any() else None, alt_view=alt_view,
                     shadow=shadow)
     _finalize(nr, node.flags,
@@ -2171,8 +2172,7 @@ def _eval_alternatives(node: CNode, arr, env: Env, path, scope, errors) -> NodeR
               # strip-branch matches (branch finalize returned undefined);
               # invalids fail with the value KEPT, so they're excluded;
               # branch default/failover fills are DEFINED now
-              (missing & ~branch_filled) | (failed & ~defined_failed) | strip_hit | undef_hit,
-              scope, env, _rec_appender(errors, path, _lbl))
+              (missing & ~branch_filled) | (c.failed & ~defined_failed) | strip_hit | undef_hit, c)
     if nr.strip_rows is not None:
         # an errored strip-branch row keeps its value: joi's parent
         # deletes only a clean child (object.js:126-139; node-verified in
@@ -2324,7 +2324,7 @@ def _adopt_items_multi(pairs, base, failed_any, n_items: int):
     return (out if changed else None), None, None
 
 
-def _converted_sparse_items(node, add_err, sub, live, nulls_flat, parents, positions, n, grp,
+def _converted_sparse_items(c, sub, live, nulls_flat, parents, positions, grp,
                             soft=True, shift_recs=None):
     """An item that validated CLEANLY but whose converted value is
     undefined (empty('') conversion) errors array.sparse in a non-sparse
@@ -2332,15 +2332,15 @@ def _converted_sparse_items(node, add_err, sub, live, nulls_flat, parents, posit
     (array.js:286-292, soft=True); the ordered loop DOES abort
     (array.js:201-207, soft=False).  ``shift_recs`` collects the created
     rec for the stripUnknown.arrays post-splice index adjustment."""
-    if node.flags.get("sparse") or sub.value is None or not len(nulls_flat):
+    if c.node.flags.get("sparse") or sub.value is None or not len(nulls_flat):
         return None
     out_null = as_bool_np(pc.is_null(sub.value), len(nulls_flat))
     failed_items = sub.failed if sub.failed is not None else np.zeros(len(nulls_flat), bool)
     became = live & ~nulls_flat & out_null & ~failed_items
     if became.any():
-        rec = add_err(
+        rec = c.add(
             "array.sparse",
-            np.zeros(n, bool),
+            np.zeros(len(c.arr), bool),
             item_rows=parents[became],
             item_index=positions[became].astype(np.int32),
             seq=-1,
@@ -2364,7 +2364,7 @@ def _first_per_row(items: np.ndarray, parents: np.ndarray) -> np.ndarray:
     return first
 
 
-def _fill_missed(add_err, schemas: list, miss: np.ndarray) -> None:
+def _fill_missed(c, schemas: list, miss: np.ndarray) -> None:
     """fillMissedErrors (array.js:674-699): one error per row over the
     required ``schemas`` it missed — labelled ones as knownMisses, the
     rest counted as unknownMisses, Both when a row has each.  ``miss`` is
@@ -2386,11 +2386,10 @@ def _fill_missed(add_err, schemas: list, miss: np.ndarray) -> None:
             code, ctx = "array.includesRequiredUnknowns", {"unknownMisses": unknown}
         mask = np.zeros(len(miss), dtype=bool)
         mask[rows[which.reshape(-1) == k]] = True
-        add_err(code, mask, ctx)
+        c.add(code, mask, ctx)
 
 
-def _required_strip_claims(ic, hit, parents, positions, n, node, add_err,
-                           items_grp, shift_recs):
+def _required_strip_claims(c, ic, hit, parents, positions, items_grp, shift_recs):
     """First clean match PER ROW of a required+strip inclusion is consumed
     by joi's REQUIREDS loop, which has NO strip check (array.js:237-255):
     ``value[i] = res.value`` where a strip schema's $_validate returns
@@ -2403,9 +2402,9 @@ def _required_strip_claims(ic, hit, parents, positions, n, node, add_err,
     if ic.flags.get("presence") != "required" or not hit.any():
         return None, hit
     claim = _first_per_row(hit, parents)
-    if not node.flags.get("sparse"):
-        rec = add_err(
-            "array.sparse", np.zeros(n, bool),
+    if not c.node.flags.get("sparse"):
+        rec = c.add(
+            "array.sparse", np.zeros(len(c.arr), bool),
             item_rows=parents[claim], item_index=positions[claim].astype(np.int32),
             seq=-1, group=items_grp, soft=False)
         if shift_recs is not None and rec is not None:
@@ -2540,7 +2539,10 @@ def _parent_row_getter(columns: dict, results: dict):
     return get
 
 
-def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, failed, add_err) -> pa.Array:
+def _eval_array(c: _Node):
+    """The array items loop (array.js:140-350).  Returns the new column and
+    the blocked cross-type promotion pair (or None)."""
+    node, arr, env, path, scope = c.node, c.arr, c.env, c.path, c.scope
     n = len(arr)
     flat, parents, positions = k_lists.flatten_with_parents(arr)
     # joi's items loop is ITEM-outer (array.js:140+): all errors of the
@@ -2549,7 +2551,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
     _sparse_info = None  # (rec, flat mask) for strip-arrays index shifts
 
     # sparse: null items forbidden unless flag (array.js:454-466).
-    # Item masks are ROW-scoped up front: under a whens branch, add_err
+    # Item masks are ROW-scoped up front: under a whens branch, c.add
     # drops out-of-scope rows from the rec, so any bookkeeping mask paired
     # with a rec (strip-splice index shifts, shift_recs) must agree with
     # the rec's rows or the violations assembly misaligns (fuzz seed
@@ -2571,7 +2573,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                 sparse_mask = nulls_flat & (positions < cutoff[parents])
             sparse_mask = sparse_mask & item_in_scope
             if sparse_mask.any():
-                _sparse_rec = add_err(
+                _sparse_rec = c.add(
                     "array.sparse",
                     np.zeros(n, bool),
                     item_rows=parents[sparse_mask],
@@ -2605,7 +2607,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
             fired = _fired_rows(rec)
             rows = parents[fired]
             # pre-filter by the branch scope so ``fired`` stays aligned
-            # with the rec's post-filter rows (add_err drops out-of-scope
+            # with the rec's post-filter rows (c.add drops out-of-scope
             # rows itself; a whens-branch scope can drop some or all)
             sel = scope[rows]
             vals = rec.values
@@ -2623,9 +2625,9 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
             # nested arrays are not preserved (documented limitation: one
             # item_index per violation row).
             ipos = len(path) if len(rec.path) > len(path) else None
-            nr = add_err(rec.code, np.zeros(n, bool), rec.context, seq=rec.seq, warn=rec.warn,
-                         message=rec.message, item_rows=rows, item_index=idx, path_override=rec.path,
-                         values=vals, group=items_grp, path_ipos=ipos)
+            nr = c.add(rec.code, np.zeros(n, bool), rec.context, seq=rec.seq, warn=rec.warn,
+                       message=rec.message, item_rows=rows, item_index=idx, path_override=rec.path,
+                       values=vals, group=items_grp, path_ipos=ipos)
             if nr is not None:
                 made.append((nr, fired))
         return made
@@ -2692,7 +2694,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
     # sparse check already errored them and `continue`s (array.js:154-164);
     # with sparse() they flow through item validation like any value.
     # Row scope applies to EVERY item-level mask, keeping rec bookkeeping
-    # aligned with add_err's own scope filter (seed 43005514)
+    # aligned with c.add's own scope filter (seed 43005514)
     item_live = (np.ones(n_items, dtype=bool) if node.flags.get("sparse")
                  else ~nulls_flat) & item_in_scope
     if node.items or node.ordered:
@@ -2727,8 +2729,8 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                         slot_failed |= pos_mask & sub.failed
                     matched_any |= pos_mask
                     continue
-                became_o = _converted_sparse_items(node, add_err, sub, pos_mask, nulls_flat,
-                                                   parents, positions, n, items_grp, soft=False,
+                became_o = _converted_sparse_items(c, sub, pos_mask, nulls_flat,
+                                                   parents, positions, items_grp, soft=False,
                                                    shift_recs=shift_recs)
                 # matched slots adopt converted values (array.js:209
                 # value[i] = res.value); merged in ONE pass after the loop
@@ -2769,8 +2771,8 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                 for p in np.unique(ppos):
                     rows_over = np.zeros(n, dtype=bool)
                     rows_over[parents[first][ppos == p]] = True
-                    add_err("array.orderedLength", rows_over,
-                            {"pos": int(p), "limit": len(node.ordered)})
+                    c.add("array.orderedLength", rows_over,
+                          {"pos": int(p), "limit": len(node.ordered)})
                 matched_any |= beyond
         # required inclusions (array.js:233-258 requireds loop) and, per
         # schema, the items that claimed it
@@ -2791,7 +2793,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                                     else np.zeros(len(flat), bool))
                 shift_recs += lift_probe_warns(xsub, forced_abort=True)  # $_match probe
                 if bad.any():
-                    rec_x = add_err(
+                    rec_x = c.add(
                         "array.excludes",
                         np.zeros(n, bool),
                         {},
@@ -2820,8 +2822,8 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                     # clean item strips silently instead of sparse-erroring
                     # (fuzz seed 4001409, node-verified)
                     became2 = None if ic.flags.get("strip") else _converted_sparse_items(
-                        node, add_err, sub, remaining, nulls_flat,
-                        parents, positions, n, items_grp, shift_recs=shift_recs)
+                        c, sub, remaining, nulls_flat,
+                        parents, positions, items_grp, shift_recs=shift_recs)
                     ok = ~sub.failed if sub.failed is not None else np.ones(n_items, bool)
                     hit = remaining & ok
                     # matched items adopt the schema's converted value
@@ -2840,8 +2842,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                         adopted_any |= adopt
                     if ic.flags.get("strip"):
                         claim, splice = _required_strip_claims(
-                            ic, hit, parents, positions, n, node,
-                            add_err, items_grp, shift_recs)
+                            c, ic, hit, parents, positions, items_grp, shift_recs)
                         strip_items |= splice
                         if claim is not None:
                             undef_items |= claim
@@ -2892,14 +2893,13 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                                 # required+strip claim: value[i] = undefined
                                 # (validator.js:414), sparse error, NO splice
                                 claim_u, _sp = _required_strip_claims(
-                                    ric, clj, parents, positions, n,
-                                    node, add_err, items_grp, shift_recs)
+                                    c, ric, clj, parents, positions, items_grp, shift_recs)
                                 if claim_u is not None:
                                     undef_items |= claim_u
                             else:
                                 became_r = _converted_sparse_items(
-                                    node, add_err, sub_r, clj, nulls_flat, parents,
-                                    positions, n, items_grp, shift_recs=shift_recs)
+                                    c, sub_r, clj, nulls_flat, parents,
+                                    positions, items_grp, shift_recs=shift_recs)
                                 adopt_r = clj if became_r is None else clj & ~became_r
                                 if sub_r.value is not None and adopt_r.any():
                                     incl_pairs.append((adopt_r, sub_r.value))
@@ -2932,8 +2932,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                             # removed from the output array; a required
                             # schema's first claim stays as undefined
                             claim, splice = _required_strip_claims(
-                                ic, hit, parents, positions, n, node,
-                                add_err, items_grp, shift_recs)
+                                c, ic, hit, parents, positions, items_grp, shift_recs)
                             strip_items |= splice
                             if claim is not None:
                                 undef_items |= claim
@@ -2943,8 +2942,8 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                         # the original — no adoption (array.js:286-292;
                         # fuzz seed 3000556)
                         became_g = _converted_sparse_items(
-                            node, add_err, isub, hit, nulls_flat, parents,
-                            positions, n, items_grp, shift_recs=shift_recs)
+                            c, isub, hit, nulls_flat, parents,
+                            positions, items_grp, shift_recs=shift_recs)
                         adopt_g = hit if became_g is None else hit & ~became_g
                         if isub.value is not None and adopt_g.any():
                             # matched items adopt the inclusion's CONVERTED
@@ -2979,7 +2978,7 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
                     # (array.js:327-331)
                     strip_items |= remaining
                 elif len(inclusions) > 1 and remaining.any():
-                    add_err(
+                    c.add(
                         "array.includes",
                         np.zeros(n, bool),
                         {},
@@ -2997,12 +2996,12 @@ def _eval_array(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fai
         got = np.zeros((n, len(req_claims)), dtype=bool)
         for j, clj in enumerate(req_claims):
             got[parents[clj], j] = True
-        _fill_missed(add_err, requireds, present[:, None] & ~got)
+        _fill_missed(c, requireds, present[:, None] & ~got)
         req_ord = [(i, oc) for i, oc in enumerate(node.ordered)
                    if oc.flags.get("presence") == "required"]
         if req_ord:
             lengths = pc.list_value_length(arr).fill_null(0).to_numpy(zero_copy_only=False)
-            _fill_missed(add_err, [oc for _, oc in req_ord],
+            _fill_missed(c, [oc for _, oc in req_ord],
                          present[:, None] & (lengths[:, None] <= np.array([i for i, _ in req_ord])))
         if strip_items.any():
             # joi splices stripped items DURING the loop (i--), so any
@@ -3182,7 +3181,11 @@ def _apply_rename_ops(cols: dict, ops: list[tuple]) -> dict:
     return cols
 
 
-def _eval_object(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, failed, errors, add_err) -> pa.Array:
+def _eval_object(c: _Node) -> pa.Array:
+    """The object keys, patterns, unknown keys and dependencies
+    (object.js:68-166); each key's reports become the object's own.
+    Returns the rebuilt struct column."""
+    node, arr, env, path, scope = c.node, c.arr, c.env, c.path, c.scope
     n = len(arr)
     parent_present = ~null_mask(arr)
     # deep default (default() no-arg, test/base.js:1064-1081): a missing
@@ -3203,7 +3206,7 @@ def _eval_object(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fa
         children = _apply_rename_ops(children, ops)
         field_names = list(children)
         for code, ctx in rerrs:
-            add_err(code, scope & parent_present, ctx, seq=-2)
+            c.add(code, scope & parent_present, ctx, seq=-2)
     results: dict[str, NodeResult] = {}
 
     def resolve_sibling(name: str):
@@ -3221,9 +3224,7 @@ def _eval_object(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fa
     def run_child(key, cnode, child_arr, child_scope):
         sub = eval_node(cnode, child_arr, child_env, f"{path}.{key}" if path else key, scope=child_scope)
         results[key] = sub
-        errors.extend(sub.errors)
-        if sub.failed is not None:
-            np.logical_or(failed, sub.failed, out=failed)
+        c.adopt(sub.errors)
 
     for key in node.key_order:
         child_arr = children.get(key)
@@ -3253,7 +3254,7 @@ def _eval_object(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fa
                 continue
             keys_arr = pa.array([pmatched[i]], type=pa.list_(pa.string()))
             if not node_validity(p["matches"], keys_arr, Env(env.prefs), np.ones(1, dtype=bool))[0]:
-                add_err("object.pattern.match", kscope.copy(), {"matches": pmatched[i]}, seq=-1)
+                c.add("object.pattern.match", kscope.copy(), {"matches": pmatched[i]}, seq=-1)
     # unknown-key finalizer (object.js:1043-1076): no keys/patterns terms
     # -> unknown allowed; stripUnknown(.objects) strips UNLESS a local
     # unknown() flag is set; the forbid gate is flags.unknown ?? allowUnknown
@@ -3266,9 +3267,9 @@ def _eval_object(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fa
     if unknown and has_terms and not allow_unknown and not strip_unk:
         for f in unknown:
             # error localizes at the unknown key itself (object.js:1068)
-            add_err("object.unknown", kscope & ~null_mask(children[f]),
-                    {"child": f}, seq=-1,
-                    path_override=f"{path}.{f}" if path else f)
+            c.add("object.unknown", kscope & ~null_mask(children[f]),
+                  {"child": f}, seq=-1,
+                  path_override=f"{path}.{f}" if path else f)
 
     # dependencies over presence masks (object.js:722-873); dep names may
     # be dotted deep paths ('b.c') — resolved by struct-field traversal,
@@ -3286,7 +3287,7 @@ def _eval_object(node: CNode, arr: pa.Array, env: Env, path, scope, resolved, fa
         labels = {f: _dep_label(node, f, sep) for f in names}
         for viol, code, ctx in k_structs.dependency_violations(
                 d["rel"], pm, d["peers"], d.get("key"), labels):
-            add_err(code, viol & kscope, ctx)
+            c.add(code, viol & kscope, ctx)
 
     # rebuild struct with coerced / stripped children; a per-row strip
     # (whens branch) nulls the field only where the branch matched, and a
@@ -3401,10 +3402,11 @@ def _probe_warns(errors: list, abort: bool = True, allow: Optional[np.ndarray] =
                 None if vals is None else [v for v, k in zip(vals, keep) if k])
 
 
-def _eval_structural_rule(node, cr, arr, env, path, scope, missing, resolved, failed, add_err):
+def _eval_structural_rule(c: _Node, cr) -> None:
+    node, arr, env, path = c.node, c.arr, c.env, c.path
     name, args = cr.name, cr.fn[1]
     n = len(arr)
-    active = scope & ~missing & ~resolved
+    active = c.scope & ~c.missing & ~c.resolved
     if node.type == "array" and name == "has":
         schema = args["schema"]
         cnode = CNode(schema if isinstance(schema, Schema) else build(schema), env.prefs)
@@ -3424,19 +3426,19 @@ def _eval_structural_rule(node, cr, arr, env, path, scope, missing, resolved, fa
                 np.minimum.at(first, parents[okm], positions[okm])
             probed = positions <= first[parents]
             for rec, _, kr, vals in _probe_warns(sub.errors, allow=probed):
-                add_err(rec.code, np.zeros(n, bool), rec.context, seq=rec.seq,
-                        warn=True, message=rec.message, item_rows=parents[kr],
-                        item_index=positions[kr].astype(np.int32),
-                        path_override=rec.path, values=vals,
-                        path_ipos=len(path) if len(rec.path) > len(path) else None)
+                c.add(rec.code, np.zeros(n, bool), rec.context, seq=rec.seq,
+                      warn=True, message=rec.message, item_rows=parents[kr],
+                      item_index=positions[kr].astype(np.int32),
+                      path_override=rec.path, values=vals,
+                      path_ipos=len(path) if len(rec.path) > len(path) else None)
         # a LABELED has-schema errors array.hasKnown with the patternLabel
         # (array.js:109-114)
         plabel = cnode.flags.get("label")
         if plabel:
-            add_err("array.hasKnown", active & ~ok_rows, {"patternLabel": plabel},
-                    seq=cr.seq, warn=cr.warn, message=cr.message)
+            c.add("array.hasKnown", active & ~ok_rows, {"patternLabel": plabel},
+                  seq=cr.seq, warn=cr.warn, message=cr.message)
         else:
-            add_err("array.hasUnknown", active & ~ok_rows, {}, seq=cr.seq, warn=cr.warn, message=cr.message)
+            c.add("array.hasUnknown", active & ~ok_rows, {}, seq=cr.seq, warn=cr.warn, message=cr.message)
         return
     if node.type == "object":
         if name in ("min", "max", "length"):
@@ -3445,7 +3447,7 @@ def _eval_structural_rule(node, cr, arr, env, path, scope, missing, resolved, fa
             counts = k_structs.key_count(presence, n)
             limit = args["limit"]
             opmap = {"min": counts >= limit, "max": counts <= limit, "length": counts == limit}
-            add_err(f"object.{name}", active & ~opmap[name], {"limit": limit}, seq=cr.seq, warn=cr.warn, message=cr.message)
+            c.add(f"object.{name}", active & ~opmap[name], {"limit": limit}, seq=cr.seq, warn=cr.warn, message=cr.message)
             return
         if name == "assert":
             r = args["ref"]
@@ -3491,11 +3493,11 @@ def _eval_structural_rule(node, cr, arr, env, path, scope, missing, resolved, fa
                 for rec, _, rows, vals in _probe_warns(asub.errors):
                     wmask = np.zeros(n, dtype=bool)
                     wmask[rows] = True
-                    add_err(rec.code, wmask, rec.context, seq=rec.seq, warn=True,
-                            message=rec.message, path_override=rec.path, values=vals)
-            add_err("object.assert", active & ~ok,
-                    {"ref": r.path, "message": args.get("message") or "pass the assertion test"},
-                    seq=cr.seq, warn=cr.warn, message=cr.message)
+                    c.add(rec.code, wmask, rec.context, seq=rec.seq, warn=True,
+                          message=rec.message, path_override=rec.path, values=vals)
+            c.add("object.assert", active & ~ok,
+                  {"ref": r.path, "message": args.get("message") or "pass the assertion test"},
+                  seq=cr.seq, warn=cr.warn, message=cr.message)
             return
     raise ValueError(f"unhandled structural rule {node.type}.{name}")
 

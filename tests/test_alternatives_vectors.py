@@ -165,3 +165,13 @@ def test_error_override_top_level():
     t = pa.table({"x": pa.array([True], type=pa.bool_())})
     res = run(obj({"x": s}), t)
     assert msg(res, 0) == ["failed!"]
+
+
+def test_schema_local_messages_reach_alternatives_reports():
+    # validator.js:116-118 — the node's merged prefs make its reports, so
+    # schema-local messages reach the union error and the presence error
+    s = (jr.alternatives(jr.number(), jr.boolean()).required()
+         .preferences(messages={"alternatives.types": "ALT!", "any.required": "REQ!"}))
+    res = run(obj({"x": s}), pa.table({"x": pa.array(["a", None])}))
+    assert msg(res, 0) == ["ALT!"]
+    assert msg(res, 1) == ["REQ!"]

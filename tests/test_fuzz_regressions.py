@@ -2053,7 +2053,7 @@ def test_raw_branch_reverts_default_fill_for_wrapper_default():
 
 
 def test_branch_scoped_array_sparse_rec_stays_aligned():
-    # fuzz seed 43005514: under a whens branch scope, add_err drops
+    # fuzz seed 43005514: under a whens branch scope, _Node.add drops
     # out-of-scope rows from the violation rec — every item-level
     # bookkeeping mask (sparse strip-splice shifts, shift_recs) must be
     # row-scoped the same way or the violations assembly misaligns

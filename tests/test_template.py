@@ -165,6 +165,89 @@ def test_error_rejects_other_types():
         jr.number().error(42)
 
 
+def _reports(schema: dict, tbl: pa.Table) -> list:
+    res = compile_schema(obj(schema), prefs={"abort_early": False}).validate_table(tbl)
+    return [(v["row"], v["code"], v["message"]) for v in res.violations.to_pylist()]
+
+
+def _thrower(*_):
+    raise ValueError("boom")
+
+
+def test_schema_local_messages_reach_wrapper_reports():
+    # validator.js:116-118 — a when() wrapper's own reports (its any.only
+    # and its thrown post-when default) use the node's merged prefs too
+    only = (jr.number().when("y", is_=1, then=jr.number().min(1)).valid(7).only()
+            .preferences(messages={"any.only": "ONLY!"}))
+    got = _reports({"x": only, "y": jr.any_()},
+                   pa.table({"x": pa.array(["a", None]), "y": [1, 1]}))
+    assert [m for _, code, m in got if code == "any.only"] == ["ONLY!", "ONLY!"]
+    dflt = (jr.number().when("y", is_=1, then=jr.number().min(1)).default(_thrower)
+            .preferences(messages={"any.default": "DEF!"}))
+    got = _reports({"x": dflt, "y": jr.any_()},
+                   pa.table({"x": pa.array([None, 5.0]), "y": [1, 1]}))
+    assert got == [(0, "any.default", "DEF!")]
+
+
+def test_wrapper_error_covers_its_own_reports():
+    # validator.js:368-380 — the wrapper's error() replaces its own any.only
+    # as the branch's replaces the branch's number.base
+    s = jr.number().when("y", is_=1, then=jr.number().min(1)).valid(7).only().error("E!")
+    got = _reports({"x": s, "y": jr.any_()},
+                   pa.table({"x": pa.array(["a", None]), "y": [1, 1]}))
+    assert got == [(0, "any.only", "E!"), (0, "number.base", "E!"), (1, "any.only", "E!")]
+
+
+def test_object_error_covers_key_reports():
+    # an object's error() covers its keys' reports, as an array's covers
+    # its items' (finalize overrides every error the node returns)
+    s = jr.object({"a": jr.number().min(10)}).error("OBJ!")
+    got = _reports({"x": s}, pa.table({"x": pa.array([{"a": 5.0}, {"a": 50.0}])}))
+    assert got == [(0, "number.min", "OBJ!")]
+
+
+def test_root_error_covers_whole_table():
+    root = obj({"a": jr.number().min(10), "b": jr.string()}).error("ROOT!")
+    res = compile_schema(root, prefs={"abort_early": False}).validate_table(
+        pa.table({"a": [5.0, 50.0], "b": ["x", None]}))
+    assert [(v["row"], v["message"]) for v in res.violations.to_pylist()] == [(0, "ROOT!")]
+
+
+def test_array_error_covers_item_reports():
+    s = jr.array().items(jr.number().min(10)).error("ARR!")
+    got = _reports({"x": s}, pa.table({"x": pa.array([[5.0], [50.0]])}))
+    assert got == [(0, "number.min", "ARR!")]
+
+
+_KINDS = {
+    "plain": lambda: jr.number().min(10),
+    "alternatives": lambda: jr.alternatives(jr.number().min(10)),
+    "wrapper": lambda: jr.number().when("y", is_=1, then=jr.number().min(10)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_error_covers_thrown_failover(kind):
+    # joi pushes any.failover before the error() override
+    # (validator.js:359-364, 368-380)
+    s = _KINDS[kind]().failover(_thrower).error("E!")
+    got = _reports({"x": s, "y": jr.any_()},
+                   pa.table({"x": pa.array([None, 5.0]), "y": [1, 1]}))
+    assert (1, "any.failover", "E!") in got
+    assert all(m == "E!" for _, _, m in got)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_thrown_default_keeps_its_message(kind):
+    # joi pushes the node's own any.default after the error() override
+    # (validator.js:368-380, 385)
+    s = _KINDS[kind]().default(_thrower).error("E!")
+    got = _reports({"x": s, "y": jr.any_()},
+                   pa.table({"x": pa.array([None, 5.0]), "y": [1, 1]}))
+    assert (0, "any.default", '"x" threw an error when running default method') in got
+    assert [m for _, code, m in got if code != "any.default"] == ["E!"]
+
+
 def test_expression_factory_parity():
     """Joi.expression / Joi.x parity (lib/index.js:123,71): compile a
     template once, cached."""

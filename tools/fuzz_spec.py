@@ -1007,7 +1007,7 @@ def gen_case(seed: int):
             sibling_nums.append(n)
     # occasional empty/single-row tables: Ray partitions hand the engine
     # 0-row blocks at scale — every kernel must survive them.
-    # FUZZ_ROWS=120 stresses the large-batch paths (scoped_eval take-path
+    # FUZZ_ROWS=120 stresses the large-batch paths (active-row subset
     # thresholds, chunked columns) at the cost of slower node replays
     _fr = os.environ.get("FUZZ_ROWS", "").strip()
     if _fr:
