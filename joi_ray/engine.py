@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Any, Optional
 
 import numpy as np
@@ -711,7 +712,7 @@ def _fill_source(arr, mask, src, clean, env: Env, record, code: str):
                 # finalize pushes AFTER the abort point (validator.js:
                 # 359-364, 385) — rides along under abortEarly
                 rec.post_abort = True
-        groups.append((mask & ~thrown, [v for v, t in zip(vals, threw) if not t]))
+        groups.append((mask & ~thrown, _keep_values(vals, ~threw)))
     else:
         s = _scalar_for(src, arr.type)
         if s is not None and _rt_eq(src, s.as_py()):
@@ -1056,8 +1057,7 @@ class _Node:
             # both DISPLAY as index 0 post-splice)
             rec.fire_items = np.asarray(item_index).copy()
             rec.ipos = path_ipos
-            if values is not None:
-                rec.values = [v for v, k in zip(values, keep) if k]
+            rec.values = _keep_values(values, keep)
             rec.order, rec.soft = group, soft
             self.errors.append(rec)
             if not warn:
@@ -1069,9 +1069,8 @@ class _Node:
             # node value for the fired rows only (joi renders the value at
             # error-creation time)
             try:
-                col = combine(self.arr)
-                values = [col[int(i)].as_py() for i in np.nonzero(mask)[0]]
-            except Exception:
+                values = combine(self.arr).take(pa.array(np.nonzero(mask)[0]))
+            except pa.ArrowException:
                 values = None
         rec = ErrRec(code, mask, p, ctx or {}, seq, warn, message)
         rec.values = values
@@ -1479,8 +1478,7 @@ def _rules_stage(c: _Node) -> None:
             if rvals is not None and not np.array_equal(fired0, rmask):
                 # values were aligned with the producer's fired set —
                 # refilter to the active subset
-                keepm = rmask[np.nonzero(fired0)[0]]
-                rvals = [v for v, k in zip(rvals, keepm) if k]
+                rvals = _keep_values(rvals, rmask[np.nonzero(fired0)[0]])
             c.add("any.ref", rmask, rctx, seq=cr.seq, warn=cr.warn,
                   message=cr.message, values=rvals)
             bad = bad & ~rmask
@@ -1492,7 +1490,7 @@ def _rules_stage(c: _Node) -> None:
             continue
         vals = None
         if cr.code in k_messages.VALUE_CODES and bad.any():
-            vals = c.arr.take(pa.array(np.nonzero(bad)[0])).to_pylist()
+            vals = c.arr.take(pa.array(np.nonzero(bad)[0]))
         c.add(cr.code, bad, out.context, seq=cr.seq, warn=cr.warn, message=cr.message, values=vals)
 
 
@@ -2425,8 +2423,17 @@ def _keep_fired(rec: ErrRec, keep: np.ndarray) -> None:
             rec.item_index = rec.item_index[keep]
         if rec.fire_items is not None:
             rec.fire_items = rec.fire_items[keep]
-    if rec.values is not None:
-        rec.values = [v for v, k in zip(rec.values, keep) if k]
+    rec.values = _keep_values(rec.values, keep)
+
+
+def _keep_values(vals, keep: np.ndarray):
+    """The ``keep`` entries of a rec's per-row values (``ErrRec.values``:
+    an Arrow array, or a list of ref cells); None stays None."""
+    if vals is None:
+        return None
+    if isinstance(vals, (pa.Array, pa.ChunkedArray)):
+        return vals.filter(pa.array(keep))
+    return list(compress(vals, keep))
 
 
 def _fired_rows(rec: ErrRec) -> np.ndarray:
@@ -2613,8 +2620,7 @@ def _eval_array(c: _Node):
             vals = rec.values
             if not sel.all():
                 fired, rows = fired[sel], rows[sel]
-                if vals is not None:
-                    vals = [v for v, k in zip(vals, sel) if k]
+                vals = _keep_values(vals, sel)
             idx = positions[fired].astype(np.int32)
             if len(rows) == 0:
                 continue
@@ -3397,9 +3403,7 @@ def _probe_warns(errors: list, abort: bool = True, allow: Optional[np.ndarray] =
         if allow is not None:
             keep &= allow[rows]
         if keep.any():
-            vals = rec.values
-            yield rec, keep, rows[keep], (
-                None if vals is None else [v for v, k in zip(vals, keep) if k])
+            yield rec, keep, rows[keep], _keep_values(rec.values, keep)
 
 
 def _eval_structural_rule(c: _Node, cr) -> None:
@@ -3666,7 +3670,8 @@ class CompiledSchema:
         rows_l, item_l = [], []
         counts: list[int] = []
         path_r, code_r, ctx_r, warn_r, seq_r = [], [], [], [], []
-        msg_r: list = []  # str (constant per rec) or list (per row)
+        msg_r: list = []  # str (constant per rec) or a string array (per row)
+        _, wrap, datefmt = k_messages.err_opts(self.prefs)
         for rec, keep in zip(errors, cut):
             if keep is not None and not keep.all():
                 rec = replace(rec)
@@ -3688,46 +3693,21 @@ class CompiledSchema:
             # item index ("b[0]", errors.js:87-107) unless a label flag
             # overrides it; item errors therefore need one render per
             # distinct index (bounded by max list length, not row count).
-            if rec.values is not None:
-                # the message embeds the offending value ({[.]},
-                # string/index.js:760-763): render the TEMPLATE once per
-                # distinct item label (leaving {value} in place), then one
-                # str.replace per fired row — bounded by the violation
-                # count and free of the template machinery per row
-                base_cache: dict[int, str] = {}
-
-                def _base_for(it: int) -> str:
-                    b = base_cache.get(it)
-                    if b is None:
-                        b = render(
-                            rec.code,
-                            _item_label_path(rec.path, it, rec.ipos),
-                            rec.context,
-                            override,
-                            prefs=self.prefs,
-                        )
-                        base_cache[it] = b
-                    return b
-
-                msg_r.append([
-                    # a None value is JS undefined (e.g. an unbound ref
-                    # resolution): the {[.]} part DROPS, not 'null'
-                    _base_for(int(it)).replace(
-                        "{value}", "" if v is None else k_messages.stringify(v, self.prefs))
-                    for it, v in zip(items, rec.values)
-                ])
-            elif "label" not in (rec.context or {}) and (items >= 0).any():
-                by_item = {
-                    int(it): render(
-                        rec.code,
-                        _item_label_path(rec.path, int(it), rec.ipos),
-                        rec.context,
-                        override,
-                        prefs=self.prefs,
-                    )
-                    for it in np.unique(items)
-                }
-                msg_r.append([by_item[int(it)] for it in items])
+            # A message that embeds the offending value ({[.]},
+            # string/index.js:760-763) renders its TEMPLATE per distinct
+            # item too, leaving {value} in place for _value_messages.
+            if rec.values is not None or ("label" not in (rec.context or {}) and (items >= 0).any()):
+                uniq, inv = np.unique(items, return_inverse=True)
+                bases = [
+                    render(rec.code, _item_label_path(rec.path, int(it), rec.ipos),
+                           rec.context, override, prefs=self.prefs)
+                    for it in uniq
+                ]
+                if rec.values is not None:
+                    msg_r.append(_value_messages(bases, inv, rec.values, wrap, datefmt))
+                else:
+                    msg_r.append(bases[0] if len(bases) == 1
+                                 else pa.array(bases, pa.string()).take(pa.array(inv)))
             else:
                 msg_r.append(render(rec.code, rec.path, rec.context, override, prefs=self.prefs))
             counts.append(k)
@@ -3749,13 +3729,13 @@ class CompiledSchema:
         # numerics) — no per-rec Python list building
         reps = np.asarray(counts, dtype=np.int64)
         ridx = pa.array(np.repeat(np.arange(len(counts), dtype=np.int64), reps))
-        total = int(reps.sum())
-        msgs = np.empty(total, dtype=object)
-        pos = 0
-        for k, m in zip(counts, msg_r):
-            # a str broadcasts over the rec's rows, a list fills them element-wise
-            msgs[pos:pos + k] = m
-            pos += k
+        if all(isinstance(m, str) for m in msg_r):
+            msgs = pa.array(msg_r, pa.string()).take(ridx)
+        else:
+            # a str broadcasts over its rec's rows, an array fills them
+            msgs = pa.concat_arrays([
+                pa.repeat(pa.scalar(m, pa.string()), k) if isinstance(m, str) else m
+                for k, m in zip(counts, msg_r)])
         sev_pair = pa.array(["error", "warn"])
         t = pa.table(
             {
@@ -3764,7 +3744,7 @@ class CompiledSchema:
                 "path": pa.array(path_r, type=pa.string()).take(ridx),
                 "item_index": pa.array(items_all, type=pa.int32()),
                 "code": pa.array(code_r, type=pa.string()).take(ridx),
-                "message": pa.array(msgs, type=pa.string()),
+                "message": msgs,
                 "context": pa.array(ctx_r, type=pa.string()).take(ridx),
                 "severity": sev_pair.take(pa.array(np.repeat(
                     np.asarray(warn_r, dtype=np.int64), reps))),
@@ -3774,6 +3754,29 @@ class CompiledSchema:
         # deterministic order (FIXTURES.md determinism rules): (row, path, seq, item)
         t = t.sort_by([("row", "ascending"), ("path", "ascending"), ("_seq", "ascending"), ("item_index", "ascending")])
         return t.drop_columns(["_seq"])
+
+
+def _value_messages(bases: list[str], inv: np.ndarray, vals, wrap: bool, datefmt: str) -> pa.Array:
+    """Each fired row's message: its item's base render (``bases[inv]``)
+    with every ``{value}`` replaced by the row's value.  A None value is JS
+    undefined (e.g. an unbound ref resolution): the {[.]} part DROPS, not
+    'null'.  A string array renders in one kernel call, as
+    ``base.replace(t, v) == v.join(base.split(t))`` and a string
+    stringifies to itself; other values stringify row by row."""
+    splits = [b.split("{value}") for b in bases]
+    if (isinstance(vals, pa.Array) and pa.types.is_string(vals.type)
+            and len({len(parts) for parts in splits}) == 1):
+        if len(bases) == 1:
+            cols = splits[0]  # str parts broadcast over the rows
+        else:
+            idx = pa.array(inv)
+            cols = [pa.array(list(col), pa.string()).take(idx) for col in zip(*splits)]
+        return pc.binary_join_element_wise(*cols, pc.fill_null(vals, ""))
+    if not isinstance(vals, list):
+        vals = vals.to_pylist()
+    return pa.array([
+        bases[i].replace("{value}", "" if v is None else k_messages._stringify(v, wrap, datefmt))
+        for i, v in zip(inv, vals)], pa.string())
 
 
 def compile_schema(schema: Schema | dict, prefs: dict | None = None, id_column: str | None = None) -> CompiledSchema:

@@ -13,7 +13,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 import pyarrow as pa
@@ -77,8 +77,9 @@ class ErrRec:
     item_index: Optional[np.ndarray] = None  # aligned with mask.nonzero()
     #: per-fired-row values, aligned with rows/mask.nonzero() order, for the
     #: few messages that embed the offending value ({[.]} in joi templates,
-    #: e.g. string.pattern.* — string/index.js:760-763)
-    values: Optional[list] = None
+    #: e.g. string.pattern.* — string/index.js:760-763): an Arrow array of
+    #: the node's values or, for ref cells (any.ref), a list
+    values: Optional[Union[pa.Array, list]] = None
     #: abortEarly ordering group (opaque identity): recs sharing a group
     #: take the group's FIRST emission index and interleave by item index —
     #: joi's item-outer array loop

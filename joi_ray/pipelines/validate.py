@@ -82,6 +82,25 @@ def _meta_row(path: str, code: str, context: str) -> dict:
     }
 
 
+# the strings json.dumps writes through unchanged: printable ASCII without
+# a quote or a backslash (its ESCAPE_ASCII pattern is [\\"]|[^\ -~])
+_JSON_PLAIN = r"^[ !#-\[\]-~]*$"
+
+
+def _value_contexts(vals: pa.Array) -> pa.Array:
+    """``json.dumps({"value": v})`` of every non-null value: one string
+    kernel over the values json.dumps leaves as they are, json.dumps for
+    the rest and for a non-string column."""
+    if not pa.types.is_string(vals.type):
+        return pa.array([json.dumps({"value": v}) for v in vals.to_pylist()], pa.string())
+    ctx = pc.binary_join_element_wise('{"value": "', vals, '"}', "")
+    odd = pc.invert(pc.match_substring_regex(vals, _JSON_PLAIN))
+    if not pc.any(odd).as_py():
+        return ctx
+    slow = [json.dumps({"value": v}) for v in vals.filter(odd).to_pylist()]
+    return pc.replace_with_mask(ctx, odd, pa.array(slow, pa.string()))
+
+
 class ValidatorStage:
     """Actor-pool stage: compiled schema + broadcast catalog held per actor
     (setup once in ``__init__`` — the analog of joi precompiling regexes at
@@ -152,18 +171,20 @@ class ValidatorStage:
         if not pa.types.is_string(ids.type):
             ids = pc.cast(ids, pa.string())
         k = int(missing.sum())
-        bad_refs = flat.filter(pa.array(missing))
-        ctx = pa.array([json.dumps({"value": v}) for v in bad_refs.to_pylist()], pa.string())
+
+        def const(s: str) -> pa.Array:
+            return pa.repeat(pa.scalar(s, pa.string()), k)
+
         return pa.table(
             {
                 "doc_id": ids.take(pa.array(rows)),
                 "row": pa.array(rows.astype(np.int64)),
-                "path": pa.array([self.ref_path] * k),
+                "path": const(self.ref_path),
                 "item_index": pa.array(positions[missing]),
-                "code": pa.array(["referential.missing"] * k),
-                "message": pa.array([f'"{self.ref_path}" references an asset missing from the catalog'] * k),
-                "context": ctx,
-                "severity": pa.array(["error"] * k),
+                "code": const("referential.missing"),
+                "message": const(f'"{self.ref_path}" references an asset missing from the catalog'),
+                "context": _value_contexts(flat.filter(pa.array(missing))),
+                "severity": const("error"),
             },
             schema=VIOLATION_SCHEMA,
         )

@@ -196,3 +196,34 @@ def test_pipeline_warnings_channel(ray_session, shard_files, tmp_path):
     assert rep.warnings.get("array.min", 0) > 0
     assert "array.min" not in rep.codes  # warn-only never counts as failure
     assert rep.failed == 0
+
+
+@pytest.mark.parametrize("refs, catalog", [
+    # the strings json.dumps escapes (quote, backslash, non-ASCII, control
+    # characters, DEL, a 4-byte emoji) beside ones it writes through
+    (["ok", '"', "\\", "é", "\x01", "\x7f", "\U0001F600", "", "plain ~!#[]", 'a"b\\c'], ["ok"]),
+    ([7, -3, 2**40, 0], [7]),
+])
+def test_referential_context_matches_json_dumps(refs, catalog):
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    import joi_ray as jr
+    from joi_ray.pipelines.validate import ValidatorStage
+
+    tbl = pa.table({
+        "doc_id": [f"d{i}" for i in range(len(refs))],
+        "spans": [[{"media_ref": r}] for r in refs],
+    })
+    schema = jr.object({"doc_id": jr.string(), "spans": jr.array()})
+    stage = ValidatorStage(schema.to_json(), {"abort_early": False}, "doc_id",
+                           ref_path="spans.media_ref")
+    stage.catalog = pa.array(catalog)
+    out = stage(tbl)
+    got = out.filter(pc.equal(out["code"], "referential.missing"))
+    misses = [r for r in refs if r not in catalog]
+    assert got["context"].to_pylist() == [json.dumps({"value": r}) for r in misses]
+    assert got["doc_id"].to_pylist() == [f"d{refs.index(r)}" for r in misses]
+    assert set(got["severity"].to_pylist()) == {"error"}
+    assert set(got["message"].to_pylist()) == {
+        '"spans.media_ref" references an asset missing from the catalog'}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 import joi_ray as jr
+from joi_ray.kernels.messages import stringify
 
 
 def _msgs(schema, tbl, prefs):
@@ -137,3 +138,49 @@ def test_ruleset_asserts_match_reference():
     s = jr.object({"x": jr.string().ruleset.min(2).max(3).message("boom")})
     t = pa.table({"x": ["a", "aaaa"]})
     assert _msgs(s, t, {}) == ["boom", "boom"]
+
+
+def _value_msgs(schema, tbl, prefs=None):
+    res = jr.compile_schema(schema, prefs={"abort_early": False, **(prefs or {})}).validate_table(tbl)
+    return list(zip(res.violations["item_index"].to_pylist(), res.violations["message"].to_pylist()))
+
+
+# the per-row reference for a value-embedding message: the base render with
+# every {value} replaced by the stringified row value
+def _pattern_ref(label, v):
+    return f'"{label}" with value "{{value}}" fails to match the required pattern: /^a/'.replace(
+        "{value}", stringify(v))
+
+
+def test_value_messages_match_per_row_stringify():
+    vals = ['b"q', "x\\y", "é€\U0001F600", "{value}", "{value}{value}", " ", "a"]
+    s = jr.object({"x": jr.string().pattern(r"^a")})
+    got = _value_msgs(s, pa.table({"x": vals}))
+    assert got == [(-1, _pattern_ref("x", v)) for v in vals if not v.startswith("a")]
+
+
+def test_value_messages_label_with_value_token():
+    # every {value} of the base render takes the row's value, the label's
+    # too: the engine's output today (joi may keep the label's text as is)
+    vals = ['q"', "zz"]
+    s = jr.object({"x": jr.string().pattern(r"^a").label("L{value}")})
+    got = _value_msgs(s, pa.table({"x": vals}))
+    assert got == [(-1, _pattern_ref("L{value}", v).replace("{value}", v)) for v in vals]
+
+
+def test_value_messages_per_item_label():
+    rows = [["b", "a", "c"], ["x"], [], ["a", "a", 'q{value}"', "é"]]
+    s = jr.object({"x": jr.array().items(jr.string().pattern(r"^a"))})
+    got = _value_msgs(s, pa.table({"x": rows}))
+    assert got == [(i, _pattern_ref(f"x[{i}]", v))
+                   for row in rows for i, v in enumerate(row) if not v.startswith("a")]
+
+
+def test_value_messages_non_string_fallback():
+    # a prefs-level {[.]} template on a rule that carries no value renders
+    # the node's numbers through stringify, row by row
+    s = jr.object({"x": jr.number().min(10)})
+    prefs = {"messages": {"number.min": "bad {[.]}"}}
+    got = _value_msgs(s, pa.table({"x": [5.0, 2.5, 11.0]}), prefs)
+    assert got == [(-1, "bad 5"), (-1, "bad 2.5")]
+    assert [m for _, m in got] == [f"bad {stringify(v)}" for v in (5.0, 2.5)]

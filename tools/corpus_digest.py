@@ -7,6 +7,11 @@ Arrow IPC stream bytes of that part:
 - the 4 clean and 4 corrupted 8,192-doc flagship batches of
   ``valbench/inputs.py`` (seed 1), validated against the flagship document
   schema with ``abort_early`` off and ``doc_id`` as the id column;
+- the same 8 batches through ``ValidatorStage`` as valbench's flagship
+  workloads build it (referential check of ``spans.media_ref`` against
+  ``asset_catalog()``, the ``DEFAULT_STATS`` sketches), digesting its
+  output without the ``meta`` rows (``stage_clean/{i}``,
+  ``stage_dirty/{i}``): the referential rows are checked here only;
 - ``tools/fuzz_spec.gen_case`` seeds 0-1999, built, compiled and validated
   with the case's own prefs (``gen_case/{seed}``), and once more with
   ``{"abortEarly": False, **prefs}`` (``gen_case_na/{seed}``), the prefs
@@ -41,6 +46,7 @@ for _k in ("FUZZ_KINDS", "FUZZ_STRIP_P", "FUZZ_ROWS", "FUZZ_PREFS", "FUZZ_MANIFE
 
 import numpy as np  # noqa: E402
 import pyarrow as pa  # noqa: E402
+import pyarrow.compute as pc  # noqa: E402
 
 import joi_ray as jr  # noqa: E402
 from diffref import build_spec_py, prefs_to_py  # noqa: E402
@@ -71,15 +77,33 @@ def _run(fn) -> dict:
         return {"raised": f"{type(e).__name__}: {e}"}
 
 
+def _stage_digest(stage, batch: pa.Table) -> dict:
+    out = stage(batch)
+    return {"violations": _ipc_digest(out.filter(pc.not_equal(out["severity"], "meta")))}
+
+
 def corpus() -> dict:
-    from joi_ray.pipelines.docs import document_schema
+    from joi_ray.pipelines.docs import DEFAULT_STATS, document_schema
+    from joi_ray.pipelines.validate import ValidatorStage
+    from joi_ray.sources.interleaved import asset_catalog
 
     out = {}
     compiled = jr.compile_schema(document_schema(), prefs={"abort_early": False}, id_column="doc_id")
+    stage = ValidatorStage(
+        document_schema().to_json(), {"abort_early": False}, "doc_id",
+        ref_path="spans.media_ref",
+        stats_numeric=DEFAULT_STATS["numeric"],
+        stats_categorical=DEFAULT_STATS["categorical"],
+        stats_id=DEFAULT_STATS["id"],
+    )
+    # what __init__ does with the broadcast catalog, without starting Ray
+    stage.catalog = asset_catalog()["media_ref"].combine_chunks()
     batches, _ = inputs.flagship_batches(FLAGSHIP_SEED)
     for i, b in enumerate(batches):
         out[f"flagship_clean/{i}"] = _run(lambda b=b: compiled.validate_table(b))
         out[f"flagship_dirty/{i}"] = _run(lambda b=b: compiled.validate_table(inputs.corrupt(b)))
+        out[f"stage_clean/{i}"] = _stage_digest(stage, b)
+        out[f"stage_dirty/{i}"] = _stage_digest(stage, inputs.corrupt(b))
     for s in GEN_SEEDS:
         spec, tbl, prefs = gen_case(s)
 
