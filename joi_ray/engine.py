@@ -12,6 +12,14 @@ order: ``_coerce_stage`` → ``_empty_stage`` → ``_presence_stage`` →
 wrappers run ``_eval_whens`` and alternatives ``_eval_alternatives``
 instead.  ``_Node.add`` and ``_Node.adopt`` are the only report paths.
 
+``_eval_array`` is joi's one items loop (array.js:140-350), split the same
+way into stage functions of one ``_Items`` context (flat items, parents,
+positions, the live/matched/strip/undef masks, the child env):
+``_items_sparse`` → ``_items_ordered`` → ``_items_exclusions`` →
+``_items_requireds`` → ``_items_inclusions`` → ``_items_missed`` →
+``_items_splice`` → ``_items_finish``.  ``_Items.report`` is the loop's
+one item-report path and ``_Items.adopt`` its one adoption path.
+
 Compilation happens once (driver, or per validator actor in ``__init__``);
 ``validate_table`` then runs per batch with no Python-per-row work.
 """
@@ -251,6 +259,9 @@ class CNode:
         # at compile, as the reference refuses it at schema build
         self.key_order: list[str] = _topo_keys(self.keys)
         self.items: list[CNode] = [CNode(v, prefs) for v in t.get("items", [])]
+        # forbidden item schemas are EXCLUSIONS, matched sans the flag (array.js:145-153)
+        self.inclusions = [ic for ic in self.items if ic.flags.get("presence") != "forbidden"]
+        self.exclusions = [CNode(ic.schema.optional(), prefs) for ic in self.items if ic not in self.inclusions]
         self.ordered: list[CNode] = [CNode(v, prefs) for v in t.get("ordered", [])]
         # matches: plain try-branches ({"schema": CNode}) or conditional
         # entries from alternatives.when (lib/types/alternatives.js:36-57)
@@ -2322,35 +2333,6 @@ def _adopt_items_multi(pairs, base, failed_any, n_items: int):
     return (out if changed else None), None, None
 
 
-def _converted_sparse_items(c, sub, live, nulls_flat, parents, positions, grp,
-                            soft=True, shift_recs=None):
-    """An item that validated CLEANLY but whose converted value is
-    undefined (empty('') conversion) errors array.sparse in a non-sparse
-    array.  joi's INCLUSIONS loop records it WITHOUT aborting early
-    (array.js:286-292, soft=True); the ordered loop DOES abort
-    (array.js:201-207, soft=False).  ``shift_recs`` collects the created
-    rec for the stripUnknown.arrays post-splice index adjustment."""
-    if c.node.flags.get("sparse") or sub.value is None or not len(nulls_flat):
-        return None
-    out_null = as_bool_np(pc.is_null(sub.value), len(nulls_flat))
-    failed_items = sub.failed if sub.failed is not None else np.zeros(len(nulls_flat), bool)
-    became = live & ~nulls_flat & out_null & ~failed_items
-    if became.any():
-        rec = c.add(
-            "array.sparse",
-            np.zeros(len(c.arr), bool),
-            item_rows=parents[became],
-            item_index=positions[became].astype(np.int32),
-            seq=-1,
-            group=grp,
-            soft=soft,
-        )
-        if shift_recs is not None and rec is not None:
-            shift_recs.append((rec, np.nonzero(became)[0]))
-        return became
-    return None
-
-
 def _first_per_row(items: np.ndarray, parents: np.ndarray) -> np.ndarray:
     """Mask of the first ``items`` entry of each row (flat items run row
     by row, in position order)."""
@@ -2385,29 +2367,6 @@ def _fill_missed(c, schemas: list, miss: np.ndarray) -> None:
         mask = np.zeros(len(miss), dtype=bool)
         mask[rows[which.reshape(-1) == k]] = True
         c.add(code, mask, ctx)
-
-
-def _required_strip_claims(c, ic, hit, parents, positions, items_grp, shift_recs):
-    """First clean match PER ROW of a required+strip inclusion is consumed
-    by joi's REQUIREDS loop, which has NO strip check (array.js:237-255):
-    ``value[i] = res.value`` where a strip schema's $_validate returns
-    undefined (validator.js:414-415) — so the item becomes undefined
-    WITHOUT a splice, and a non-sparse array records array.sparse at the
-    current index (aborting under abortEarly).  Only LATER matches of the
-    same schema reach the inclusions loop's strip fastSplice
-    (array.js:278-283).  Fuzz seed 4000136, node-verified.  Returns
-    (claim_mask | None, splice_mask)."""
-    if ic.flags.get("presence") != "required" or not hit.any():
-        return None, hit
-    claim = _first_per_row(hit, parents)
-    if not c.node.flags.get("sparse"):
-        rec = c.add(
-            "array.sparse", np.zeros(len(c.arr), bool),
-            item_rows=parents[claim], item_index=positions[claim].astype(np.int32),
-            seq=-1, group=items_grp, soft=False)
-        if shift_recs is not None and rec is not None:
-            shift_recs.append((rec, np.nonzero(claim)[0]))
-    return claim, hit & ~claim
 
 
 def _keep_fired(rec: ErrRec, keep: np.ndarray) -> None:
@@ -2546,528 +2505,481 @@ def _parent_row_getter(columns: dict, results: dict):
     return get
 
 
-def _eval_array(c: _Node):
-    """The array items loop (array.js:140-350).  Returns the new column and
-    the blocked cross-type promotion pair (or None)."""
-    node, arr, env, path, scope = c.node, c.arr, c.env, c.path, c.scope
-    n = len(arr)
-    flat, parents, positions = k_lists.flatten_with_parents(arr)
-    # joi's items loop is ITEM-outer (array.js:140+): all errors of the
-    # items stage interleave by position, so they share one ordering group
-    items_grp = object()
-    _sparse_info = None  # (rec, flat mask) for strip-arrays index shifts
+class _Items:
+    """One array node's items loop (array.js:140-350), shared by its stage
+    functions: the flat items with each one's parent row and position, the
+    child env and the masks the loop hands on.  Every mask is row-scoped
+    (``in_scope``), so each report's items agree with ``_Node.add``'s own
+    scope filter (fuzz seed 43005514: a branch-scoped sparse rec kept 5
+    rows against an 8-row mask).
 
-    # sparse: null items forbidden unless flag (array.js:454-466).
-    # Item masks are ROW-scoped up front: under a whens branch, c.add
-    # drops out-of-scope rows from the rec, so any bookkeeping mask paired
-    # with a rec (strip-splice index shifts, shift_recs) must agree with
-    # the rec's rows or the violations assembly misaligns (fuzz seed
-    # 43005514: a branch-scoped sparse rec kept 5 rows against an
-    # 8-row mask)
-    item_in_scope = scope[parents]
-    n_items = len(flat)
-    nulls_flat = as_bool_np(pc.is_null(flat), n_items) if n_items else np.zeros(0, bool)
-    if not node.flags.get("sparse") and n_items:
-        if (nulls_flat & item_in_scope).any():
-            sparse_mask = nulls_flat
-            if node.ordered and not node.items:
-                # joi BREAKs the items loop at the first beyond-slots
-                # NON-undefined item (array.js:222-231) — sparse checks
-                # after that position never run
-                first = _first_per_row((positions >= len(node.ordered)) & ~nulls_flat, parents)
-                cutoff = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-                cutoff[parents[first]] = positions[first]
-                sparse_mask = nulls_flat & (positions < cutoff[parents])
-            sparse_mask = sparse_mask & item_in_scope
-            if sparse_mask.any():
-                _sparse_rec = c.add(
-                    "array.sparse",
-                    np.zeros(n, bool),
-                    item_rows=parents[sparse_mask],
-                    item_index=positions[sparse_mask].astype(np.int32),
-                    seq=-1,
-                    group=items_grp,
-                )
-                if _sparse_rec is not None:  # all rows outside a branch scope
-                    _sparse_info = (_sparse_rec, sparse_mask)
+    - ``live``: the items the loop visits.  joi SKIPS undefined entries of
+      a non-sparse array: the sparse check errors them and `continue`s
+      (array.js:154-164); with sparse() they flow through like any value;
+    - ``matched``: items an ordered slot, exclusion or inclusion claimed;
+    - ``strip``: items spliced out (a strip-flagged slot or schema,
+      stripUnknown.arrays); ``undef``: required+strip claims, nulled in
+      place with no splice (``_required_strip_claims``);
+    - ``adopted``: items that took a converted value.  When a type
+      promotion rewrites the whole column, joi's typeof-sensitive unique()
+      still tells a kept number 1 from an adopted cast "1" — these tags
+      carry that lost type bit (fuzz seed 5300531).
 
-    # ancestor resolver: parent-row columns broadcast to item rows
-    parent_idx = pa.array(parents)
+    ``report`` is the loop's one item-report path and ``adopt`` its one
+    adoption path."""
 
-    def make_child_env():
-        def resolve_ancestor(name: str):
-            col = env.resolve_ref(Ref(name), n)
-            if isinstance(col, AltView):
-                return col.take(parent_idx)
-            if isinstance(col, (pa.Array, pa.ChunkedArray)):
-                return combine(col).take(parent_idx)
-            return col
+    __slots__ = ("c", "flat", "parents", "positions", "nulls", "in_scope", "live", "matched",
+                 "strip", "undef", "adopted", "new_flat", "alt_flat", "alt_ok", "env", "grp",
+                 "shifts", "requireds", "req_claims", "attempts")
 
-        child = Env(env.prefs, None, env.ancestors + [resolve_ancestor])
-        return child
+    def __init__(self, c: _Node):
+        self.c = c
+        self.flat, self.parents, self.positions = k_lists.flatten_with_parents(c.arr)
+        m = len(self.flat)
+        self.nulls = as_bool_np(pc.is_null(self.flat), m) if m else np.zeros(0, bool)
+        self.in_scope = c.scope[self.parents]
+        self.live = (np.ones(m, bool) if c.node.flags.get("sparse") else ~self.nulls) & self.in_scope
+        self.matched, self.strip, self.undef, self.adopted = (np.zeros(m, bool) for _ in range(4))
+        # the merged column of adopted values and the blocked cross-type
+        # promotion (typed flat, faithful items), see _adopt_items_multi
+        self.new_flat = self.alt_flat = self.alt_ok = None
+        self.env = None
+        # joi's items loop is ITEM-outer: all errors of the items stage
+        # interleave by position, so they share one ordering group
+        self.grp = object()
+        #: (rec, flat items) of every item report, for the splice index shift
+        self.shifts: list = []
+        self.requireds = [ic for ic in c.node.inclusions if ic.flags.get("presence") == "required"]
+        #: per required schema, the items that claimed it
+        self.req_claims = [np.zeros(m, bool) for _ in self.requireds]
+        #: per required schema (by id), the items its pre-loop attempt covered
+        self.attempts: dict[int, np.ndarray] = {}
+        c.env.item_type_tags = None  # reset any sibling array's stale tags
+        c.env.item_type_tag_fields = None
 
-    def lift_item_errors(sub: NodeResult, sub_path_prefix: str):
-        # returns [(created rec, fired FLAT indices)] so the strip-splice
-        # index shift below can re-point item_index post-hoc
-        made: list = []
+    def remaining(self) -> np.ndarray:
+        return self.live & ~self.matched
+
+    def failed(self, sub: NodeResult) -> np.ndarray:
+        return sub.failed if sub.failed is not None else np.zeros(len(self.flat), bool)
+
+    def report(self, code, items, ctx=None, **kw):
+        """One report over the flat ``items`` (a mask or indices), at each
+        item's parent row and position, in the items ordering group.  It
+        keeps the items for the splice index shift.  Returns the ErrRec,
+        or None when no item is in scope."""
+        fired = np.flatnonzero(items) if items.dtype == bool else items
+        sel = self.in_scope[fired]
+        if not sel.all():
+            fired = fired[sel]
+            kw["values"] = _keep_values(kw.get("values"), sel)
+        if not len(fired):
+            return None
+        rec = self.c.add(code, np.zeros(len(self.c.arr), bool), ctx, item_rows=self.parents[fired],
+                         item_index=self.positions[fired].astype(np.int32), group=self.grp, **kw)
+        if rec is not None:
+            self.shifts.append((rec, fired))
+        return rec
+
+    def lift(self, sub: NodeResult) -> None:
+        """Take an item node's reports as the array's own.  joi renders the
+        item label with the index AT the array boundary ('a[0].x' for
+        sub-errors below the array level, errors.js:87-107); sub-errors at
+        the array path itself keep the append form ('a[0]').  Inner-array
+        indices of doubly nested arrays are not preserved (one item_index
+        per violation row)."""
+        path = self.c.path
         for rec in sub.errors:
-            fired = _fired_rows(rec)
-            rows = parents[fired]
-            # pre-filter by the branch scope so ``fired`` stays aligned
-            # with the rec's post-filter rows (c.add drops out-of-scope
-            # rows itself; a whens-branch scope can drop some or all)
-            sel = scope[rows]
-            vals = rec.values
-            if not sel.all():
-                fired, rows = fired[sel], rows[sel]
-                vals = _keep_values(vals, sel)
-            idx = positions[fired].astype(np.int32)
-            if len(rows) == 0:
-                continue
-            # joi renders the item label with the index AT the array
-            # boundary ('a[0].x' for sub-errors below the array level,
-            # errors.js:87-107); sub-errors at the array path itself keep
-            # the append form ('a[0]').  Inner-array indices of doubly
-            # nested arrays are not preserved (documented limitation: one
-            # item_index per violation row).
-            ipos = len(path) if len(rec.path) > len(path) else None
-            nr = c.add(rec.code, np.zeros(n, bool), rec.context, seq=rec.seq, warn=rec.warn,
-                       message=rec.message, item_rows=rows, item_index=idx, path_override=rec.path,
-                       values=vals, group=items_grp, path_ipos=ipos)
-            if nr is not None:
-                made.append((nr, fired))
-        return made
+            self.report(rec.code, _fired_rows(rec), rec.context, seq=rec.seq,
+                        warn=rec.warn, message=rec.message, path_override=rec.path,
+                        values=rec.values, path_ipos=len(path) if len(rec.path) > len(path) else None)
 
-    def lift_probe_warns(sub: NodeResult, forced_abort: bool = False,
-                         exclude: Optional[np.ndarray] = None):
-        """A probe (exclusion / inclusion-match / has) is a real validate
-        call in joi, so its warn-rule reports leak to the main state as
-        they fire (validator.js:303-306).  $_match probes (exclusions,
-        has, assert) FORCE abortEarly=true internally (base.js:719-726),
-        so only warns emitted before the probe's first hard error per item
-        leak; $_validate attempts (inclusions, ordered) follow the outer
-        prefs (fuzz seeds 63909, 66988, 1800014)."""
+    def lift_warns(self, sub: NodeResult, forced_abort: bool = False,
+                   exclude: Optional[np.ndarray] = None) -> None:
+        """A probe (exclusion / inclusion-match) is a real validate call in
+        joi, so its warn-rule reports leak to the main state as they fire
+        (validator.js:303-306).  $_match probes (exclusions) FORCE
+        abortEarly=true internally (base.js:719-726), so only warns emitted
+        before the probe's first hard error per item leak; $_validate
+        attempts (inclusions, ordered) follow the outer prefs (fuzz seeds
+        63909, 66988, 1800014).  ``exclude``: items a required's pre-loop
+        attempt already leaked — joi reuses that result in the inclusions
+        stage (array.js:274-278 previousCheck), no re-leak."""
         if not any(r.warn for r in sub.errors):
-            return []
-        m = len(flat)
-        kept: list = []
-        # items already attempted (and leaked) in the requireds pre-loop:
-        # joi reuses that result in the inclusions stage (array.js:274-278
-        # previousCheck), no re-leak
+            return
+        kept = []
         for rec, keepv, rows, vals in _probe_warns(
-                sub.errors, forced_abort or env.prefs.get("abort_early", True),
+                sub.errors, forced_abort or self.c.env.prefs.get("abort_early", True),
                 None if exclude is None else ~exclude):
-            nr2 = ErrRec(rec.code, np.zeros(m, bool), rec.path, rec.context,
-                         rec.seq, rec.warn, rec.message)
-            nr2.rows = rows
-            nr2.item_index = (rec.item_index[keepv]
-                              if rec.item_index is not None else None)
-            nr2.values = vals
-            kept.append(nr2)
-        if kept:
-            return lift_item_errors(NodeResult(value=None, errors=kept), path)
-        return []
+            nr = ErrRec(rec.code, np.zeros(len(self.flat), bool), rec.path, rec.context,
+                        rec.seq, rec.warn, rec.message)
+            nr.rows, nr.values = rows, vals
+            nr.item_index = rec.item_index[keepv] if rec.item_index is not None else None
+            kept.append(nr)
+        self.lift(NodeResult(value=None, errors=kept))
 
-    def exclusion_node(ic):
-        # forbidden item schemas are EXCLUSIONS (array.js:145-153): a value
-        # matching the schema sans its forbidden flag errors array.excludes.
-        cached = getattr(ic, "_exclusion_node", None)
-        if cached is None:
-            cached = CNode(ic.schema.optional(), env.prefs)
-            ic._exclusion_node = cached
-        return cached
+    def adopt_clean(self, pairs: list, sub: NodeResult, clean: np.ndarray, soft: bool = True) -> None:
+        """Queue the ``clean`` matches to adopt the schema's converted value
+        (array.js:209/297 value[i] = res.value; joi adopts ONLY on success,
+        so failed items keep the original, fuzz seed 4000881).  A clean
+        match whose converted value is undefined (an empty('') conversion)
+        errors array.sparse in a non-sparse array and keeps the original
+        (fuzz seed 3000556): the inclusions loop records it WITHOUT
+        aborting early (array.js:286-292, ``soft``), the ordered loop
+        aborts (array.js:201-207)."""
+        if sub.value is None:
+            return
+        if not self.c.node.flags.get("sparse") and len(self.flat):
+            became = (clean & ~self.nulls & as_bool_np(pc.is_null(sub.value), len(self.flat))
+                      & ~self.failed(sub))
+            if became.any():
+                self.report("array.sparse", became, seq=-1, soft=soft)
+                clean = clean & ~became
+        if clean.any():
+            pairs.append((clean, sub.value))
 
-    inclusions = [ic for ic in node.items if ic.flags.get("presence") != "forbidden"]
-    exclusions = [ic for ic in node.items if ic.flags.get("presence") == "forbidden"]
+    def adopt(self, pairs: list, failed_any: np.ndarray) -> None:
+        """Merge queued adoptions into the column in ONE pass, so a later
+        schema's type promotion can't clobber an earlier one's values;
+        ``failed_any`` marks the items a promotion may lose.  The first
+        blocked promotion is kept as the typed ref view."""
+        if not pairs:
+            return
+        for m, _ in pairs:
+            self.adopted |= m
+        merged, alt_f, alt_o = _adopt_items_multi(
+            pairs, self.flat if self.new_flat is None else self.new_flat, failed_any, len(self.flat))
+        if merged is not None:
+            self.new_flat = merged
+        if alt_f is not None and self.alt_flat is None:
+            self.alt_flat, self.alt_ok = alt_f, alt_o
 
-    # stripUnknown strips unmatched array items ONLY in object form with
-    # arrays:true (array.js:266 — plain `stripUnknown: true` still errors,
-    # see test/types/array.js:436-467)
-    _su = env.prefs.get("strip_unknown", False)
-    strip_arrays = bool(isinstance(_su, dict) and _su.get("arrays"))
 
-    new_flat = None
-    alt_flat = alt_ok = None  # blocked cross-type promotion: typed ref view
-    arr_in = arr  # pre-strip shape for the alt list rebuild
-    # items that ADOPTED a converted value (vs kept their original): when
-    # a type promotion rewrites the whole column, joi's typeof-sensitive
-    # unique() still distinguishes kept number 1 from adopted cast "1" —
-    # the tag array carries that lost type bit (fuzz seed 5300531)
-    adopted_any = np.zeros(n_items, dtype=bool)
-    env.item_type_tags = None  # reset any sibling array's stale tags
-    env.item_type_tag_fields = None
-    # joi's items loop SKIPS undefined entries in non-sparse arrays — the
-    # sparse check already errored them and `continue`s (array.js:154-164);
-    # with sparse() they flow through item validation like any value.
-    # Row scope applies to EVERY item-level mask, keeping rec bookkeeping
-    # aligned with c.add's own scope filter (seed 43005514)
-    item_live = (np.ones(n_items, dtype=bool) if node.flags.get("sparse")
-                 else ~nulls_flat) & item_in_scope
+def _item_env(c: _Node, parents: np.ndarray) -> Env:
+    """The items' env: an ancestor ref resolves on the parent rows,
+    broadcast to their items."""
+    env, n, parent_idx = c.env, len(c.arr), pa.array(parents)
+
+    def resolve_ancestor(name: str):
+        col = env.resolve_ref(Ref(name), n)
+        if isinstance(col, AltView):
+            return col.take(parent_idx)
+        if isinstance(col, (pa.Array, pa.ChunkedArray)):
+            return combine(col).take(parent_idx)
+        return col
+
+    return Env(env.prefs, None, env.ancestors + [resolve_ancestor])
+
+
+def _eval_array(c: _Node):
+    """The array items loop (array.js:140-350), stage by stage in joi's
+    order over one ``_Items``.  Returns the new column and the blocked
+    cross-type promotion pair (or None)."""
+    it = _Items(c)
+    _items_sparse(it)
+    node = c.node
     if node.items or node.ordered:
-        child_env = make_child_env()
-        matched_any = np.zeros(n_items, dtype=bool)
-        # splice bookkeeping shared by the ordered and items loops: every
-        # report the loop emits uses joi's CURRENT index — post-splice when
-        # a strip-flagged slot/schema or stripUnknown.arrays removed an
-        # earlier item (array.js:148 path=[...state.path,i] with fastSplice
-        # i--; fuzz seeds 109406/110082, node-verified)
-        strip_items = np.zeros(n_items, dtype=bool)
-        # required+strip claims: item becomes undefined with NO splice
-        # (_required_strip_claims)
-        undef_items = np.zeros(n_items, dtype=bool)
-        shift_recs: list = []
+        it.env = _item_env(c, it.parents)
         if node.ordered:
-            slot_pairs: list = []
-            slot_failed = np.zeros(n_items, dtype=bool)
-            for i, oc in enumerate(node.ordered):
-                pos_mask = (positions == i) & item_live
-                if not pos_mask.any():
-                    continue
-                sub = eval_node(oc, flat, child_env, path, scope=pos_mask)
-                shift_recs += lift_item_errors(sub, path)
-                clean = pos_mask & ~(sub.failed if sub.failed is not None
-                                     else np.zeros(n_items, bool))
-                if oc.flags.get("strip"):
-                    # a clean strip-flagged slot match is spliced out
-                    # (array.js:195-200) — no adoption, no sparse check
-                    strip_items |= clean
-                    if sub.failed is not None:
-                        slot_failed |= pos_mask & sub.failed
-                    matched_any |= pos_mask
-                    continue
-                became_o = _converted_sparse_items(c, sub, pos_mask, nulls_flat,
-                                                   parents, positions, items_grp, soft=False,
-                                                   shift_recs=shift_recs)
-                # matched slots adopt converted values (array.js:209
-                # value[i] = res.value); merged in ONE pass after the loop
-                # so a later slot's type promotion can't clobber an earlier
-                # slot's adopted values
-                if sub.value is not None:
-                    adopt = clean
-                    if became_o is not None:
-                        adopt = adopt & ~became_o
-                    if adopt.any():
-                        slot_pairs.append((adopt, sub.value))
-                if sub.failed is not None:
-                    slot_failed |= pos_mask & sub.failed
-                matched_any |= pos_mask
-            if slot_pairs:
-                # beyond-slot items are tolerable for the type promotion:
-                # their rows carry array.orderedLength (or array.includes
-                # failures downstream), so their values are never compared
-                for _am, _av in slot_pairs:
-                    adopted_any |= _am
-                merged, alt_flat, alt_ok = _adopt_items_multi(
-                    slot_pairs, new_flat if new_flat is not None else flat,
-                    slot_failed | ~item_live | (positions >= len(node.ordered)), n_items,
-                )
-                new_flat = merged or new_flat
-            beyond = positions >= len(node.ordered)
-            if beyond.any() and not node.items:
-                # ONE row-level error at the first beyond NON-UNDEFINED
-                # item (an undefined one sparse-errors and `continue`s —
-                # array.js:154-164 precedes :222-231), then joi BREAKs.
-                # Strip-flagged slot splices shift the reported pos: every
-                # ordered strip sits at a slot position < L <= ppos, so the
-                # first beyond item's CURRENT index is ppos minus the row's
-                # strip count (array.js:222-231 uses the loop i)
-                first = _first_per_row(beyond & item_live, parents)
-                row_strips = np.bincount(parents[strip_items], minlength=n)
-                ppos = positions[first] - row_strips[parents[first]]
-                for p in np.unique(ppos):
-                    rows_over = np.zeros(n, dtype=bool)
-                    rows_over[parents[first][ppos == p]] = True
-                    c.add("array.orderedLength", rows_over,
-                          {"pos": int(p), "limit": len(node.ordered)})
-                matched_any |= beyond
-        # required inclusions (array.js:233-258 requireds loop) and, per
-        # schema, the items that claimed it
-        requireds = [ic for ic in inclusions if ic.flags.get("presence") == "required"]
-        req_claims: list = []
+            _items_ordered(it)
         if node.items:
-            remaining = item_live & ~matched_any
-            # exclusions first (array.js:206-218): a match errors and claims
-            # the item before any inclusion can — an exclusion-errored item
-            # also never reaches the requireds loop (`errored -> continue`),
-            # so it cannot CLAIM a required schema (fuzz seed 43005251,
-            # node-verified: all-excluded items still miss the required)
-            for ic in exclusions:
-                if not remaining.any():
-                    break
-                xsub = eval_node(exclusion_node(ic), flat, child_env.match_env(), path, scope=remaining)
-                bad = remaining & ~(xsub.failed if xsub.failed is not None
-                                    else np.zeros(len(flat), bool))
-                shift_recs += lift_probe_warns(xsub, forced_abort=True)  # $_match probe
-                if bad.any():
-                    rec_x = c.add(
-                        "array.excludes",
-                        np.zeros(n, bool),
-                        {},
-                        item_rows=parents[bad],
-                        item_index=positions[bad].astype(np.int32),
-                        group=items_grp,
-                    )
-                    if rec_x is not None:  # branch scope can drop every row
-                        shift_recs.append((rec_x, np.nonzero(bad)[0]))
-                matched_any |= bad
-                remaining = remaining & ~bad
-            if len(inclusions) == 1 and not strip_arrays:
-                # single inclusion: unmatched items surface the item's
-                # ACTUAL errors, not array.includes (array.js:304-315
-                # `jl === 1`; ordered+items vector :1201-1213) — a
-                # sparse-flowing undefined that fails the lone inclusion
-                # lifts its real error (any.required), no array.includes
-                # on top (fuzz seed 4101290)
-                ic = inclusions[0]
-                hit = np.zeros(n_items, dtype=bool)
-                if remaining.any():
-                    sub = eval_node(ic, flat, child_env, path, scope=remaining)
-                    shift_recs += lift_item_errors(sub, path)
-                    # a strip-flagged inclusion splices BEFORE the undefined
-                    # check (array.js:280-286), so an empty('')-converted
-                    # clean item strips silently instead of sparse-erroring
-                    # (fuzz seed 4001409, node-verified)
-                    became2 = None if ic.flags.get("strip") else _converted_sparse_items(
-                        c, sub, remaining, nulls_flat,
-                        parents, positions, items_grp, shift_recs=shift_recs)
-                    ok = ~sub.failed if sub.failed is not None else np.ones(n_items, bool)
-                    hit = remaining & ok
-                    # matched items adopt the schema's converted value
-                    # (array.js:297 value[i] = res.value) — joi adopts ONLY
-                    # on success, so failed / sparse-converted items keep
-                    # the original (fuzz seed 4000881)
-                    if sub.value is not None:
-                        adopt = hit if became2 is None else hit & ~became2
-                        merged, alt_f, alt_o = _adopt_items_multi(
-                            [(adopt, sub.value)], new_flat if new_flat is not None else flat,
-                            sub.failed, n_items)
-                        if merged is not None:
-                            new_flat = merged
-                        if alt_f is not None and alt_flat is None:
-                            alt_flat, alt_ok = alt_f, alt_o
-                        adopted_any |= adopt
-                    if ic.flags.get("strip"):
-                        claim, splice = _required_strip_claims(
-                            c, ic, hit, parents, positions, items_grp, shift_recs)
-                        strip_items |= splice
-                        if claim is not None:
-                            undef_items |= claim
-                if requireds:
-                    req_claims.append(hit)
-            else:
-                incl_pairs: list = []
-                # joi's per-item loop runs the REQUIREDS pre-loop first
-                # (array.js:233-258): each item tries the still-unclaimed
-                # requireds in order via full $_validate — the first match
-                # CLAIMS the schema, adopts ITS conversion, and skips the
-                # inclusions stage; warns leak from every attempt (items up
-                # to and including the claim point).  Model that before the
-                # inclusions sweep (fuzz seed 25000108, node-verified: a
-                # claimant matching a non-required too still adopts the
-                # required's value and leaks its warn).  Each OCCURRENCE of
-                # a required schema claims a DISTINCT item
-                # (test/types/array.js:581-602)
-                req_claims = [np.zeros(n_items, dtype=bool) for _ in requireds]
-                _req_attempts: dict[int, np.ndarray] = {}
-                if requireds and remaining.any():
-                    claim_of_item = np.full(n_items, -1, dtype=np.int64)
-                    pre_claimed = np.zeros(n_items, dtype=bool)
-                    for j, ric in enumerate(requireds):
-                        okj = (node_validity(ric, flat, child_env, remaining & ~pre_claimed)
-                               & remaining & ~pre_claimed)
-                        clj = _first_per_row(okj, parents)
-                        pre_claimed |= clj
-                        claim_of_item[clj] = j
-                        req_claims[j] = clj
-                    for j, ric in enumerate(requireds):
-                        clj = req_claims[j]
-                        # attempts = items up to the row's claim point that
-                        # didn't already claim an EARLIER required (a claim
-                        # breaks the item's requireds walk)
-                        claim_pos = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-                        if clj.any():
-                            claim_pos[parents[clj]] = positions[clj]
-                        att = remaining & (positions <= claim_pos[parents])
-                        att &= ~((claim_of_item >= 0) & (claim_of_item < j))
-                        _req_attempts[id(ric)] = att
-                        if not att.any():
-                            continue
-                        sub_r = eval_node(ric, flat, child_env, path, scope=att)
-                        shift_recs += lift_probe_warns(sub_r)
-                        if clj.any():
-                            if ric.flags.get("strip"):
-                                # required+strip claim: value[i] = undefined
-                                # (validator.js:414), sparse error, NO splice
-                                claim_u, _sp = _required_strip_claims(
-                                    c, ric, clj, parents, positions, items_grp, shift_recs)
-                                if claim_u is not None:
-                                    undef_items |= claim_u
-                            else:
-                                became_r = _converted_sparse_items(
-                                    c, sub_r, clj, nulls_flat, parents,
-                                    positions, items_grp, shift_recs=shift_recs)
-                                adopt_r = clj if became_r is None else clj & ~became_r
-                                if sub_r.value is not None and adopt_r.any():
-                                    incl_pairs.append((adopt_r, sub_r.value))
-                    matched_any |= pre_claimed
-                    remaining = remaining & ~pre_claimed
-                # joi tries NON-REQUIRED inclusions first, requireds last
-                # (array.js:137 `[...inclusions, ...requireds]`); required
-                # schemas skip warn re-leaks for items their pre-loop
-                # attempt already covered (previousCheck reuse)
-                _incl_order = ([ic for ic in inclusions if ic.flags.get("presence") != "required"]
-                               + requireds)
-                for ic in _incl_order:
-                    if not remaining.any():
-                        break
-                    isub = eval_node(ic, flat, child_env, path, scope=remaining)
-                    shift_recs += lift_probe_warns(isub, exclude=_req_attempts.get(id(ic)))
-                    ok = ~(isub.failed if isub.failed is not None
-                           else np.zeros(len(flat), bool))
-                    hit = remaining & ok
-                    if ic.flags.get("strip"):
-                        if id(ic) in _req_attempts:
-                            # the requireds PRE-LOOP already holds this
-                            # schema's claim — inclusion-stage matches of
-                            # an already-claimed required splice like
-                            # plain inclusions (array.js:280-283; fuzz
-                            # seed 38000247, node-verified)
-                            strip_items |= hit
-                        else:
-                            # items matching a strip-marked schema are
-                            # removed from the output array; a required
-                            # schema's first claim stays as undefined
-                            claim, splice = _required_strip_claims(
-                                c, ic, hit, parents, positions, items_grp, shift_recs)
-                            strip_items |= splice
-                            if claim is not None:
-                                undef_items |= claim
-                    else:
-                        # a matched item whose CONVERTED value is undefined
-                        # (empty('') conversion) sparse-errors and keeps
-                        # the original — no adoption (array.js:286-292;
-                        # fuzz seed 3000556)
-                        became_g = _converted_sparse_items(
-                            c, isub, hit, nulls_flat, parents,
-                            positions, items_grp, shift_recs=shift_recs)
-                        adopt_g = hit if became_g is None else hit & ~became_g
-                        if isub.value is not None and adopt_g.any():
-                            # matched items adopt the inclusion's CONVERTED
-                            # value (array.js:297 value[i] = res.value —
-                            # first matching schema claims the item; fuzz
-                            # seed 2200074: trim/uppercase must land under
-                            # stripUnknown.arrays)
-                            incl_pairs.append((adopt_g, isub.value))
-                    matched_any |= hit
-                    remaining = remaining & ~hit
-                if incl_pairs:
-                    for _am, _av in incl_pairs:
-                        adopted_any |= _am
-                    base = new_flat if new_flat is not None else flat
-                    merged_i, alt_f2, alt_o2 = _adopt_items_multi(
-                        incl_pairs, base, ~matched_any | ~item_live, n_items)
-                    if merged_i is not None:
-                        new_flat = merged_i
-                    if alt_f2 is not None and alt_flat is None:
-                        alt_flat, alt_ok = alt_f2, alt_o2
-                # ``remaining`` now holds the unmatched items.  item_live
-                # already excludes non-sparse undefineds (they sparse-error
-                # and `continue`); under sparse() an undefined item flows
-                # through the loop like any value — a required-only
-                # inclusion set REJECTS it, so it strips under
-                # stripUnknown.arrays / errors array.includes (fuzz seed
-                # 3000260: [5, undefined, 5].unique() -> joi splices the
-                # undefined, the dup reports post-splice index 1).  With no
-                # inclusion schemas, unmatched values pass
-                if strip_arrays and inclusions:
-                    # stripUnknown.arrays drops unmatched items silently
-                    # (array.js:327-331)
-                    strip_items |= remaining
-                elif len(inclusions) > 1 and remaining.any():
-                    c.add(
-                        "array.includes",
-                        np.zeros(n, bool),
-                        {},
-                        item_rows=parents[remaining],
-                        item_index=positions[remaining].astype(np.int32),
-                        group=items_grp,
-                    )
-        # after the loop joi reports the unclaimed required items, then the
-        # required ordered slots beyond the row's length, each as one error
-        # per row (array.js:341-350 fillMissedErrors/fillOrderedErrors;
-        # they fire on empty arrays too: fuzz seeds 99175, 4100375; vector
-        # :1187-1199).  Items an ordered slot consumed never reach the
-        # requireds loop (array.js:222-231 `continue`), so they claim none
-        present = ~null_mask(arr) & scope
-        got = np.zeros((n, len(req_claims)), dtype=bool)
-        for j, clj in enumerate(req_claims):
-            got[parents[clj], j] = True
-        _fill_missed(c, requireds, present[:, None] & ~got)
-        req_ord = [(i, oc) for i, oc in enumerate(node.ordered)
-                   if oc.flags.get("presence") == "required"]
-        if req_ord:
-            lengths = pc.list_value_length(arr).fill_null(0).to_numpy(zero_copy_only=False)
-            _fill_missed(c, [oc for _, oc in req_ord],
-                         present[:, None] & (lengths[:, None] <= np.array([i for i, _ in req_ord])))
-        if strip_items.any():
-            # joi splices stripped items DURING the loop (i--), so any
-            # later item-stage report carries its POST-SPLICE index:
-            # sparse errors ([10, undefined] with 10 stripped ->
-            # array.sparse at 0; fuzz seed 2200454), array.excludes,
-            # lifted sub-errors, and probe warn leaks (fuzz seeds
-            # 109406/110082 — a kept item's string.min warn reports
-            # index minus the strips before it; all node-verified)
-            cs = np.concatenate(([0], np.cumsum(strip_items)[:-1]))
-            rows_u, first_idx = np.unique(parents, return_index=True)
-            row_cs0 = np.zeros(n, dtype=np.int64)
-            row_cs0[rows_u] = cs[first_idx]
-            adj = positions - (cs - row_cs0[parents])
-            if _sparse_info is not None:
-                rec_s, smask = _sparse_info
-                rec_s.item_index = adj[smask].astype(np.int32)
-            for rec_t, fidx in shift_recs:
-                if len(fidx):
-                    rec_t.item_index = adj[fidx].astype(np.int32)
-        if undef_items.any():
-            # required+strip claim: value[i] = undefined (validator.js:414)
-            # — null the item in place, no splice
-            src = combine(new_flat) if new_flat is not None else flat
-            new_flat = src.take(pa.array(np.arange(n_items), mask=undef_items))
-        if strip_items.any():
-            keep = ~strip_items
-            # strip from the ADOPTED flat (converted item values must
-            # survive the splice — fuzz seed 2200074); new_flat is
-            # consumed here so the post-strip rebuild below can't
-            # re-expand the shorter lists from full-length items
-            src_flat = combine(new_flat) if new_flat is not None else flat
-            kept_flat = src_flat.filter(pa.array(keep))
-            adopted_any = adopted_any[keep]
-            new_flat = None
-            kept_counts = np.bincount(parents[keep], minlength=n) if keep.any() else np.zeros(n, np.int64)
-            null_rows = null_mask(arr)
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(kept_counts, out=offsets[1:])
-            rebuilt = pa.ListArray.from_arrays(
-                pa.array(offsets, type=pa.int64()).cast(pa.int32()), kept_flat
-            )
-            if null_rows.any():
-                rebuilt = pc.if_else(pa.array(null_rows), pa.nulls(n, rebuilt.type), rebuilt)
-            arr = rebuilt
+            _items_exclusions(it)
+            # stripUnknown strips unmatched array items ONLY in object form
+            # with arrays:true (array.js:266 — plain `stripUnknown: true`
+            # still errors, see test/types/array.js:436-467)
+            su = c.env.prefs.get("strip_unknown", False)
+            strip_arrays = bool(isinstance(su, dict) and su.get("arrays"))
+            # joi's `jl === 1`: a lone inclusion returns the item's ACTUAL
+            # errors (array.js:304-315), unless stripUnknown.arrays strips
+            lone = len(node.inclusions) == 1 and not strip_arrays
+            _items_inclusions(it, strip_arrays, lone, [] if lone else _items_requireds(it))
+        _items_missed(it)
+        return _items_finish(it, _items_splice(it))
+    return _items_finish(it, c.arr)
 
-    if new_flat is not None and new_flat is not flat:
-        arr = _rebuild_list(arr, new_flat)
+
+def _items_sparse(it: _Items) -> None:
+    """sparse: null items are forbidden unless the flag is set
+    (array.js:454-466)."""
+    node = it.c.node
+    if node.flags.get("sparse"):
+        return
+    mask = it.nulls & it.in_scope
+    if not mask.any():
+        return
+    if node.ordered and not node.items:
+        # joi BREAKs the items loop at the first beyond-slots NON-undefined
+        # item (array.js:222-231) — sparse checks after that position
+        # never run
+        first = _first_per_row((it.positions >= len(node.ordered)) & ~it.nulls, it.parents)
+        cutoff = np.full(len(it.c.arr), np.iinfo(np.int64).max, dtype=np.int64)
+        cutoff[it.parents[first]] = it.positions[first]
+        mask &= it.positions < cutoff[it.parents]
+    it.report("array.sparse", mask, seq=-1)
+
+
+def _items_ordered(it: _Items) -> None:
+    """The ordered slots (array.js:185-231): each slot validates the item
+    at its position; then the items beyond the slots."""
+    c, node = it.c, it.c.node
+    pairs: list = []
+    slot_failed = np.zeros(len(it.flat), dtype=bool)
+    for i, oc in enumerate(node.ordered):
+        pos_mask = (it.positions == i) & it.live
+        if not pos_mask.any():
+            continue
+        sub = eval_node(oc, it.flat, it.env, c.path, scope=pos_mask)
+        it.lift(sub)
+        clean = pos_mask & ~it.failed(sub)
+        slot_failed |= pos_mask & ~clean
+        it.matched |= pos_mask
+        if oc.flags.get("strip"):
+            # a clean strip-flagged slot match is spliced out
+            # (array.js:195-200) — no adoption, no sparse check
+            it.strip |= clean
+        else:
+            it.adopt_clean(pairs, sub, clean, soft=False)
+    beyond = it.positions >= len(node.ordered)
+    # beyond-slot items are tolerable for the type promotion: their rows
+    # carry array.orderedLength (or array.includes failures downstream),
+    # so their values are never compared
+    it.adopt(pairs, slot_failed | ~it.live | beyond)
+    if beyond.any() and not node.items:
+        # ONE row-level error at the first beyond NON-UNDEFINED item (an
+        # undefined one sparse-errors and `continue`s — array.js:154-164
+        # precedes :222-231), then joi BREAKs.  Strip-flagged slot splices
+        # shift the reported pos: every ordered strip sits at a slot
+        # position < L <= ppos, so the first beyond item's CURRENT index is
+        # ppos minus the row's strip count (array.js:222-231 uses the loop i)
+        n = len(c.arr)
+        first = _first_per_row(beyond & it.live, it.parents)
+        row_strips = np.bincount(it.parents[it.strip], minlength=n)
+        ppos = it.positions[first] - row_strips[it.parents[first]]
+        for p in np.unique(ppos):
+            rows_over = np.zeros(n, dtype=bool)
+            rows_over[it.parents[first][ppos == p]] = True
+            c.add("array.orderedLength", rows_over, {"pos": int(p), "limit": len(node.ordered)})
+        it.matched |= beyond
+
+
+def _items_exclusions(it: _Items) -> None:
+    """Exclusions first (array.js:206-218): a forbidden item schema's match
+    errors array.excludes and claims the item before any inclusion can —
+    an exclusion-errored item also never reaches the requireds loop
+    (`errored -> continue`), so it cannot CLAIM a required schema (fuzz
+    seed 43005251, node-verified: all-excluded items still miss the
+    required)."""
+    for xc in it.c.node.exclusions:
+        remaining = it.remaining()
+        if not remaining.any():
+            break
+        xsub = eval_node(xc, it.flat, it.env.match_env(), it.c.path, scope=remaining)
+        bad = remaining & ~it.failed(xsub)
+        it.lift_warns(xsub, forced_abort=True)  # $_match probe
+        it.report("array.excludes", bad, {})
+        it.matched |= bad
+
+
+def _items_requireds(it: _Items) -> list:
+    """joi's REQUIREDS pre-loop (array.js:233-258): each item tries the
+    still-unclaimed requireds in order via full $_validate — the first
+    match CLAIMS the schema, adopts ITS conversion, and skips the
+    inclusions stage; warns leak from every attempt (items up to and
+    including the claim point; fuzz seed 25000108, node-verified: a
+    claimant matching a non-required too still adopts the required's value
+    and leaks its warn).  Each OCCURRENCE of a required schema claims a
+    DISTINCT item (test/types/array.js:581-602).  Returns the queued
+    adoptions."""
+    pairs: list = []
+    remaining = it.remaining()
+    if not it.requireds or not remaining.any():
+        return pairs
+    m, n = len(it.flat), len(it.c.arr)
+    claim_of_item = np.full(m, -1, dtype=np.int64)
+    pre_claimed = np.zeros(m, dtype=bool)
+    for j, ric in enumerate(it.requireds):
+        free = remaining & ~pre_claimed
+        clj = _first_per_row(node_validity(ric, it.flat, it.env, free) & free, it.parents)
+        pre_claimed |= clj
+        claim_of_item[clj] = j
+        it.req_claims[j] = clj
+    for j, ric in enumerate(it.requireds):
+        clj = it.req_claims[j]
+        # attempts = items up to the row's claim point that didn't already
+        # claim an EARLIER required (a claim breaks the item's requireds walk)
+        claim_pos = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+        claim_pos[it.parents[clj]] = it.positions[clj]
+        att = (remaining & (it.positions <= claim_pos[it.parents])
+               & ~((claim_of_item >= 0) & (claim_of_item < j)))
+        it.attempts[id(ric)] = att
+        if not att.any():
+            continue
+        sub = eval_node(ric, it.flat, it.env, it.c.path, scope=att)
+        it.lift_warns(sub)
+        if not clj.any():
+            continue
+        if ric.flags.get("strip"):
+            _required_strip_claims(it, ric, clj)
+        else:
+            it.adopt_clean(pairs, sub, clj)
+    it.matched |= pre_claimed
+    return pairs
+
+
+def _items_inclusions(it: _Items, strip_arrays: bool, lone: bool, pairs: list) -> None:
+    """The inclusions loop (array.js:260-340).  joi tries NON-REQUIRED
+    inclusions first, requireds last (array.js:137 `[...inclusions,
+    ...requireds]`); the first match claims the item.  A lone inclusion
+    (``lone``) reports an unmatched item's ACTUAL errors, not
+    array.includes (`jl === 1`; ordered+items vector :1201-1213) — a
+    sparse-flowing undefined that fails it lifts its real error
+    (any.required; fuzz seed 4101290) — and, required, claims its first
+    clean hit per row without the requireds pre-loop.  ``pairs`` holds
+    the pre-loop's adoptions; all merge once after the loop."""
+    c, node = it.c, it.c.node
+    for ic in [ic for ic in node.inclusions if ic.flags.get("presence") != "required"] + it.requireds:
+        remaining = it.remaining()
+        if not remaining.any():
+            break
+        sub = eval_node(ic, it.flat, it.env, c.path, scope=remaining)
+        if lone:
+            it.lift(sub)
+        else:
+            it.lift_warns(sub, exclude=it.attempts.get(id(ic)))
+        hit = remaining & ~it.failed(sub)
+        if not ic.flags.get("strip"):
+            # matched items adopt the inclusion's CONVERTED value (fuzz
+            # seed 2200074: trim/uppercase must land under
+            # stripUnknown.arrays)
+            it.adopt_clean(pairs, sub, hit)
+        elif id(ic) in it.attempts:
+            # the requireds PRE-LOOP already holds this schema's claim —
+            # inclusion-stage matches of an already-claimed required
+            # splice like plain inclusions (array.js:280-283; fuzz seed
+            # 38000247, node-verified).  A strip-flagged inclusion splices
+            # BEFORE the undefined check (array.js:280-286), so an
+            # empty('')-converted clean item strips silently instead of
+            # sparse-erroring (fuzz seed 4001409, node-verified)
+            it.strip |= hit
+        else:
+            _required_strip_claims(it, ic, hit)
+        if lone and it.requireds:
+            it.req_claims[0] = hit
+        it.matched |= hit
+    it.adopt(pairs, ~it.matched | ~it.live)
+    # the unmatched items.  ``live`` already excludes non-sparse
+    # undefineds (they sparse-error and `continue`); under sparse() an
+    # undefined item flows through the loop like any value — a
+    # required-only inclusion set REJECTS it, so it strips under
+    # stripUnknown.arrays / errors array.includes (fuzz seed 3000260:
+    # [5, undefined, 5].unique() -> joi splices the undefined, the dup
+    # reports post-splice index 1).  With no inclusion schemas, unmatched
+    # values pass
+    if strip_arrays and node.inclusions:
+        # stripUnknown.arrays drops unmatched items silently (array.js:327-331)
+        it.strip |= it.remaining()
+    elif len(node.inclusions) > 1:
+        it.report("array.includes", it.remaining(), {})
+
+
+def _required_strip_claims(it: _Items, ic: CNode, hit: np.ndarray) -> None:
+    """Splice out the ``hit`` matches of a strip-flagged schema, except
+    that the first clean match PER ROW of a required+strip inclusion is
+    consumed by joi's REQUIREDS loop, which has NO strip check
+    (array.js:237-255): ``value[i] = res.value`` where a strip schema's
+    $_validate returns undefined (validator.js:414-415) — so the item
+    becomes undefined WITHOUT a splice, and a non-sparse array records
+    array.sparse at the current index (aborting under abortEarly).  Only
+    LATER matches of the same schema reach the inclusions loop's strip
+    fastSplice (array.js:278-283).  Fuzz seed 4000136, node-verified."""
+    if ic.flags.get("presence") == "required" and hit.any():
+        claim = _first_per_row(hit, it.parents)
+        if not it.c.node.flags.get("sparse"):
+            it.report("array.sparse", claim, seq=-1)
+        it.undef |= claim
+        hit = hit & ~claim
+    it.strip |= hit
+
+
+def _items_missed(it: _Items) -> None:
+    """After the loop joi reports the unclaimed required items, then the
+    required ordered slots beyond the row's length, each as one error per
+    row (array.js:341-350 fillMissedErrors/fillOrderedErrors; they fire on
+    empty arrays too: fuzz seeds 99175, 4100375; vector :1187-1199).
+    Items an ordered slot consumed never reach the requireds loop
+    (array.js:222-231 `continue`), so they claim none."""
+    c, node = it.c, it.c.node
+    n = len(c.arr)
+    present = ~null_mask(c.arr) & c.scope
+    got = np.zeros((n, len(it.req_claims)), dtype=bool)
+    for j, clj in enumerate(it.req_claims):
+        got[it.parents[clj], j] = True
+    _fill_missed(c, it.requireds, present[:, None] & ~got)
+    req_ord = [(i, oc) for i, oc in enumerate(node.ordered) if oc.flags.get("presence") == "required"]
+    if req_ord:
+        lengths = pc.list_value_length(c.arr).fill_null(0).to_numpy(zero_copy_only=False)
+        _fill_missed(c, [oc for _, oc in req_ord],
+                     present[:, None] & (lengths[:, None] <= np.array([i for i, _ in req_ord])))
+
+
+def _items_splice(it: _Items):
+    """joi splices stripped items DURING the loop (i--), so every item
+    report carries its POST-SPLICE index: sparse errors ([10, undefined]
+    with 10 stripped -> array.sparse at 0; fuzz seed 2200454),
+    array.excludes, lifted sub-errors, and probe warn leaks (fuzz seeds
+    109406/110082 — a kept item's string.min warn reports index minus the
+    strips before it; all node-verified).  Then required+strip claims
+    become null in place (validator.js:414) and the stripped items leave
+    the lists."""
+    n, m = len(it.c.arr), len(it.flat)
+    if it.strip.any():
+        cs = np.concatenate(([0], np.cumsum(it.strip)[:-1]))
+        rows_u, first_idx = np.unique(it.parents, return_index=True)
+        row_cs0 = np.zeros(n, dtype=np.int64)
+        row_cs0[rows_u] = cs[first_idx]
+        adj = it.positions - (cs - row_cs0[it.parents])
+        for rec, fired in it.shifts:
+            rec.item_index = adj[fired].astype(np.int32)
+    if it.undef.any():
+        src = it.flat if it.new_flat is None else combine(it.new_flat)
+        it.new_flat = src.take(pa.array(np.arange(m), mask=it.undef))
+    if it.strip.any():
+        keep = ~it.strip
+        # strip from the ADOPTED flat (converted item values must survive
+        # the splice — fuzz seed 2200074); the kept items become the whole
+        # column, so the finish stage can't re-expand the shorter lists
+        src = it.flat if it.new_flat is None else combine(it.new_flat)
+        kept_flat = src.filter(pa.array(keep))
+        it.adopted = it.adopted[keep]
+        it.new_flat = None
+        kept_counts = np.bincount(it.parents[keep], minlength=n) if keep.any() else np.zeros(n, np.int64)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(kept_counts, out=offsets[1:])
+        rebuilt = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int64()).cast(pa.int32()), kept_flat)
+        null_rows = null_mask(it.c.arr)
+        if null_rows.any():
+            rebuilt = pc.if_else(pa.array(null_rows), pa.nulls(n, rebuilt.type), rebuilt)
+        return rebuilt
+    return it.c.arr
+
+
+def _items_finish(it: _Items, arr):
+    """The output column with the adopted values, the typed ref view of a
+    blocked promotion, and unique()'s typeof tags."""
+    c, flat = it.c, it.flat
+    n = len(c.arr)
+    if it.new_flat is not None and it.new_flat is not flat:
+        arr = _rebuild_list(arr, it.new_flat)
     alt_pair = None
-    if alt_flat is not None:
+    if it.alt_flat is not None:
         # per-row typed view for ref consumers: include a row only when
         # EVERY live item's alt value is faithful to joi's value[i]
-        bad = item_live & ~alt_ok
         rows_bad = np.zeros(n, dtype=bool)
-        if bad.any():
-            rows_bad[parents[bad]] = True
-        rows_ok = ~null_mask(arr_in) & ~rows_bad
+        rows_bad[it.parents[it.live & ~it.alt_ok]] = True
+        rows_ok = ~null_mask(c.arr) & ~rows_bad
         if rows_ok.any():
             try:
-                alt_pair = (rows_ok, _rebuild_list(arr_in, alt_flat))
+                alt_pair = (rows_ok, _rebuild_list(c.arr, it.alt_flat))
             except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
                 alt_pair = None
     # typeof side-channel for unique(): when a promotion rewrote the
@@ -3075,20 +2987,20 @@ def _eval_array(c: _Node):
     # different joi typeofs even though the Arrow column is now uniform
     # (fuzz seed 5300531: kept number 1 never dups adopted cast "1");
     # consumed by make_unique via env (set fresh per array node)
-    if adopted_any.any():
+    if it.adopted.any():
         try:
-            _ff = k_lists.flatten_with_parents(combine(arr))[0]
-            if _ff.type != flat.type and len(_ff) == len(adopted_any):
-                env.item_type_tags = adopted_any
+            out_flat = k_lists.flatten_with_parents(combine(arr))[0]
+            if out_flat.type != flat.type and len(out_flat) == len(it.adopted):
+                c.env.item_type_tags = it.adopted
                 # which struct FIELDS the promotion retyped — sort(by=...)
-                # only sees a typeof split when its by-field is one of
-                # them (fuzz seed 26000610: cast x, sort by y — no
-                # mismatch in joi's by-resolved comparator); None is a
-                # whole-value promotion
-                if pa.types.is_struct(_ff.type) and pa.types.is_struct(flat.type):
+                # only sees a typeof split when its by-field is one of them
+                # (fuzz seed 26000610: cast x, sort by y — no mismatch in
+                # joi's by-resolved comparator); None is a whole-value
+                # promotion
+                if pa.types.is_struct(out_flat.type) and pa.types.is_struct(flat.type):
                     old_f = {f.name: f.type for f in flat.type}
-                    env.item_type_tag_fields = {
-                        f.name for f in _ff.type if old_f.get(f.name) != f.type}
+                    c.env.item_type_tag_fields = {
+                        f.name for f in out_flat.type if old_f.get(f.name) != f.type}
         except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
             pass
     return arr, alt_pair

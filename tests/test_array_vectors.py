@@ -227,3 +227,51 @@ def test_ordered_slot_item_does_not_claim_a_required_item():
     assert [(v["row"], v["code"], v["context"]) for v in res.violations.to_pylist()] == [
         (0, "array.includesRequiredUnknowns", '{"unknownMisses": 1}')]
     assert list(res.ok) == [False, True]
+
+
+def test_branch_promotion_may_lose_items_outside_the_branch():
+    # the items' adoption promotes the list type when every item the
+    # array owns survives it; a when() branch owns only its own rows, so
+    # 'abc' in an otherwise-row does not block the number promotion of the
+    # then-rows.  Row 0 converts to [1, 1] and unique() sees the duplicate
+    # (array.js:297 value[i] = res.value before the unique rule)
+    schema = obj({"t": jr.boolean(), "x": jr.array().when(
+        "t", is_=True, then=jr.array().items(jr.number()).unique(),
+        otherwise=jr.array().items(jr.string()))})
+    tbl = pa.table({"t": [True, False, True],
+                    "x": pa.array([["1", "1.0"], ["abc"], ["2"]], type=LIST_STR)})
+    for prefs in ({}, {"abort_early": False}):
+        res = compile_schema(schema, prefs=prefs).validate_table(tbl)
+        assert [(v["row"], v["item_index"], v["code"], v["message"])
+                for v in res.violations.to_pylist()] == [
+            (0, 1, "array.unique", '"x[1]" contains a duplicate value')]
+        assert list(res.ok) == [False, True, True]
+        assert res.value.column("x").to_pylist() == [["1", "1"], ["abc"], ["2"]]
+
+
+def test_includes_reports_post_splice_index():
+    # a strip-flagged inclusion splices its match out during the loop
+    # (fastSplice, i--), so a later unmatched item reports array.includes
+    # at its CURRENT index (array.js inclusions loop: path [..., i])
+    schema = obj({"x": jr.array().items(jr.number().max(5).strip(), jr.number().min(100))})
+    res = run(schema, pa.table({"x": pa.array([[1.0, 50.0, 2.0, 60.0]])}))
+    assert [(v["item_index"], v["code"], v["message"]) for v in res.violations.to_pylist()] == [
+        (0, "array.includes", '"x[0]" does not match any of the allowed types'),
+        (1, "array.includes", '"x[1]" does not match any of the allowed types')]
+    assert res.value.column("x").to_pylist() == [[50.0, 60.0]]
+
+
+def test_lone_inclusion_reports_the_items_own_errors():
+    # `jl === 1` (array.js:304-315): one inclusion reports the item's own
+    # error instead of array.includes; stripUnknown.arrays strips it
+    # silently; a lone required claims a clean item per row
+    schema = obj({"x": jr.array().items(jr.number().min(10).required())})
+    tbl = pa.table({"x": pa.array([[5.0, 20.0], [3.0], []])})
+    res = run(schema, tbl)
+    assert [(v["row"], v["item_index"], v["code"]) for v in res.violations.to_pylist()] == [
+        (0, 0, "number.min"), (1, 0, "number.min"),
+        (1, -1, "array.includesRequiredUnknowns"), (2, -1, "array.includesRequiredUnknowns")]
+    res = run(schema, tbl, {"strip_unknown": {"arrays": True}})
+    assert [(v["row"], v["code"]) for v in res.violations.to_pylist()] == [
+        (1, "array.includesRequiredUnknowns"), (2, "array.includesRequiredUnknowns")]
+    assert res.value.column("x").to_pylist() == [[20.0], [], []]
