@@ -1099,6 +1099,10 @@ class _Node:
             node_msg = self._override(rec.code, rec.path, rec.context)
             if node_msg is not None:
                 rec.message = node_msg.replace("{[.]}", "{value}")
+                if rec.values is None and "{value}" in rec.message:
+                    # the value at the report's own path, as the node's
+                    # own reports render it
+                    rec.values = _values_at(self.arr, self.path, rec, _fired_rows(rec))
             self.errors.append(rec)
             if not rec.warn:
                 self.failed[_fired_rows(rec)] = True
@@ -2563,10 +2567,12 @@ class _Items:
     def failed(self, sub: NodeResult) -> np.ndarray:
         return sub.failed if sub.failed is not None else np.zeros(len(self.flat), bool)
 
-    def report(self, code, items, ctx=None, **kw):
+    def report(self, code, items, ctx=None, src: Optional[ErrRec] = None, **kw):
         """One report over the flat ``items`` (a mask or indices), at each
         item's parent row and position, in the items ordering group.  It
-        keeps the items for the splice index shift.  Returns the ErrRec,
+        keeps the items for the splice index shift.  ``src`` is the child
+        report a lift takes: when the array's error() asks for ``{[.]}``,
+        the value at that report's own path fills it.  Returns the ErrRec,
         or None when no item is in scope."""
         fired = np.flatnonzero(items) if items.dtype == bool else items
         sel = self.in_scope[fired]
@@ -2579,6 +2585,9 @@ class _Items:
                          item_index=self.positions[fired].astype(np.int32), group=self.grp, **kw)
         if rec is not None:
             self.shifts.append((rec, fired))
+            if (src is not None and rec.values is None and isinstance(rec.message, str)
+                    and "{value}" in rec.message):
+                rec.values = _values_at(self.flat, self.c.path, src, fired)
         return rec
 
     def lift(self, sub: NodeResult) -> None:
@@ -2590,7 +2599,7 @@ class _Items:
         per violation row)."""
         path = self.c.path
         for rec in sub.errors:
-            self.report(rec.code, _fired_rows(rec), rec.context, seq=rec.seq,
+            self.report(rec.code, _fired_rows(rec), rec.context, src=rec, seq=rec.seq,
                         warn=rec.warn, message=rec.message, path_override=rec.path,
                         values=rec.values, path_ipos=len(path) if len(rec.path) > len(path) else None)
 
@@ -2653,6 +2662,38 @@ class _Items:
             self.new_flat = merged
         if alt_f is not None and self.alt_flat is None:
             self.alt_flat, self.alt_ok = alt_f, alt_o
+
+
+def _values_at(col, base: str, rec: ErrRec, idx: np.ndarray):
+    """joi's ``{[.]}`` value for the fired rows of a report a node takes
+    from a child: the value at the report's own path, walked down from
+    ``col`` (the values at path ``base``, ``idx`` the fired entries of it)
+    through struct fields and, for an item report, to the item at its
+    fire-time index.  None when the path leaves the column."""
+    item = rec.rows is not None and rec.item_index is not None
+    cut = rec.ipos if item and rec.ipos is not None else len(rec.path)
+    if not rec.path.startswith(base):
+        return None
+    col = _struct_walk(combine(col), rec.path[len(base):cut])
+    if col is None:
+        return None
+    col = col.take(pa.array(idx))
+    if item:
+        if not (pa.types.is_list(col.type) or pa.types.is_large_list(col.type)):
+            return None
+        pos = rec.fire_items if rec.fire_items is not None else rec.item_index
+        starts = col.offsets.to_numpy(zero_copy_only=False)[:-1]
+        col = _struct_walk(col.values.take(pa.array(starts + pos)), rec.path[cut:])
+    return col
+
+
+def _struct_walk(col, rel: str):
+    """The field at the dotted path ``rel`` of a struct column, or None."""
+    for name in filter(None, rel.split(".")):
+        if not pa.types.is_struct(col.type) or col.type.get_field_index(name) < 0:
+            return None
+        col = pc.struct_field(col, name)
+    return col
 
 
 def _item_env(c: _Node, parents: np.ndarray) -> Env:
@@ -3610,11 +3651,14 @@ class CompiledSchema:
             # item too, leaving {value} in place for _value_messages.
             if rec.values is not None or ("label" not in (rec.context or {}) and (items >= 0).any()):
                 uniq, inv = np.unique(items, return_inverse=True)
-                bases = [
-                    render(rec.code, _item_label_path(rec.path, int(it), rec.ipos),
-                           rec.context, override, prefs=self.prefs)
-                    for it in uniq
-                ]
+                ctx, labels = rec.context, [_item_label_path(rec.path, int(it), rec.ipos) for it in uniq]
+                if rec.values is not None:
+                    # joi inserts the label as text: a {value} in it must
+                    # not take the row's value (_value_messages)
+                    labels = [_shield_value(lb) for lb in labels]
+                    if isinstance(ctx.get("label"), str):
+                        ctx = {**ctx, "label": _shield_value(ctx["label"])}
+                bases = [render(rec.code, lb, ctx, override, prefs=self.prefs) for lb in labels]
                 if rec.values is not None:
                     msg_r.append(_value_messages(bases, inv, rec.values, wrap, datefmt))
                 else:
@@ -3668,14 +3712,23 @@ class CompiledSchema:
         return t.drop_columns(["_seq"])
 
 
+#: a label's own ``{value}`` text while its message takes the row's values
+_LABEL_VALUE = "\x00value\x00"
+
+
+def _shield_value(label: str) -> str:
+    return label.replace("{value}", _LABEL_VALUE)
+
+
 def _value_messages(bases: list[str], inv: np.ndarray, vals, wrap: bool, datefmt: str) -> pa.Array:
     """Each fired row's message: its item's base render (``bases[inv]``)
     with every ``{value}`` replaced by the row's value.  A None value is JS
     undefined (e.g. an unbound ref resolution): the {[.]} part DROPS, not
     'null'.  A string array renders in one kernel call, as
     ``base.replace(t, v) == v.join(base.split(t))`` and a string
-    stringifies to itself; other values stringify row by row."""
-    splits = [b.split("{value}") for b in bases]
+    stringifies to itself; other values stringify row by row.  A label's
+    shielded ``{value}`` text comes back after the split."""
+    splits = [[p.replace(_LABEL_VALUE, "{value}") for p in b.split("{value}")] for b in bases]
     if (isinstance(vals, pa.Array) and pa.types.is_string(vals.type)
             and len({len(parts) for parts in splits}) == 1):
         if len(bases) == 1:
@@ -3687,7 +3740,7 @@ def _value_messages(bases: list[str], inv: np.ndarray, vals, wrap: bool, datefmt
     if not isinstance(vals, list):
         vals = vals.to_pylist()
     return pa.array([
-        bases[i].replace("{value}", "" if v is None else k_messages._stringify(v, wrap, datefmt))
+        ("" if v is None else k_messages._stringify(v, wrap, datefmt)).join(splits[i])
         for i, v in zip(inv, vals)], pa.string())
 
 

@@ -348,6 +348,10 @@ def _stringify(v, wrap_arrays: bool = True, date_format: str = "iso") -> str:
     if isinstance(v, (bytes, bytearray)):
         # joi renders Buffers via .toString() (utf8): "must be one of [hello]"
         return bytes(v).decode("utf-8", errors="replace")
+    if isinstance(v, dict):
+        # a non-array object renders via value.toString() (lib/template.js
+        # internals.stringify)
+        return "[object Object]"
     return str(v)
 
 

@@ -160,12 +160,25 @@ def test_value_messages_match_per_row_stringify():
 
 
 def test_value_messages_label_with_value_token():
-    # every {value} of the base render takes the row's value, the label's
-    # too: the engine's output today (joi may keep the label's text as is)
+    # joi inserts the label as text: its {value} stays, only the message's
+    # own {[.]} takes the row's value (string and non-string values alike)
     vals = ['q"', "zz"]
     s = jr.object({"x": jr.string().pattern(r"^a").label("L{value}")})
     got = _value_msgs(s, pa.table({"x": vals}))
-    assert got == [(-1, _pattern_ref("L{value}", v).replace("{value}", v)) for v in vals]
+    assert got == [(-1, f'"L{{value}}" with value "{v}" fails to match the required pattern: /^a/')
+                   for v in vals]
+    s = jr.object({"x": jr.number().min(10).label("L{value}")})
+    got = _value_msgs(s, pa.table({"x": [5.0]}), {"messages": {"number.min": "{#label} {[.]}"}})
+    assert got == [(-1, "L{value} 5")]
+
+
+def test_value_messages_struct_value():
+    # joi's template stringify renders a non-array object via toString()
+    s = jr.object({"x": jr.object({"a": jr.number()}).length(2).message("bad {[.]}")})
+    got = _value_msgs(s, pa.table({"x": [{"a": 1.0}]}))
+    assert got == [(-1, "bad [object Object]")]
+    assert stringify({"a": 1}) == "[object Object]"
+    assert stringify([{"a": 1}, 2]) == "[[object Object], 2]"
 
 
 def test_value_messages_per_item_label():

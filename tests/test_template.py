@@ -219,6 +219,34 @@ def test_array_error_covers_item_reports():
     assert got == [(0, "number.min", "ARR!")]
 
 
+def test_array_error_value_token_on_item_reports():
+    # {[.]} in an error() renders the value at the report's own path, on
+    # the reports a node takes from its items as on its own: the item, a
+    # key below it, and an inner array's item
+    s = jr.array().items(jr.number().min(10)).error("bad {[.]}")
+    got = _reports({"x": s}, pa.table({"x": pa.array([[5.0], [50.0, 7.0]])}))
+    assert got == [(0, "number.min", "bad 5"), (1, "number.min", "bad 7")]
+    s = jr.array().items(jr.object({"a": jr.number().min(10)})).error("bad {[.]}")
+    got = _reports({"x": s}, pa.table({"x": pa.array([[{"a": 50.0}, {"a": 6.0}]])}))
+    assert got == [(0, "number.min", "bad 6")]
+    s = jr.array().items(jr.array().items(jr.number().min(10))).error("bad {[.]}")
+    got = _reports({"x": s}, pa.table({"x": pa.array([[[50.0, 5.0], [3.0]]])}))
+    assert got == [(0, "number.min", "bad 5"), (0, "number.min", "bad 3")]
+
+
+def test_object_error_value_token_on_key_reports():
+    s = jr.object({"a": jr.number().min(10)}).error("bad {[.]}")
+    got = _reports({"x": s}, pa.table({"x": pa.array([{"a": 5.0}, {"a": 50.0}])}))
+    assert got == [(0, "number.min", "bad 5")]
+    # a key's array item, and the root object over the table
+    s = jr.object({"l": jr.array().items(jr.number().min(10))}).error("bad {[.]}")
+    got = _reports({"x": s}, pa.table({"x": pa.array([{"l": [50.0, 4.0]}])}))
+    assert got == [(0, "number.min", "bad 4")]
+    root = obj({"a": jr.number().min(10)}).error("bad {[.]}")
+    res = compile_schema(root).validate_table(pa.table({"a": [5.0]}))
+    assert res.violations["message"].to_pylist() == ["bad 5"]
+
+
 _KINDS = {
     "plain": lambda: jr.number().min(10),
     "alternatives": lambda: jr.alternatives(jr.number().min(10)),
