@@ -5,7 +5,8 @@ Design (SURVEY.md §3.4, §7) — Ray-Data-first, one expensive pass:
     read (column-pruned) ──► ValidatorStage actor pool (map_batches, Arrow)
         │   each batch -> violation rows
         │              + one __stats__ row   (rows/failed counts)
-        │              + __sketch__ rows     (serialized ColumnStats partials)
+        │              + __sketch__ rows     (ColumnStats binary partials,
+        │                                     base64 text in ``context``)
         │              + __catcounts__ rows  (categorical value counts)
         ▼
     write shard parquet (streaming) ──► driver finalize: split violations /
@@ -17,6 +18,13 @@ Design (SURVEY.md §3.4, §7) — Ray-Data-first, one expensive pass:
       referential: broadcast asset catalog (ray.put once, read per actor)
                   checked inside the SAME main pass — no shuffle join
 
+A ``__sketch__`` partial is exact and holds no estimate: counts, moments,
+min/max, the raw HLL registers and the t-digest centroids
+(``ColumnStats.to_bytes``).  Each shard's summary.json keeps its merged
+partial under ``partials`` beside the readable ``sketches`` view
+(``ColumnStats.to_dict``); the run merges shards from the partials, so a
+split over shards loses no precision, and estimates only the merged result.
+
 Everything streams with backpressure; nothing materializes the input.  The
 per-batch partial count before the uniqueness groupby is the salting
 equivalent for hot keys: each batch contributes at most one row per key, so
@@ -25,6 +33,7 @@ group sizes are bounded by the number of batches, not row counts.
 
 from __future__ import annotations
 
+import base64
 import glob
 import json
 import os
@@ -47,26 +56,41 @@ from ..state.checkpoint import RunManifest
 META_SCHEMA = VIOLATION_SCHEMA  # meta rows reuse the violation layout
 
 
-def _extract_stat_values(tbl: pa.Table, path: str):
+def _column(tbl: pa.Table, name: str) -> pa.Array:
+    """A column as one Array: ``combine_chunks`` copies even a single chunk
+    of a nested column, so that chunk is taken as it is."""
+    col = tbl[name]
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
+def _extract_stat_values(tbl: pa.Table, path: str, flat: dict) -> pa.Array:
     """Resolve a stats path: 'col', 'col.len' (list length), or
-    'listcol.field' (flattened struct field)."""
+    'listcol.field' (flattened struct field).  ``flat`` holds each list
+    column flattened once, shared by every path of the batch."""
     if path.endswith(".len"):
-        col = tbl[path[:-4]].combine_chunks()
-        return pc.list_value_length(col), True
-    if "." in path:
-        col_name, fld = path.split(".", 1)
-        col = tbl[col_name].combine_chunks()
-        if pa.types.is_list(col.type) or pa.types.is_large_list(col.type):
-            flat = pc.list_flatten(col)
-            for part in fld.split("."):
-                flat = pc.struct_field(flat, part)
-            return flat, pa.types.is_integer(flat.type) or pa.types.is_floating(flat.type)
-        out = col
-        for part in fld.split("."):
-            out = pc.struct_field(out, part)
-        return out, pa.types.is_integer(out.type) or pa.types.is_floating(out.type)
-    col = tbl[path].combine_chunks()
-    return col, pa.types.is_integer(col.type) or pa.types.is_floating(col.type)
+        return pc.list_value_length(_column(tbl, path[:-4]))
+    if "." not in path:
+        return _column(tbl, path)
+    col_name, fld = path.split(".", 1)
+    out = flat.get(col_name)
+    if out is None:
+        out = _column(tbl, col_name)
+        if pa.types.is_list(out.type) or pa.types.is_large_list(out.type):
+            out = pc.list_flatten(out)
+        flat[col_name] = out
+    for part in fld.split("."):
+        out = pc.struct_field(out, part)
+    return out
+
+
+def _b64(b: bytes) -> str:
+    return base64.b64encode(b).decode("ascii")
+
+
+def _merge_partial(acc: dict, path: str, b64: str):
+    """Merge one base64 ``ColumnStats`` binary partial into ``acc[path]``."""
+    cs = ColumnStats.from_bytes(base64.b64decode(b64))
+    acc[path] = acc[path].merge(cs) if path in acc else cs
 
 
 def _meta_row(path: str, code: str, context: str) -> dict:
@@ -147,7 +171,7 @@ class ValidatorStage:
         if self.catalog is None or self.ref_path is None:
             return None
         col_name, fld = self.ref_path.split(".", 1)
-        col = tbl[col_name].combine_chunks()
+        col = _column(tbl, col_name)
         flat = pc.list_flatten(col)
         for part in fld.split("."):
             flat = pc.struct_field(flat, part)
@@ -167,7 +191,7 @@ class ValidatorStage:
             positions = (np.arange(len(parents)) - grp_start).astype(np.int32)
         else:
             positions = parents.astype(np.int32)
-        ids = tbl[self.id_column].combine_chunks()
+        ids = _column(tbl, self.id_column)
         if not pa.types.is_string(ids.type):
             ids = pc.cast(ids, pa.string())
         k = int(missing.sum())
@@ -205,20 +229,16 @@ class ValidatorStage:
                 json.dumps({"rows": batch.num_rows, "failed": int(failed.sum())}),
             )
         )
+        flat: dict = {}
         for path in self.stats_numeric:
-            vals, _ = _extract_stat_values(batch, path)
-            cs = ColumnStats()
-            v = vals.to_numpy(zero_copy_only=False).astype(np.float64)
-            cs.update(vals.to_pandas(), numeric_values=v)
-            meta.append(_meta_row(path, "__sketch__", cs.to_bytes().decode()))
+            vals = _extract_stat_values(batch, path, flat)
+            cs = ColumnStats().update(vals, numeric_values=vals)
+            meta.append(_meta_row(path, "__sketch__", _b64(cs.to_bytes())))
         for path in self.stats_id:
-            vals, _ = _extract_stat_values(batch, path)
-            cs = ColumnStats()
-            cs.update(vals.to_pandas())
-            meta.append(_meta_row(path, "__sketch__", cs.to_bytes().decode()))
+            cs = ColumnStats().update(_extract_stat_values(batch, path, flat))
+            meta.append(_meta_row(path, "__sketch__", _b64(cs.to_bytes())))
         for path in self.stats_categorical:
-            vals, _ = _extract_stat_values(batch, path)
-            counts = pc.value_counts(vals)
+            counts = pc.value_counts(_extract_stat_values(batch, path, flat))
             d = {
                 str(v): int(c)
                 for v, c in zip(counts.field("values").to_pylist(), counts.field("counts").to_pylist())
@@ -364,15 +384,13 @@ def uniqueness_pass_hashed(ds_factory, key: str = "doc_id", *, broadcast_max: in
 
     ``ds_factory`` is called twice (lazy datasets re-execute per
     consumption); at scale both passes are column-pruned reads."""
-    import pandas as pd
     import ray
     from ray.data.aggregate import Sum
 
     def hash_partials(batch: pa.Table) -> pa.Table:
         col = batch[key].combine_chunks()
         col = col.filter(pc.is_valid(col))
-        h = pd.util.hash_pandas_object(col.to_pandas(), index=False).to_numpy(dtype=np.uint64)
-        hv, counts = np.unique(h, return_counts=True)
+        hv, counts = np.unique(hash64(col), return_counts=True)
         return pa.table(
             {"h": pa.array(hv.astype(np.int64)), "partial_n": pa.array(counts.astype(np.int64))}
         )
@@ -448,8 +466,7 @@ def uniqueness_pass_hashed(ds_factory, key: str = "doc_id", *, broadcast_max: in
             cands = ray.get(cref)
             col = batch[key].combine_chunks()
             col = col.filter(pc.is_valid(col))
-            h = pd.util.hash_pandas_object(col.to_pandas(), index=False).to_numpy(dtype=np.int64)
-            keep = np.isin(h, cands)
+            keep = np.isin(hash64(col).view(np.int64), cands)
             sub = col.filter(pa.array(keep))
             vc = pc.value_counts(sub)
             return pa.table({key: vc.field("values"), "partial_n": pc.cast(vc.field("counts"), pa.int64())})
@@ -483,9 +500,8 @@ def uniqueness_pass_hashed(ds_factory, key: str = "doc_id", *, broadcast_max: in
         col = col.filter(pc.is_valid(col))
         vc = pc.value_counts(col)
         keys = vc.field("values")
-        h = pd.util.hash_pandas_object(keys.to_pandas(), index=False).to_numpy(dtype=np.int64)
         return pa.table({
-            "h": pa.array(h),
+            "h": pa.array(hash64(keys).view(np.int64)),
             key: keys,
             "partial_n": pc.cast(vc.field("counts"), pa.int64()),
         })
@@ -582,8 +598,7 @@ def _finalize_shard(tmp_out: str, shard_dir_tmp: str):
             rows += d["rows"]
             failed += d["failed"]
         elif code == "__sketch__":
-            cs = ColumnStats.from_bytes(context.encode())
-            sketches[path] = sketches[path].merge(cs) if path in sketches else cs
+            _merge_partial(sketches, path, context)
         elif code == "__catcounts__":
             d = json.loads(context)
             agg = catcounts.setdefault(path, {})
@@ -607,12 +622,37 @@ def _finalize_shard(tmp_out: str, shard_dir_tmp: str):
         "failed": failed,
         "codes": code_counts,
         "warnings": warn_counts,
+        # the exact partials feed the cross-shard merge; the views are
+        # for reading
+        "partials": {p: _b64(s.to_bytes()) for p, s in sketches.items()},
         "sketches": {p: s.to_dict() for p, s in sketches.items()},
         "catcounts": catcounts,
     }
     with open(os.path.join(shard_dir_tmp, "summary.json"), "w") as f:
         json.dump(summary, f, indent=1, sort_keys=True)
     return summary
+
+
+def _merge_summaries(summaries: list[dict], report: ValidationReport) -> tuple[dict, dict]:
+    """Add the shard summaries' counts into ``report``; return the column
+    sketches merged from the shards' exact binary partials, and the merged
+    categorical counts."""
+    sketches: dict[str, ColumnStats] = {}
+    cats: dict[str, dict] = {}
+    for s in summaries:
+        report.rows += s["rows"]
+        report.failed += s["failed"]
+        for c, n in s["codes"].items():
+            report.codes[c] = report.codes.get(c, 0) + n
+        for c, n in s.get("warnings", {}).items():
+            report.warnings[c] = report.warnings.get(c, 0) + n
+        for p, b64 in s["partials"].items():
+            _merge_partial(sketches, p, b64)
+        for p, d in s.get("catcounts", {}).items():
+            agg = cats.setdefault(p, {})
+            for k, v in d.items():
+                agg[k] = agg.get(k, 0) + v
+    return sketches, cats
 
 
 def validate_dataset(
@@ -700,25 +740,11 @@ def validate_dataset(
             metrics={"rows": summary["rows"], "failed": summary["failed"]},
         )
 
-    # merge shard summaries
-    merged_sketches: dict[str, ColumnStats] = {}
-    merged_cats: dict[str, dict] = {}
+    summaries = []
     for shard_id in manifest.completed_shards():
         with open(os.path.join(manifest.shard_dir(shard_id), "summary.json")) as f:
-            s = json.load(f)
-        report.rows += s["rows"]
-        report.failed += s["failed"]
-        for c, n in s["codes"].items():
-            report.codes[c] = report.codes.get(c, 0) + n
-        for c, n in s.get("warnings", {}).items():
-            report.warnings[c] = report.warnings.get(c, 0) + n
-        for p, d in s.get("sketches", {}).items():
-            cs = ColumnStats.from_dict(d)
-            merged_sketches[p] = merged_sketches[p].merge(cs) if p in merged_sketches else cs
-        for p, d in s.get("catcounts", {}).items():
-            agg = merged_cats.setdefault(p, {})
-            for k, v in d.items():
-                agg[k] = agg.get(k, 0) + v
+            summaries.append(json.load(f))
+    merged_sketches, merged_cats = _merge_summaries(summaries, report)
     report.shards = len(manifest.completed_shards())
 
     # uniqueness shuffle: hashed two-phase (int64-hash candidates + exact
@@ -772,9 +798,7 @@ def validate_dataset(
         base_cols = baseline_snapshot.get("columns", {})
         for p, s in merged_sketches.items():
             if p in base_cols and base_cols[p].get("tdigest_b64") and s.numeric:
-                base_td = TDigest.from_bytes(
-                    __import__("base64").b64decode(base_cols[p]["tdigest_b64"])
-                )
+                base_td = TDigest.from_bytes(base64.b64decode(base_cols[p]["tdigest_b64"]))
                 drift[p] = {
                     "ks": round(ks_statistic(base_td, s.tdigest), 5),
                     "psi": round(psi(base_td, s.tdigest), 5),

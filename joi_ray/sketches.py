@@ -7,22 +7,112 @@ design requirement is Ray-Data-shaped: one partial sketch per batch emitted
 from ``map_batches``, merged associatively (driver or a tiny second stage),
 never shipping raw values.  All sketches serialize to bytes and are
 deterministic (no RNG, no wall clock).
+
+A batch's partial is cheap by construction.  ``hash64`` hashes an Arrow
+array from its buffers with numpy, and ``ColumnStats.update`` hashes each
+distinct value once.  ``ColumnStats.to_bytes`` writes the exact state as a
+versioned binary partial: count, nulls, sum, sum of squares, min, max, the
+raw HLL registers and the compressed t-digest centroids.  Nothing is
+estimated per batch: ``ColumnStats.to_dict`` (cardinality, quantiles, mean
+and std) runs once, on the merged partial.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+# --------------------------------------------------------------------------
+# hashing from Arrow buffers: deterministic, unsalted, layout-independent
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output function over a uint64 array (a new array)."""
+    x = x + _GOLDEN
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _hash_bytes(arr: pa.Array) -> np.ndarray:
+    """Hash each value of a string or binary array from its offsets and data
+    buffers.  Byte b at position p of a value adds b * key(p), where key(p)
+    is an odd splitmix64 constant; ``np.add.reduceat`` over the offsets sums
+    each value's bytes, and the sum is finalized together with the length."""
+    large = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type)
+    width = 8 if large else 4
+    _, obuf, dbuf = arr.buffers()
+    offs = np.frombuffer(obuf, np.int64 if large else np.int32, len(arr) + 1, arr.offset * width)
+    base = int(offs[0])
+    offs = offs.astype(np.int64) - base
+    lens = np.diff(offs)
+    nbytes = int(offs[-1])
+    sums = np.zeros(len(arr), np.uint64)
+    if nbytes:
+        terms = np.frombuffer(dbuf, np.uint8, nbytes, base).astype(np.uint64)
+        keys = _splitmix64(np.arange(int(lens.max()), dtype=np.uint64)) | np.uint64(1)
+        terms *= keys[np.arange(nbytes, dtype=np.int64) - np.repeat(offs[:-1], lens)]
+        full = lens > 0  # an empty value has no bytes, so no segment
+        sums[full] = np.add.reduceat(terms, offs[:-1][full])
+    return _splitmix64(sums + lens.astype(np.uint64) * _GOLDEN)
+
+
+def _hash_plain(arr: pa.Array) -> np.ndarray:
+    """One hash per slot of a non-dictionary array, null slots included."""
+    t = arr.type
+    if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t) or pa.types.is_large_binary(t):
+        return _hash_bytes(arr)
+    if pa.types.is_temporal(t) and not pa.types.is_interval(t):
+        arr, t = arr.view(pa.int32() if t.bit_width == 32 else pa.int64()), pa.int64()
+    elif pa.types.is_boolean(t):
+        arr, t = pc.cast(arr, pa.int8()), pa.int8()
+    if pa.types.is_floating(t):
+        # + 0.0 folds -0.0 into 0.0, so equal values hash equally
+        v = pc.fill_null(arr, 0).to_numpy(zero_copy_only=False).astype(np.float64) + 0.0
+        return _splitmix64(v.view(np.uint64))
+    if pa.types.is_integer(t):
+        v = pc.fill_null(arr, 0).to_numpy(zero_copy_only=False).astype(np.int64)
+        return _splitmix64(v.view(np.uint64))
+    try:
+        return _hash_bytes(pc.cast(arr, pa.large_string()))
+    except (pa.ArrowNotImplementedError, pa.ArrowInvalid):
+        # nested values: hash their sorted-key JSON text
+        text = [None if v is None else json.dumps(v, sort_keys=True, default=str) for v in arr.to_pylist()]
+        return _hash_bytes(pa.array(text, pa.large_string()))
 
 
 def hash64(values) -> np.ndarray:
-    """Deterministic 64-bit hashes of an array-like (strings or numerics)."""
-    import pandas as pd
+    """Deterministic 64-bit hashes of the non-null values of an array-like,
+    in order (nulls are left out).
 
-    arr = pd.Series(values) if not isinstance(values, pd.Series) else values
-    return pd.util.hash_pandas_object(arr, index=False).to_numpy(dtype=np.uint64)
+    Numerics hash their int64 or float64 bits through splitmix64, strings
+    and binaries their UTF-8 bytes (``_hash_bytes``).  The result does not
+    depend on layout: chunked, sliced, ``large_string``, dictionary-encoded,
+    int32 and int64 inputs of the same values hash the same."""
+    arr = values if isinstance(values, (pa.Array, pa.ChunkedArray)) else pa.array(values)
+    if isinstance(arr, pa.ChunkedArray):
+        parts = [hash64(c) for c in arr.chunks]
+        return np.concatenate(parts) if parts else np.empty(0, np.uint64)
+    if pa.types.is_dictionary(arr.type):
+        arr = arr.dictionary_decode()
+    if len(arr) == arr.null_count:
+        return np.empty(0, np.uint64)
+    h = _hash_plain(arr)
+    if arr.null_count:
+        h = h[pc.is_valid(arr).to_numpy(zero_copy_only=False)]
+    return h
 
 
 # --------------------------------------------------------------------------
@@ -40,19 +130,11 @@ class HLL:
         if len(h) == 0:
             return self
         idx = (h >> np.uint64(64 - self.P)).astype(np.int64)
-        rest = (h << np.uint64(self.P)) | np.uint64(1 << (self.P - 1))
-        # rank = leading zeros of rest + 1, vectorized via bit length
-        lz = np.zeros(len(h), dtype=np.uint8)
-        v = rest.copy()
-        # count leading zeros of a uint64 via float64 exponent trick is lossy;
-        # use 4-step binary search on bit masks instead (vectorized)
-        shift = np.uint64(32)
-        acc = np.zeros(len(h), dtype=np.uint64)
-        for s in (32, 16, 8, 4, 2, 1):
-            mask = v < (np.uint64(1) << np.uint64(64 - s))
-            acc = acc + np.where(mask, np.uint64(s), np.uint64(0))
-            v = np.where(mask, v << np.uint64(s), v)
-        rank = (acc + 1).astype(np.uint8)
+        # rank = 1 + leading zeros of the low 64-P bits (64-P+1 when all
+        # are zero).  They fit a float64 mantissa, so frexp's exponent is
+        # their exact bit length.
+        low = (h & np.uint64((1 << (64 - self.P)) - 1)).astype(np.float64)
+        rank = (64 - self.P + 1 - np.frexp(low)[1]).astype(np.uint8)
         np.maximum.at(self.reg, idx, rank)
         return self
 
@@ -116,11 +198,17 @@ class TDigest:
         bucket to one centroid with reduceat — no Python loop."""
         if len(self.means) <= 1:
             return
-        order = np.argsort(self.means, kind="stable")
-        m, w = self.means[order], self.weights[order]
-        total = w.sum()
-        cum = np.cumsum(w)
-        q_mid = (cum - w / 2) / total
+        if (self.weights == 1).all():
+            # unit points (a fresh per-batch digest): tied means are
+            # interchangeable, so a plain sort gives the stable order's
+            # centroids, and the cumulative weights are 1..n
+            m, w = np.sort(self.means), self.weights
+            q_mid = (np.arange(1, len(m) + 1, dtype=np.float64) - 0.5) / len(m)
+        else:
+            order = np.argsort(self.means, kind="stable")
+            m, w = self.means[order], self.weights[order]
+            cum = np.cumsum(w)
+            q_mid = (cum - w / 2) / w.sum()
         k = self.DELTA / (2 * np.pi) * np.arcsin(np.clip(2 * q_mid - 1, -1, 1))
         cid = np.floor(k).astype(np.int64)
         starts = np.r_[0, np.nonzero(np.diff(cid))[0] + 1]
@@ -163,6 +251,18 @@ class TDigest:
 # --------------------------------------------------------------------------
 # per-column stats partial (count / nulls / moments / min / max / HLL / tdigest)
 
+# binary partial: magic, version, numeric flag, count, nulls, sum, sumsq,
+# min, max; then the HLL registers and the t-digest's own bytes
+_PARTIAL = struct.Struct("<4sBB2xqqdddd")
+_MAGIC, _VERSION = b"JRCS", 1
+
+
+def _float_nans(arr: pa.Array) -> int:
+    """NaNs in a floating column: a stats null, as pandas counts them."""
+    if not pa.types.is_floating(arr.type):
+        return 0
+    return int(pc.sum(pc.is_nan(arr)).as_py() or 0)
+
 
 @dataclass
 class ColumnStats:
@@ -176,23 +276,25 @@ class ColumnStats:
     tdigest: TDigest = field(default_factory=TDigest)
     numeric: bool = False
 
-    def update(self, values, numeric_values: np.ndarray | None = None, hashes: np.ndarray | None = None):
-        import pandas as pd
-
-        n = len(values)
-        self.count += n
-        s = pd.Series(values) if not isinstance(values, pd.Series) else values
-        nn = s.notna()
-        self.nulls += int((~nn).sum())
-        if hashes is None:
-            # hash numerics directly (no per-value str conversion)
-            sub = s[nn]
-            if nn.any():
-                hashes = pd.util.hash_pandas_object(sub, index=False).to_numpy(dtype=np.uint64)
-            else:
-                hashes = np.empty(0, np.uint64)
-        self.hll.add_hashes(hashes)
+    def update(self, values, numeric_values=None) -> "ColumnStats":
+        """Add one batch: ``values`` (an Arrow array or anything
+        ``pa.array`` takes) feed the counts and the HLL, ``numeric_values``
+        (Arrow or numpy) the moments and the t-digest.  A null, or a NaN in
+        a floating column, counts as a null.  The HLL takes a max per
+        register, so only the distinct values are hashed."""
+        arr = values if isinstance(values, (pa.Array, pa.ChunkedArray)) else pa.array(values)
+        if isinstance(arr, pa.ChunkedArray):
+            arr = arr.combine_chunks()
+        valid = arr.drop_null()
+        nans = _float_nans(valid)
+        if nans:
+            valid = valid.filter(pc.invert(pc.is_nan(valid)))
+        self.count += len(arr)
+        self.nulls += arr.null_count + nans
+        self.hll.add_hashes(hash64(pc.unique(valid)))
         if numeric_values is not None:
+            if isinstance(numeric_values, (pa.Array, pa.ChunkedArray)):
+                numeric_values = pc.drop_null(numeric_values).to_numpy(zero_copy_only=False)
             v = np.asarray(numeric_values, dtype=np.float64)
             v = v[~np.isnan(v)]
             if len(v):
@@ -217,6 +319,7 @@ class ColumnStats:
         return self
 
     def to_dict(self) -> dict:
+        """The estimates: run on a merged partial, not per batch."""
         import base64
 
         nonnull = self.count - self.nulls
@@ -239,37 +342,20 @@ class ColumnStats:
             "tdigest_b64": base64.b64encode(self.tdigest.to_bytes()).decode(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ColumnStats":
-        import base64
-
-        cs = cls(
-            count=d["count"],
-            nulls=d["nulls"],
-            numeric=d.get("numeric", False),
-            min=d.get("min") if d.get("min") is not None else float("inf"),
-            max=d.get("max") if d.get("max") is not None else float("-inf"),
-        )
-        mean = d.get("mean")
-        nonnull = cs.count - cs.nulls
-        if mean is not None and nonnull:
-            cs.sum = mean * nonnull
-            std = d.get("std") or 0.0
-            cs.sumsq = (std * std + mean * mean) * nonnull
-        cs.hll = HLL.from_bytes(base64.b64decode(d["hll_b64"]))
-        cs.tdigest = TDigest.from_bytes(base64.b64decode(d["tdigest_b64"]))
-        return cs
-
     def to_bytes(self) -> bytes:
-        import json
-
-        return json.dumps(self.to_dict()).encode()
+        """The exact binary partial; ``from_bytes`` is its inverse."""
+        head = _PARTIAL.pack(_MAGIC, _VERSION, self.numeric, self.count, self.nulls,
+                             self.sum, self.sumsq, self.min, self.max)
+        return head + self.hll.to_bytes() + self.tdigest.to_bytes()
 
     @classmethod
     def from_bytes(cls, b: bytes) -> "ColumnStats":
-        import json
-
-        return cls.from_dict(json.loads(b.decode()))
+        magic, version, numeric, count, nulls, s, sq, lo, hi = _PARTIAL.unpack_from(b, 0)
+        if magic != _MAGIC or version != _VERSION:
+            raise ValueError(f"not a version-{_VERSION} ColumnStats partial: {magic!r} v{version}")
+        end = _PARTIAL.size + HLL.M
+        return cls(count=count, nulls=nulls, sum=s, sumsq=sq, min=lo, max=hi, numeric=bool(numeric),
+                   hll=HLL.from_bytes(b[_PARTIAL.size:end]), tdigest=TDigest.from_bytes(b[end:]))
 
 
 # --------------------------------------------------------------------------

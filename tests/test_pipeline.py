@@ -227,3 +227,48 @@ def test_referential_context_matches_json_dumps(refs, catalog):
     assert set(got["severity"].to_pylist()) == {"error"}
     assert set(got["message"].to_pylist()) == {
         '"spans.media_ref" references an asset missing from the catalog'}
+
+
+def test_shard_partials_merge_exactly(tmp_path):
+    # a column split over two shards merges to what one shard gives: the
+    # summaries carry the exact binary partials, not the mean/std view
+    import numpy as np
+    import pyarrow as pa
+
+    import joi_ray as jr
+    from joi_ray.pipelines.validate import (ValidationReport, ValidatorStage, _finalize_shard,
+                                            _merge_summaries)
+
+    rng = np.random.default_rng(4)
+    schema = jr.object({"doc_id": jr.string(), "x": jr.number(), "spans": jr.array()})
+    stage = ValidatorStage(schema.to_json(), {"abort_early": False}, "doc_id",
+                           stats_numeric=["x", "spans.offset"], stats_id=["doc_id"])
+    batches = []
+    for b in range(4):
+        # multiples of 1/16 under 2^14: every sum and sum of squares is exact
+        x = rng.integers(-2**18, 2**18, 3000) / 16
+        batches.append(pa.table({
+            "doc_id": [f"d{b}-{i}" for i in range(3000)],
+            "x": pa.array(x),
+            "spans": [[{"offset": int(i % 7)}] * (i % 3) for i in range(3000)],
+        }))
+
+    def shard(name, part):
+        stream = tmp_path / f"stream-{name}"
+        stream.mkdir()
+        for i, b in enumerate(part):
+            pq.write_table(stage(b), stream / f"{i}.parquet")
+        return _finalize_shard(str(stream), str(tmp_path / f"shard-{name}"))
+
+    two, _ = _merge_summaries([shard("a", batches[:2]), shard("b", batches[2:])], ValidationReport(""))
+    one, _ = _merge_summaries([shard("all", batches)], ValidationReport(""))
+    assert set(two) == set(one) == {"x", "spans.offset", "doc_id"}
+    for p in one:
+        for f in ("count", "nulls", "sum", "sumsq", "min", "max"):
+            assert np.float64(getattr(two[p], f)).tobytes() == np.float64(getattr(one[p], f)).tobytes(), (p, f)
+        d2, d1 = two[p].to_dict(), one[p].to_dict()
+        if d1["numeric"]:
+            assert abs(d2["mean"] - d1["mean"]) <= 1e-12 * abs(d1["mean"])
+            assert abs(d2["std"] - d1["std"]) <= 1e-12 * d1["std"]
+    xs = np.concatenate([b["x"].to_numpy() for b in batches])
+    assert one["x"].sum == xs.sum() and one["x"].count == len(xs)

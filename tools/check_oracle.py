@@ -7,6 +7,7 @@ Usage: python tools/check_oracle.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -47,7 +48,8 @@ def main():
 
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
-    sys.path.insert(0, "/root/repo")
+    # this checkout's driver entry, whatever the working directory
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entry
 
     con = duckdb.connect()
