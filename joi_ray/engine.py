@@ -26,6 +26,7 @@ Compilation happens once (driver, or per validator actor in ``__init__``);
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field, replace
 from itertools import compress
@@ -3502,28 +3503,38 @@ def _topo_keys(keys: dict[str, CNode]) -> list[str]:
 
     for k, cn in keys.items():
         collect(cn.schema, deps[k])
-        deps[k] &= set(keys)
+        deps[k] &= deps.keys()
     # @hapi/topo keeps INSERTION order and only defers a dependent past its
     # targets ({b,c,a-after-c,d} -> [b, c, a, d], not [c, a, b, d]) — the
     # evaluation (and with abortEarly, the first-error) order depends on it.
     # Kahn's algorithm picking the earliest-inserted ready node mirrors that.
-    order = {k: i for i, k in enumerate(keys)}
-    out, done = [], set()
-    remaining = list(keys)
-    while remaining:
-        ready = [k for k in remaining if deps[k] <= done]
-        if not ready:
-            # the reference REFUSES cyclic key dependencies at build time
-            # (@hapi/topo: 'item added into group <k> created a
-            # dependencies error' via object.js:601-606)
-            raise ValueError(
-                f"cyclic key dependencies among {sorted(remaining)} "
-                "(reference @hapi/topo raises at schema build)"
-            )
-        nxt = min(ready, key=lambda k: order[k])
-        out.append(nxt)
-        done.add(nxt)
-        remaining.remove(nxt)
+    # A heap of ready keys by insertion position keeps that choice
+    # O(k log k).
+    names = list(keys)
+    waiting = {k: len(deps[k]) for k in names}
+    users: dict[str, list[str]] = {k: [] for k in names}
+    for k in names:
+        for d in deps[k]:
+            users[d].append(k)
+    pos = {k: i for i, k in enumerate(names)}
+    ready = [i for i, k in enumerate(names) if not waiting[k]]
+    out = []
+    while ready:
+        k = names[heapq.heappop(ready)]
+        out.append(k)
+        for u in users[k]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                heapq.heappush(ready, pos[u])
+    if len(out) < len(names):
+        # the reference REFUSES cyclic key dependencies at build time
+        # (@hapi/topo: 'item added into group <k> created a
+        # dependencies error' via object.js:601-606)
+        remaining = [k for k in names if waiting[k]]
+        raise ValueError(
+            f"cyclic key dependencies among {sorted(remaining)} "
+            "(reference @hapi/topo raises at schema build)"
+        )
     return out
 
 

@@ -143,6 +143,20 @@ def test_nested_cyclic_key_dependency_refused_at_compile():
         compile_schema(obj({"x": inner}))
 
 
+def test_wide_object_compiles_in_under_a_second():
+    # sibling keys are ordered by a heap-driven topological sort: 4,000 keys,
+    # one referencing the last, compile in near-linear time (quadratic
+    # before: ~3 s) and keep @hapi/topo's insertion order
+    import time
+
+    keys = {f"k{i}": jr.number().min(0) for i in range(4000)}
+    keys["k0"] = jr.number().min(jr.ref("k3999"))
+    t0 = time.process_time()
+    compiled = compile_schema(obj(keys))
+    assert time.process_time() - t0 < 1.0
+    assert compiled.root.key_order == [f"k{i}" for i in range(1, 4000)] + ["k0"]
+
+
 def test_post_when_unmatchable_valids_refused():
     # the when() wrapper's valids stage matches static values only: a None
     # or ref valid()/invalid() added after the when raises at compile
