@@ -3659,20 +3659,17 @@ class CompiledSchema:
             # distinct index (bounded by max list length, not row count).
             # A message that embeds the offending value ({[.]},
             # string/index.js:760-763) renders its TEMPLATE per distinct
-            # item too, leaving {value} in place for _value_messages.
+            # item too, split at its {value} parts for _value_messages (the
+            # label goes in after the split: joi inserts it as text).
             if rec.values is not None or ("label" not in (rec.context or {}) and (items >= 0).any()):
                 uniq, inv = np.unique(items, return_inverse=True)
-                ctx, labels = rec.context, [_item_label_path(rec.path, int(it), rec.ipos) for it in uniq]
+                labels = [_item_label_path(rec.path, int(it), rec.ipos) for it in uniq]
                 if rec.values is not None:
-                    # joi inserts the label as text: a {value} in it must
-                    # not take the row's value (_value_messages)
-                    labels = [_shield_value(lb) for lb in labels]
-                    if isinstance(ctx.get("label"), str):
-                        ctx = {**ctx, "label": _shield_value(ctx["label"])}
-                bases = [render(rec.code, lb, ctx, override, prefs=self.prefs) for lb in labels]
-                if rec.values is not None:
-                    msg_r.append(_value_messages(bases, inv, rec.values, wrap, datefmt))
+                    splits = [render(rec.code, lb, rec.context, override, prefs=self.prefs, split="{value}")
+                              for lb in labels]
+                    msg_r.append(_value_messages(splits, inv, rec.values, wrap, datefmt))
                 else:
+                    bases = [render(rec.code, lb, rec.context, override, prefs=self.prefs) for lb in labels]
                     msg_r.append(bases[0] if len(bases) == 1
                                  else pa.array(bases, pa.string()).take(pa.array(inv)))
             else:
@@ -3723,26 +3720,16 @@ class CompiledSchema:
         return t.drop_columns(["_seq"])
 
 
-#: a label's own ``{value}`` text while its message takes the row's values
-_LABEL_VALUE = "\x00value\x00"
-
-
-def _shield_value(label: str) -> str:
-    return label.replace("{value}", _LABEL_VALUE)
-
-
-def _value_messages(bases: list[str], inv: np.ndarray, vals, wrap: bool, datefmt: str) -> pa.Array:
-    """Each fired row's message: its item's base render (``bases[inv]``)
-    with every ``{value}`` replaced by the row's value.  A None value is JS
-    undefined (e.g. an unbound ref resolution): the {[.]} part DROPS, not
-    'null'.  A string array renders in one kernel call, as
-    ``base.replace(t, v) == v.join(base.split(t))`` and a string
-    stringifies to itself; other values stringify row by row.  A label's
-    shielded ``{value}`` text comes back after the split."""
-    splits = [[p.replace(_LABEL_VALUE, "{value}") for p in b.split("{value}")] for b in bases]
+def _value_messages(splits: list[list[str]], inv: np.ndarray, vals, wrap: bool, datefmt: str) -> pa.Array:
+    """Each fired row's message: its item's render parts (``splits[inv]``,
+    split at the template's ``{value}`` tokens) joined by the row's value.
+    A None value is JS undefined (e.g. an unbound ref resolution): the
+    {[.]} part DROPS, not 'null'.  A string array renders in one kernel
+    call, and a string stringifies to itself; other values stringify row
+    by row."""
     if (isinstance(vals, pa.Array) and pa.types.is_string(vals.type)
             and len({len(parts) for parts in splits}) == 1):
-        if len(bases) == 1:
+        if len(splits) == 1:
             cols = splits[0]  # str parts broadcast over the rows
         else:
             idx = pa.array(inv)

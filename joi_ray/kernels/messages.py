@@ -180,8 +180,13 @@ def err_opts(prefs: dict | None) -> tuple:
     return (bool(esc), bool(wrap), prefs.get("date_format", "iso"))
 
 
+# where the label goes, raw or HTML-escaped, until it is put in last
+# (private-use characters: the template parser takes \x00/\x01 for braces)
+_LABEL, _LABEL_ESC = "\ue000label\ue000", "\ue000label-esc\ue000"
+
+
 def render(code: str, path: str, context: dict, override: str | None = None,
-           prefs: dict | None = None) -> str:
+           prefs: dict | None = None, *, split: str | None = None) -> str | list[str]:
     """Render the static message for an error family.  Per-row ``{value}``
     interpolation is intentionally omitted (violation rows carry the doc id
     and span index instead) so one render serves the whole mask.
@@ -195,7 +200,12 @@ def render(code: str, path: str, context: dict, override: str | None = None,
     ``prefs`` threads joi's error-render options: the reference catalog's
     placeholders are ``{{#...}}`` (HTML-escaped when ``errors.escapeHtml``),
     arrays wrap per ``errors.wrapArrays``, dates render per ``dateFormat``
-    (template.js:185,331 + the dateFormat method map template.js:16-22)."""
+    (template.js:185,331 + the dateFormat method map template.js:16-22).
+
+    The label goes in last, as text: a placeholder in it (``L{limit}``,
+    ``L{value}``) stays as written, as joi keeps it.  With ``split``, the
+    message comes back as its parts between the template's ``split``
+    tokens, the label put into each part afterwards."""
     esc, wrap, datefmt = err_opts(prefs)
     tmpl = override or MESSAGES.get(code, f'"{{label}}" fails rule {code}')
     label = context.get("label") or path
@@ -208,30 +218,30 @@ def render(code: str, path: str, context: dict, override: str | None = None,
         label = root if isinstance(root, str) else "value"
     out = tmpl
 
-    def _sub(out: str, k: str, s: str) -> str:
+    def _sub(out: str, k: str, s: str, es: str) -> str:
+        # ``es`` is ``s`` as escaped under errors.escapeHtml
         if override is not None:
             # user templates carry joi's brace semantics: {{x}} parts
             # escape under errors.escapeHtml, {x} parts are raw
             # (template.js:185) — double forms FIRST so the single-brace
             # replace can't eat their inner braces
-            es = _escape_html(s) if esc else s
             out = out.replace("{{#%s}}" % k, es).replace("{{%s}}" % k, es)
             return out.replace("{#%s}" % k, s).replace("{%s}" % k, s)
         # catalog templates store single-brace placeholders but mirror the
         # reference's {{#...}} (escaped) parts — except {value} ({[.]}),
         # substituted later and raw by contract
-        if esc:
-            s = _escape_html(s)
-        return out.replace("{#%s}" % k, s).replace("{%s}" % k, s)
+        return out.replace("{#%s}" % k, es).replace("{%s}" % k, es)
 
-    out = _sub(out, "label", str(label))
+    out = _sub(out, "label", _LABEL, _LABEL_ESC)
     for k, v in context.items():
+        if k == "label":
+            continue
         if k == "regex" and isinstance(v, str) and not v.startswith("/"):
             # joi stringifies the RegExp object: String(/\d/) === "/\\d/"
             s = f"/{v}/"
         else:
             s = _stringify(v, wrap, datefmt)
-        out = _sub(out, k, s)
+        out = _sub(out, k, s, _escape_html(s) if esc else s)
     if override is not None and "{" in out:
         # joi DROPS template parts whose ref resolves undefined
         # (errors.js render: parts.push only when string !== undefined;
@@ -257,7 +267,11 @@ def render(code: str, path: str, context: dict, override: str | None = None,
             out = compile_template(out).render(resolve, options=(esc, wrap, datefmt))
         except (TypeError, ValueError):
             pass  # leave the partially-substituted string
-    return out
+    label = str(label)
+    label_esc = _escape_html(label) if esc else label
+    parts = [p.replace(_LABEL_ESC, label_esc).replace(_LABEL, label)
+             for p in (out.split(split) if split else [out])]
+    return parts if split else parts[0]
 
 
 def stringify(v, prefs: dict | None = None) -> str:

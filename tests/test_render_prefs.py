@@ -172,6 +172,20 @@ def test_value_messages_label_with_value_token():
     assert got == [(-1, "L{value} 5")]
 
 
+def test_label_placeholders_stay_as_text():
+    # joi inserts the label as text, after the template's own placeholders:
+    # a context placeholder in the label keeps its braces (not node-verified)
+    s = jr.object({"x": jr.number().min(10).label("L{limit}")})
+    t = pa.table({"x": [5.0]})
+    assert _msgs(s, t, {}) == ['"L{limit}" must be larger than or equal to 10']
+    # a user template drops its unresolved refs, not the label's text
+    msgs = {"messages": {"number.min": "{#label} / {{#label}} {#limit} {#nope}"}}
+    assert _msgs(s, t, msgs) == ["L{limit} / L{limit} 10 "]
+    s = jr.object({"x": jr.number().min(10).label("<L>{#limit}")})
+    assert _msgs(s, t, {"errors": {"escapeHtml": True}}) == [
+        '"&lt;L&gt;{#limit}" must be larger than or equal to 10']
+
+
 def test_value_messages_struct_value():
     # joi's template stringify renders a non-array object via toString()
     s = jr.object({"x": jr.object({"a": jr.number()}).length(2).message("bad {[.]}")})
