@@ -19,7 +19,6 @@ and std) runs once, on the merged partial.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 
@@ -72,12 +71,6 @@ def _hash_bytes(arr: pa.Array) -> np.ndarray:
 def _hash_plain(arr: pa.Array) -> np.ndarray:
     """One hash per slot of a non-dictionary array, null slots included."""
     t = arr.type
-    if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t) or pa.types.is_large_binary(t):
-        return _hash_bytes(arr)
-    if pa.types.is_temporal(t) and not pa.types.is_interval(t):
-        arr, t = arr.view(pa.int32() if t.bit_width == 32 else pa.int64()), pa.int64()
-    elif pa.types.is_boolean(t):
-        arr, t = pc.cast(arr, pa.int8()), pa.int8()
     if pa.types.is_floating(t):
         # + 0.0 folds -0.0 into 0.0, so equal values hash equally
         v = pc.fill_null(arr, 0).to_numpy(zero_copy_only=False).astype(np.float64) + 0.0
@@ -85,12 +78,10 @@ def _hash_plain(arr: pa.Array) -> np.ndarray:
     if pa.types.is_integer(t):
         v = pc.fill_null(arr, 0).to_numpy(zero_copy_only=False).astype(np.int64)
         return _splitmix64(v.view(np.uint64))
-    try:
-        return _hash_bytes(pc.cast(arr, pa.large_string()))
-    except (pa.ArrowNotImplementedError, pa.ArrowInvalid):
-        # nested values: hash their sorted-key JSON text
-        text = [None if v is None else json.dumps(v, sort_keys=True, default=str) for v in arr.to_pylist()]
-        return _hash_bytes(pa.array(text, pa.large_string()))
+    if not (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        arr = pc.cast(arr, pa.large_string())  # dates, booleans, decimals: their text
+    return _hash_bytes(arr)
 
 
 def hash64(values) -> np.ndarray:
@@ -257,13 +248,6 @@ _PARTIAL = struct.Struct("<4sBB2xqqdddd")
 _MAGIC, _VERSION = b"JRCS", 1
 
 
-def _float_nans(arr: pa.Array) -> int:
-    """NaNs in a floating column: a stats null, as pandas counts them."""
-    if not pa.types.is_floating(arr.type):
-        return 0
-    return int(pc.sum(pc.is_nan(arr)).as_py() or 0)
-
-
 @dataclass
 class ColumnStats:
     count: int = 0
@@ -286,11 +270,10 @@ class ColumnStats:
         if isinstance(arr, pa.ChunkedArray):
             arr = arr.combine_chunks()
         valid = arr.drop_null()
-        nans = _float_nans(valid)
-        if nans:
+        if pa.types.is_floating(valid.type):
             valid = valid.filter(pc.invert(pc.is_nan(valid)))
         self.count += len(arr)
-        self.nulls += arr.null_count + nans
+        self.nulls += len(arr) - len(valid)
         self.hll.add_hashes(hash64(pc.unique(valid)))
         if numeric_values is not None:
             if isinstance(numeric_values, (pa.Array, pa.ChunkedArray)):
