@@ -89,7 +89,8 @@ def hash64(values) -> np.ndarray:
     in order (nulls are left out).
 
     Numerics hash their int64 or float64 bits through splitmix64, strings
-    and binaries their UTF-8 bytes (``_hash_bytes``).  The result does not
+    and binaries their bytes (``_hash_bytes``), other types the bytes of
+    their text.  The result does not
     depend on layout: chunked, sliced, ``large_string``, dictionary-encoded,
     int32 and int64 inputs of the same values hash the same."""
     arr = values if isinstance(values, (pa.Array, pa.ChunkedArray)) else pa.array(values)

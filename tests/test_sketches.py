@@ -210,3 +210,16 @@ def test_hll_on_flagship_doc_ids_within_two_percent():
         exact = len(pc.unique(ids.drop_null()))
         est = ColumnStats().update(ids).to_dict()["cardinality"]
         assert abs(est - exact) / exact < 0.02, (est, exact)
+
+
+def test_hll_registers_match_the_bit_length_reference():
+    rng = np.random.default_rng(13)
+    low_bits = (1 << (64 - HLL.P)) - 1
+    h = np.concatenate([
+        rng.integers(0, 2**63, 5000, dtype=np.uint64) * np.uint64(2) + rng.integers(0, 2, 5000, dtype=np.uint64),
+        np.array([0, 1, low_bits, low_bits + 1, 2**63, 2**64 - 1, 2**52 - 2**40, 3 << 60], dtype=np.uint64)])
+    want = np.zeros(HLL.M, np.uint8)
+    for x in (int(v) for v in h):
+        idx, rank = x >> (64 - HLL.P), 64 - HLL.P + 1 - (x & low_bits).bit_length()
+        want[idx] = max(want[idx], rank)
+    assert np.array_equal(HLL().add_hashes(h).reg, want)
