@@ -32,6 +32,8 @@ from .engine import (
     BatchResult,
     CompiledSchema,
     DEFAULT_PREFS,
+    MAX_SCHEMA_DEPTH,
+    SchemaTooDeep,
     VIOLATION_SCHEMA,
     ValidationFailure,
     assert_,
@@ -81,6 +83,8 @@ __all__ = [
     "CompiledSchema",
     "compile_schema",
     "DEFAULT_PREFS",
+    "MAX_SCHEMA_DEPTH",
+    "SchemaTooDeep",
     "VIOLATION_SCHEMA",
     "Template",
     "expression",

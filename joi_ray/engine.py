@@ -5,12 +5,15 @@ recursive-descent interpreter (``/root/reference/lib/validator.js:112-257``).
 The same stage order is preserved per column, but every stage is a
 vectorized mask/kernel over an Arrow column instead of a per-value branch.
 Each stage is a module-level function of one ``_Node`` (the node, its env,
-scope, current value and masks), run by ``_eval_node_impl`` in joi's
-order: ``_coerce_stage`` → ``_empty_stage`` → ``_presence_stage`` →
-``_valids_stage`` → ``_base_stage`` (base checks, then ``_eval_object`` /
-``_eval_array``) → ``_rules_stage`` → ``_finalize_stage``.  when()
-wrappers run ``_eval_whens`` and alternatives ``_eval_alternatives``
-instead.  ``_Node.add`` and ``_Node.adopt`` are the only report paths.
+scope, current value and masks).  Compilation gives every node its
+``plan``, the stages it runs in joi's order (``_plan``), and
+``_eval_node_impl`` runs it: ``_coerce_stage`` → ``_empty_stage`` →
+``_presence_stage`` → ``_valids_stage`` → ``_base_stage`` (base checks,
+then ``_eval_object`` / ``_eval_array``) → ``_rules_stage`` →
+``_finalize_stage``.  Alternatives run the same presence and valids stages,
+then ``_match_stage``; when() wrappers their own valids stage, then
+``_when_stage``.  ``_Node.add`` and ``_Node.adopt`` are the only report
+paths.
 
 ``_eval_array`` is joi's one items loop (array.js:140-350), split the same
 way into stage functions of one ``_Items`` context (flat items, parents,
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Any, Optional
@@ -36,7 +40,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .spec import Ref, Schema, build, compile_literal
+from .extend import lookup_rule
+from .spec import Ref, Schema, _value_key, build, compile_literal
 from .kernels import lists as k_lists
 from .kernels import numbers as k_numbers
 from .kernels import scalars as k_scalars
@@ -174,272 +179,309 @@ def _rule_type_ok(node_type: str, arrow_type: pa.DataType) -> bool:
     return guard is None or bool(guard(arrow_type))
 
 
+#: the deepest schema nesting compile accepts.  Each level costs about five
+#: Python frames at validation (``eval_node`` -> ``_eval_node_impl`` ->
+#: ``_base_stage`` -> ``_eval_object`` -> ``run_child`` for an object), so
+#: 128 levels take 640 of Python's default 1,000, leaving room for the
+#: caller's own frames (a test runner, a Ray worker)
+MAX_SCHEMA_DEPTH = 128
+
+
+class SchemaTooDeep(ValueError):
+    """The schema nests deeper than ``MAX_SCHEMA_DEPTH`` levels: refused at
+    compile, since validating it would exhaust Python's recursion limit."""
+
+
+def _resolvable(v) -> bool:
+    """joi's Common.isResolvable: Refs AND Templates (Joi.x) resolve per
+    row inside the valids/invalids sets."""
+    return isinstance(v, Ref) or hasattr(v, "resolve_value")
+
+
 class CNode:
     """One compiled schema node: kernels constructed, children compiled,
-    value sets prebuilt, conditionals desugared via concat."""
+    value sets prebuilt, conditionals desugared via concat, and ``plan``:
+    the stage functions the node runs per batch, in order (``_plan``).
+    ``depth`` counts the schema levels down to this node (the root is 1)."""
 
-    def __init__(self, schema: Schema, prefs: dict):
+    def __init__(self, schema: Schema, depth: int = 1):
+        if depth > MAX_SCHEMA_DEPTH:
+            raise SchemaTooDeep(f"schema nests deeper than {MAX_SCHEMA_DEPTH} levels")
+        depth += 1  # the children's level
         self.schema = schema
         self.type = schema.type
         self.flags = dict(schema.flags)
-        self.prefs = {**prefs, **schema.prefs}
-        def _resolvable(v):
-            # joi's Common.isResolvable: Refs AND Templates (Joi.x) resolve
-            # per row inside the valids/invalids sets
-            return isinstance(v, Ref) or hasattr(v, "resolve_value")
-
-        self.allow_static = [v for v in schema.allow_vals if not _resolvable(v)]
-        self.allow_refs = [v for v in schema.allow_vals if _resolvable(v)]
-        self.invalid_static = [v for v in schema.invalid_vals if not _resolvable(v)]
-        self.invalid_refs = [v for v in schema.invalid_vals if _resolvable(v)]
-        self.allow_missing = any(v is None for v in self.allow_static)
-        self.allow_static = [v for v in self.allow_static if v is not None]
-        self.invalid_static = [v for v in self.invalid_static if v is not None]
-
-        # --- leaf rule kernels
-        self.rules: list[CompiledRule] = []
-        structural = _STRUCTURAL_RULES.get(self.type, set())
-        factories = _RULE_FACTORIES.get(self.type, {})
-        for seq, r in enumerate(schema.rules):
-            name, args = r["name"], r.get("args", {})
-            if name == "warning":
-                code = args.get("code", "any.warning")
-                self.rules.append(
-                    CompiledRule(name, None, code, seq, warn=True, message=r.get("message"))
-                )
-                continue
-            if name in structural:
-                self.rules.append(CompiledRule(name, ("structural", args), f"{self.type}.{name}", seq, warn=r.get("warn", False), message=r.get("message")))
-                continue
-            if name not in factories:
-                from .extend import lookup_rule
-
-                hit = lookup_rule(self.type, name)
-                if hit is None:
-                    raise ValueError(f"unknown rule {self.type}.{name}")
-                custom_factory, code = hit
-                self.rules.append(
-                    CompiledRule(name, custom_factory(args), code, seq,
-                                 warn=r.get("warn", False), message=r.get("message"))
-                )
-                continue
-            fn = factories[name](args)
-            code_fn = _RULE_CODES.get(self.type, {}).get(name)
-            code = code_fn(args) if code_fn else f"{self.type}.{name}"
-            self.rules.append(
-                CompiledRule(
-                    name,
-                    fn,
-                    code,
-                    seq,
-                    warn=r.get("warn", False),
-                    message=r.get("message"),
-                    convert_phase=(self.type == "string" and name in _STRING_CONVERT_RULES),
-                )
-            )
-        # convert-phase rules get a dedicated normalize->case->trim ordered
-        # VIEW for the coerce-time pass; the main list keeps REGISTRATION
-        # order — under convert:false they validate in the rules loop and
-        # abortEarly's first-error depends on that order
-        self.convert_rules: list = []
-        if self.type == "string":
-            order = {n: i for i, n in enumerate(k_strings.CONVERT_ORDER)}
-            self.convert_rules = sorted(
-                (r for r in self.rules if r.convert_phase and r.name in order),
-                key=lambda r: order[r.name]
-            )
-
-        # --- children
-        t = schema.terms
-        self.keys: dict[str, CNode] = {k: CNode(v, prefs) for k, v in t.get("keys", {}).items()}
+        self.terms = t = schema.terms
+        self.rules, self.convert_rules = _compile_rules(schema, depth)
+        self.keys, self.key_order, self.patterns = _compile_keys(t, depth)
         # term PRESENCE is semantic: object() (no term) allows any key,
         # object({}) / keys({}) (empty term) forbids all (object.js:258-270,
         # unknown-key gate :1043-1046)
         self.keys_term: bool = "keys" in t
-        # evaluation order of the keys; a cyclic dependency is refused here,
-        # at compile, as the reference refuses it at schema build
-        self.key_order: list[str] = _topo_keys(self.keys)
-        self.items: list[CNode] = [CNode(v, prefs) for v in t.get("items", [])]
-        # forbidden item schemas are EXCLUSIONS, matched sans the flag (array.js:145-153)
-        self.inclusions = [ic for ic in self.items if ic.flags.get("presence") != "forbidden"]
-        self.exclusions = [CNode(ic.schema.optional(), prefs) for ic in self.items if ic not in self.inclusions]
-        self.ordered: list[CNode] = [CNode(v, prefs) for v in t.get("ordered", [])]
-        # matches: plain try-branches ({"schema": CNode}) or conditional
-        # entries from alternatives.when (lib/types/alternatives.js:36-57)
-        self.matches: list[dict] = []
-        for v in t.get("matches", []):
-            if isinstance(v, Schema) or (isinstance(v, dict) and "type" in v):
-                self.matches.append(
-                    {"schema": CNode(v if isinstance(v, Schema) else build(v), prefs)})
-                continue
-            e = {
-                "then": CNode(v["then"], prefs) if v.get("then") is not None else None,
-                "otherwise": CNode(v["otherwise"], prefs) if v.get("otherwise") is not None else None,
-            }
-            if v.get("peek") is not None:
-                pk = v["peek"]
-                e["peek"] = CNode(pk if isinstance(pk, Schema) else build(pk), prefs)
-            else:
-                r = v["ref"]
-                e["ref"] = r if isinstance(r, Ref) else Ref(r)
-                e["is"] = self._compile_is(v.get("is"), prefs)
-            self.matches.append(e)
+        self.items, self.inclusions, self.exclusions, self.ordered = _compile_items(t, depth)
+        self.matches, ended = _compile_matches(t, depth)
+        self.empty_schemas, self.empty_values = _compile_empty(self.flags, depth)
         self.dependencies = list(t.get("dependencies", []))
         self.renames = list(t.get("renames", []))
         self.replacements = list(t.get("replacements", []))
-        import re as _re
+        self.whens, self.wrapper_fins, wrapper_sets = _compile_whens(schema, depth)
+        if self.whens:
+            # the wrapper's own valids stage matches only the values added
+            # after the when(); the branches hold the earlier ones
+            allow, invalid = wrapper_sets or ([], [])
+            only = bool(allow)
+        else:
+            allow, invalid, only = schema.allow_vals, schema.invalid_vals, bool(self.flags.get("only"))
+        (self.allow_static, self.allow_refs, self.invalid_static, self.invalid_refs,
+         self.allow_missing) = _compile_valids(allow, invalid)
+        self.only = only
+        # prefs.presence supplies the default presence, except on an
+        # ended-switch alternatives: a match entry carrying BOTH then and
+        # otherwise makes it 'ignore' (validator.js:170 `_endedSwitch ?
+        # 'ignore' : prefs.presence`), so an undefined value flows INTO the
+        # matched branch and its own presence/defaults govern (fuzz seed
+        # 35000022, node-verified)
+        self.presence = self.flags.get("presence") or ("ignore" if ended else None)
+        # joi's when() on a non-alternatives base returns a FRESH unlabeled
+        # alternatives (base.js:364): a label set before the when() lives in
+        # the branches, so the wrapper's own reports drop it
+        pre_when = self.whens and schema.metas.get("_label_pre_when")
+        self.label = None if pre_when else self.flags.get("label")
+        self.plan = _plan(self)
 
-        self.patterns = [
-            {
-                "rx": _re.compile(p["regex"]),
-                "node": CNode(p["schema"], prefs),
-                "exclusive": bool(p.get("exclusive")),
-                "matches": CNode(p["matches"], prefs) if p.get("matches") is not None else None,
-            }
-            for p in t.get("patterns", [])
-        ]
-        # empty(schema) support: schema-valued entries precompiled; string
-        # matchers implicitly allow "" (an empty string should be matchable
-        # as "empty" — the base string.empty check must not veto it)
-        raw_empty = self.flags.get("empty") or []
-        self.empty_schemas = [
-            CNode(v.allow("") if v.type == "string" and "" not in v.allow_vals else v, prefs)
-            for v in raw_empty
-            if isinstance(v, Schema)
-        ]
-        self.empty_values = [v for v in raw_empty if not isinstance(v, Schema)]
-        self.terms = t
 
-        # --- whens desugared at compile time via concat (lib/base.js:364:
-        # when() lifts into alternatives; we keep base+branch merged chains).
-        # Multiple when()s apply successively: each branch keeps the
-        # remaining whens, which recurse at CNode construction (2^K combos
-        # worst case, K is small in practice).
-        self.whens = []
-        self.wrapper_fins: dict | None = None  # post-when default/failover
-        self.wrapper_allow: list | None = None  # post-when valid() values
-        self.wrapper_invalid: list | None = None
-        self.wrapper_only = False
-        all_whens = t.get("whens", [])
-        for w in all_whens[:1]:
-            rest = all_whens[1:]
-            base = schema._clone()
-            base.terms = {k: v for k, v in base.terms.items() if k != "whens"}
-            if rest:
-                base.terms["whens"] = rest
-            bf = w.get("base_flags")
-            if bf is not None:
-                # the BRANCHES carry the PRE-when default/failover/only
-                # snapshot (joi: branch = base-at-when-time concat then/
-                # otherwise, base.js:330-343); flags (re)set after the when
-                # belong to the wrapper and apply over the merged result
-                # instead (fuzz seeds 957 / 1028, node-verified)
-                base.flags = {k: v for k, v in base.flags.items()
-                              if k not in ("default", "failover", "only")}
-                base.flags.update(bf)
-                fins = {}
-                for k in ("default", "failover"):
-                    if k not in self.flags:
-                        continue
-                    if k in bf and self.flags[k] is bf[k]:
-                        continue  # unchanged since the when: branch-level only
-                    try:
-                        if k in bf and bool(self.flags[k] == bf[k]):
-                            continue  # manifest round-trip broke identity
-                    except Exception:  # noqa: BLE001 — exotic __eq__
-                        pass
-                    fins[k] = self.flags[k]
-                self.wrapper_fins = fins
-            ba = w.get("base_allow")
-            if ba is not None:
-                from .spec import _value_key as _vk
+def _compile_valids(allow: list, invalid: list) -> tuple:
+    """(allow_static, allow_refs, invalid_static, invalid_refs,
+    allow_missing): static values, per-row resolvable ones, and whether
+    allow(None) lets a missing value through."""
+    allow_static = [v for v in allow if not _resolvable(v)]
+    invalid_static = [v for v in invalid if not _resolvable(v) and v is not None]
+    return ([v for v in allow_static if v is not None], [v for v in allow if _resolvable(v)],
+            invalid_static, [v for v in invalid if _resolvable(v)],
+            any(v is None for v in allow_static))
 
-                bi = w.get("base_invalid") or []
-                # branches get the PRE-when sets; values added after the
-                # when live on the fresh WRAPPER (base.js:364), whose own
-                # valids stage runs BEFORE branch dispatch (fuzz seed
-                # 54000083, node-verified: wrapper any.only precedes the
-                # branch's; a wrapper-valid match returns VERBATIM)
-                base.allow_vals = list(ba)
-                base.invalid_vals = list(bi)
 
-                def _delta(cur, snap):
-                    keys = set()
-                    for v in snap:
-                        try:
-                            keys.add(_vk(v))
-                        except TypeError:
-                            pass
-                    out = []
-                    for v in cur:
-                        try:
-                            if _vk(v) in keys:
-                                continue
-                        except TypeError:
-                            pass
-                        out.append(v)
-                    return out
+def _compile_rules(schema: Schema, depth: int) -> tuple[list, list]:
+    """(rules, convert_rules): the leaf rule kernels in registration order,
+    and the string convert-phase rules as a normalize -> case -> trim
+    ordered VIEW for the coerce-time pass.  The main list keeps
+    registration order: under convert:false those rules validate in the
+    rules loop, and abortEarly's first error depends on that order."""
+    typ = schema.type
+    rules: list[CompiledRule] = []
+    structural = _STRUCTURAL_RULES.get(typ, set())
+    factories = _RULE_FACTORIES.get(typ, {})
+    for seq, r in enumerate(schema.rules):
+        name, args = r["name"], r.get("args", {})
+        warn, message = r.get("warn", False), r.get("message")
+        if name == "warning":
+            rules.append(CompiledRule(name, None, args.get("code", "any.warning"), seq, warn=True,
+                                      message=message))
+        elif name in structural:
+            # has() and assert() validate against a schema, compiled here
+            sub = args.get("schema")
+            sub = None if sub is None else CNode(sub if isinstance(sub, Schema) else build(sub), depth)
+            rules.append(CompiledRule(name, ("structural", args, sub), f"{typ}.{name}", seq, warn=warn,
+                                      message=message))
+        elif name not in factories:
+            hit = lookup_rule(typ, name)
+            if hit is None:
+                raise ValueError(f"unknown rule {typ}.{name}")
+            custom_factory, code = hit
+            rules.append(CompiledRule(name, custom_factory(args), code, seq, warn=warn, message=message))
+        else:
+            code_fn = _RULE_CODES.get(typ, {}).get(name)
+            rules.append(CompiledRule(
+                name, factories[name](args), code_fn(args) if code_fn else f"{typ}.{name}", seq,
+                warn=warn, message=message,
+                convert_phase=(typ == "string" and name in _STRING_CONVERT_RULES)))
+    convert_rules: list = []
+    if typ == "string":
+        order = {n: i for i, n in enumerate(k_strings.CONVERT_ORDER)}
+        convert_rules = sorted((r for r in rules if r.convert_phase and r.name in order),
+                               key=lambda r: order[r.name])
+    return rules, convert_rules
 
-                self.wrapper_allow = _delta(schema.allow_vals, ba)
-                self.wrapper_invalid = _delta(schema.invalid_vals, bi)
-                for v in self.wrapper_allow + self.wrapper_invalid:
-                    if v is None or _resolvable(v):
-                        # the wrapper valids stage matches static values only
-                        raise NotImplementedError(
-                            f"valid()/invalid() value {v!r} after a when() is not "
-                            "supported: add it before the when()")
-                # post-when valid() sets only on the WRAPPER itself —
-                # independent of the branches' own (pre-when) only flag
-                self.wrapper_only = bool(self.wrapper_allow)
-            if "peek" in w:
-                # schema condition (the reference's peek form,
-                # lib/types/alternatives.js:192): evaluated against the
-                # node's OWN value, not a ref
-                pk = w["peek"]
-                entry = {"peek": CNode(pk if isinstance(pk, Schema) else build(pk), prefs)}
-                entry["then"] = CNode(base.concat(w["then"]), prefs) if w.get("then") else CNode(base, prefs)
-                entry["otherwise"] = (
-                    CNode(base.concat(w["otherwise"]), prefs) if w.get("otherwise") else CNode(base, prefs)
-                )
-                self.whens.append(entry)
+
+def _compile_keys(t: dict, depth: int) -> tuple:
+    """(keys, key_order, patterns) of an object.  The key order is the
+    evaluation order; a cyclic dependency is refused here, at compile, as
+    the reference refuses it at schema build."""
+    keys: dict[str, CNode] = {k: CNode(v, depth) for k, v in t.get("keys", {}).items()}
+    patterns = [
+        {
+            "rx": re.compile(p["regex"]),
+            "node": CNode(p["schema"], depth),
+            "exclusive": bool(p.get("exclusive")),
+            "matches": CNode(p["matches"], depth) if p.get("matches") is not None else None,
+        }
+        for p in t.get("patterns", [])
+    ]
+    return keys, _topo_keys(keys), patterns
+
+
+def _compile_items(t: dict, depth: int) -> tuple:
+    """(items, inclusions, exclusions, ordered) of an array: forbidden item
+    schemas are EXCLUSIONS, matched without the flag (array.js:145-153)."""
+    items = [CNode(v, depth) for v in t.get("items", [])]
+    inclusions = [ic for ic in items if ic.flags.get("presence") != "forbidden"]
+    exclusions = [CNode(ic.schema.optional(), depth) for ic in items if ic not in inclusions]
+    return items, inclusions, exclusions, [CNode(v, depth) for v in t.get("ordered", [])]
+
+
+def _compile_matches(t: dict, depth: int) -> tuple[list, bool]:
+    """(matches, ended) of an alternatives: plain try-branches ({"schema":
+    CNode}) or conditional entries from alternatives.when (lib/types/
+    alternatives.js:36-57); ``ended`` when an entry carries both then and
+    otherwise (joi's ``_endedSwitch``)."""
+    matches: list[dict] = []
+    for v in t.get("matches", []):
+        if isinstance(v, Schema) or (isinstance(v, dict) and "type" in v):
+            matches.append({"schema": CNode(v if isinstance(v, Schema) else build(v), depth)})
+            continue
+        e = {
+            "then": CNode(v["then"], depth) if v.get("then") is not None else None,
+            "otherwise": CNode(v["otherwise"], depth) if v.get("otherwise") is not None else None,
+        }
+        if v.get("peek") is not None:
+            pk = v["peek"]
+            e["peek"] = CNode(pk if isinstance(pk, Schema) else build(pk), depth)
+        else:
+            r = v["ref"]
+            e["ref"] = r if isinstance(r, Ref) else Ref(r)
+            e["is"] = _compile_is(v.get("is"), depth)
+        matches.append(e)
+    ended = any("schema" not in m and m["then"] is not None and m["otherwise"] is not None
+                for m in matches)
+    return matches, ended
+
+
+def _compile_empty(flags: dict, depth: int) -> tuple[list, list]:
+    """(empty_schemas, empty_values) of empty(): schema-valued entries
+    precompiled; string matchers implicitly allow "" (an empty string
+    should be matchable as "empty" — the base string.empty check must not
+    veto it)."""
+    raw_empty = flags.get("empty") or []
+    schemas = [CNode(v.allow("") if v.type == "string" and "" not in v.allow_vals else v, depth)
+               for v in raw_empty if isinstance(v, Schema)]
+    return schemas, [v for v in raw_empty if not isinstance(v, Schema)]
+
+
+def _compile_whens(schema: Schema, depth: int) -> tuple:
+    """(whens, wrapper_fins, wrapper_sets): the first when() desugared at
+    compile via concat (lib/base.js:364 lifts a when() into alternatives;
+    we keep base+branch merged chains), the post-when default/failover and
+    the post-when (allow, invalid) values of the wrapper.  Multiple when()s
+    apply successively: each branch keeps the remaining whens, which
+    recurse at CNode construction (2^K combos worst case, K is small in
+    practice)."""
+    all_whens = schema.terms.get("whens", [])
+    if not all_whens:
+        return [], None, None
+    w, rest = all_whens[0], all_whens[1:]
+    base = schema._clone()
+    base.terms = {k: v for k, v in base.terms.items() if k != "whens"}
+    if rest:
+        base.terms["whens"] = rest
+    fins = sets = None
+    bf = w.get("base_flags")
+    if bf is not None:
+        # the BRANCHES carry the PRE-when default/failover/only snapshot
+        # (joi: branch = base-at-when-time concat then/otherwise, base.js:
+        # 330-343); flags (re)set after the when belong to the wrapper and
+        # apply over the merged result instead (fuzz seeds 957 / 1028,
+        # node-verified)
+        base.flags = {k: v for k, v in base.flags.items() if k not in ("default", "failover", "only")}
+        base.flags.update(bf)
+        fins = {}
+        for k in ("default", "failover"):
+            if k not in schema.flags:
                 continue
-            entry = {"ref": w["ref"]}
-            if "switch" in w:
-                cases = []
-                for sw in w["switch"]:
-                    is_c = self._compile_is(sw["is"], prefs)
-                    then_c = CNode(base.concat(sw["then"]), prefs) if sw.get("then") else CNode(base, prefs)
-                    cases.append((is_c, then_c))
-                    if "otherwise" in sw:
-                        entry["otherwise"] = CNode(base.concat(sw["otherwise"]), prefs)
-                entry["switch"] = cases
-                # a top-level otherwise (when(ref, switch=[...], otherwise=X))
-                # is joi's alt.otherwise (base.js:345-353); the last case's
-                # otherwise wins only when no top-level one exists
-                if w.get("otherwise") is not None:
-                    entry["otherwise"] = CNode(base.concat(w["otherwise"]), prefs)
-                entry.setdefault("otherwise", CNode(base, prefs))
-            else:
-                entry["is"] = self._compile_is(w.get("is"), prefs)
-                entry["then"] = CNode(base.concat(w["then"]), prefs) if w.get("then") else CNode(base, prefs)
-                entry["otherwise"] = (
-                    CNode(base.concat(w["otherwise"]), prefs) if w.get("otherwise") else CNode(base, prefs)
-                )
-            self.whens.append(entry)
+            if k in bf and schema.flags[k] is bf[k]:
+                continue  # unchanged since the when: branch-level only
+            try:
+                if k in bf and bool(schema.flags[k] == bf[k]):
+                    continue  # manifest round-trip broke identity
+            except Exception:  # noqa: BLE001 — exotic __eq__
+                pass
+            fins[k] = schema.flags[k]
+    ba = w.get("base_allow")
+    if ba is not None:
+        bi = w.get("base_invalid") or []
+        # branches get the PRE-when sets; values added after the when live
+        # on the fresh WRAPPER (base.js:364), whose own valids stage runs
+        # BEFORE branch dispatch (fuzz seed 54000083, node-verified: wrapper
+        # any.only precedes the branch's; a wrapper-valid match returns
+        # VERBATIM)
+        base.allow_vals = list(ba)
+        base.invalid_vals = list(bi)
+        sets = (_values_delta(schema.allow_vals, ba), _values_delta(schema.invalid_vals, bi))
+        for v in sets[0] + sets[1]:
+            if v is None or _resolvable(v):
+                # the wrapper valids stage matches static values only
+                raise NotImplementedError(
+                    f"valid()/invalid() value {v!r} after a when() is not "
+                    "supported: add it before the when()")
 
-    @staticmethod
-    def _compile_is(is_val, prefs) -> "CNode":
-        if is_val is None:
-            # reference asserts 'Missing "is" or "switch" option' for a ref
-            # condition without is (lib/types/alternatives.js:181)
-            raise ValueError(
-                'when() with a ref condition requires the "is_" option '
-                "(or use switch=); reference lib/types/alternatives.js:181"
-            )
-        s = compile_literal(is_val) if not isinstance(is_val, Schema) else is_val
-        if "presence" not in s.flags:
-            s = s.required()  # joi: `is` defaults to required
-        return CNode(s, prefs)
+    def branch(extra):
+        return CNode(base.concat(extra) if extra else base, depth)
+
+    if "peek" in w:
+        # schema condition (the reference's peek form, lib/types/
+        # alternatives.js:192): evaluated against the node's OWN value, not
+        # a ref
+        pk = w["peek"]
+        entry = {"peek": CNode(pk if isinstance(pk, Schema) else build(pk), depth),
+                 "then": branch(w.get("then")), "otherwise": branch(w.get("otherwise"))}
+    elif "switch" in w:
+        entry = {"ref": w["ref"], "switch": []}
+        for sw in w["switch"]:
+            entry["switch"].append((_compile_is(sw["is"], depth), branch(sw.get("then"))))
+            if "otherwise" in sw:
+                entry["otherwise"] = CNode(base.concat(sw["otherwise"]), depth)
+        # a top-level otherwise (when(ref, switch=[...], otherwise=X)) is
+        # joi's alt.otherwise (base.js:345-353); the last case's otherwise
+        # wins only when no top-level one exists
+        if w.get("otherwise") is not None:
+            entry["otherwise"] = CNode(base.concat(w["otherwise"]), depth)
+        entry.setdefault("otherwise", branch(None))
+    else:
+        entry = {"ref": w["ref"], "is": _compile_is(w.get("is"), depth),
+                 "then": branch(w.get("then")), "otherwise": branch(w.get("otherwise"))}
+    return [entry], fins, sets
+
+
+def _values_delta(cur: list, snap: list) -> list:
+    """The values of ``cur`` not in the snapshot ``snap``."""
+    keys = set()
+    for v in snap:
+        try:
+            keys.add(_value_key(v))
+        except TypeError:
+            pass
+    out = []
+    for v in cur:
+        try:
+            if _value_key(v) in keys:
+                continue
+        except TypeError:
+            pass
+        out.append(v)
+    return out
+
+
+def _compile_is(is_val, depth: int) -> CNode:
+    if is_val is None:
+        # reference asserts 'Missing "is" or "switch" option' for a ref
+        # condition without is (lib/types/alternatives.js:181)
+        raise ValueError(
+            'when() with a ref condition requires the "is_" option '
+            "(or use switch=); reference lib/types/alternatives.js:181"
+        )
+    s = compile_literal(is_val) if not isinstance(is_val, Schema) else is_val
+    if "presence" not in s.flags:
+        s = s.required()  # joi: `is` defaults to required
+    return CNode(s, depth)
 
 
 # ==========================================================================
@@ -1002,8 +1044,10 @@ class _Node:
         self.errors: list[ErrRec] = []
         self.failed = np.zeros(n, dtype=bool)
         self.resolved = np.zeros(n, dtype=bool)
-        self.missing = self.base_fail = self.coerce_bad = self.presence = None
-        self.label = node.flags.get("label")
+        self.base_fail = np.zeros(n, dtype=bool)
+        self.coerce_bad = np.zeros(n, dtype=bool)
+        self.missing = self.presence = None
+        self.label = node.label
         #: blocked cross-type item promotion of an array: (rows, typed column)
         self.alt_pair = None
 
@@ -1155,7 +1199,8 @@ def _eval_node_impl(
     """Validate one column/array against one compiled node.  ``scope`` masks
     which rows this evaluation applies to (used for struct children of null
     parents and conditional branches); errors outside scope are suppressed.
-    Runs the node's stages in joi's order over one ``_Node``."""
+    Runs the node's ``plan`` over one ``_Node``: its last stage returns the
+    result."""
     arr = combine(arr)
     if pa.types.is_dictionary(arr.type):
         arr = arr.dictionary_decode()  # kernels operate on plain arrays
@@ -1168,17 +1213,33 @@ def _eval_node_impl(
         _e2.row_getter = env.row_getter
         env = _e2
     c = _Node(node, arr, env, path, scope)
+    plan = node.plan
+    for stage in plan[:-1]:
+        stage(c)
+    return plan[-1](c)
+
+
+def _plan(node: CNode) -> tuple:
+    """The stages ``node`` runs per batch, in joi's order (validator.js:
+    112-257); a stage with nothing to do for the node is left out.  Every
+    node type shares the presence and valids stages, which joi runs before
+    it dispatches on the type (validator.js:168-227):
+
+    - scalars, objects and arrays: coerce -> empty -> presence -> valids ->
+      base -> rules -> finalize;
+    - alternatives: empty -> presence -> valids -> the match loop
+      (``_match_stage``, which finalizes);
+    - when() wrappers: their own valids -> the branch dispatch
+      (``_when_stage``, which finalizes)."""
+    valids = (_valids_stage,) if (node.allow_static or node.allow_refs or node.invalid_static
+                                  or node.invalid_refs) else ()
     if node.whens:
-        return _eval_whens(c)
+        return (*valids, _when_stage)
+    empty = (_empty_stage,) if node.empty_values or node.empty_schemas else ()
     if node.type == "alternatives":
-        return _eval_alternatives(c)
-    _coerce_stage(c)
-    _empty_stage(c)
-    _presence_stage(c)
-    _valids_stage(c)
-    _base_stage(c)
-    _rules_stage(c)
-    return _finalize_stage(c)
+        return (*empty, _presence_stage, *valids, _match_stage)
+    rules = (_rules_stage,) if node.rules else ()
+    return (_coerce_stage, *empty, _presence_stage, *valids, _base_stage, *rules, _finalize_stage)
 
 
 def _coerce_stage(c: _Node) -> None:
@@ -1267,7 +1328,6 @@ def _coerce_stage(c: _Node) -> None:
                 arr, _serrs = k_lists.coerce_sort(arr, _srt["args"])
                 coerce_errs = list(coerce_errs) + _serrs
     c.arr = arr
-    c.coerce_bad = np.zeros(n, dtype=bool)
     for code, cmask in coerce_errs:
         c.coerce_bad |= cmask
         c.add(code, cmask, seq=-4)
@@ -1276,44 +1336,46 @@ def _coerce_stage(c: _Node) -> None:
 
 def _empty_stage(c: _Node) -> None:
     """empty(): values (or matching schemas) treated as missing
-    (lib/validator.js:162-165; empty(schema) per lib/base.js:124-134),
-    then the missing mask."""
+    (lib/validator.js:162-165; empty(schema) per lib/base.js:124-134)."""
     node, arr, n = c.node, c.arr, len(c.arr)
-    if node.empty_values or node.empty_schemas:
-        # the empty check probes the TRIMMED value when a trim() rule is
-        # enabled, and matches under DEFAULT prefs (convert on) regardless
-        # of the caller's convert setting (validator.js:162-163 passes
-        # internals.trim(value, schema) and Common.defaults)
-        probe = arr
-        if (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)) and any(
-            r.get("name") == "trim" and r.get("args", {}).get("enabled", True)
-            for r in node.schema.rules
-        ):
-            probe = pc.utf8_trim_whitespace(arr)
-        em = (
-            _set_membership(probe, node.empty_values, [], node.flags.get("insensitive", False), c.env)
-            if node.empty_values
-            else np.zeros(n, dtype=bool)
-        )
-        if node.empty_schemas:
-            eenv = Env({"convert": True}, c.env._resolve_sibling, c.env.ancestors)
-            for es in node.empty_schemas:
-                em |= node_validity(es, probe, eenv, c.scope) & ~null_mask(probe)
-        em = em & ~c.coerce_bad
-        if em.any():
-            c.arr = pc.if_else(pa.array(em), pa.nulls(n, arr.type), arr)
-    c.missing = null_mask(c.arr) & ~c.base_fail
+    # the empty check probes the TRIMMED value when a trim() rule is
+    # enabled, and matches under DEFAULT prefs (convert on) regardless
+    # of the caller's convert setting (validator.js:162-163 passes
+    # internals.trim(value, schema) and Common.defaults)
+    probe = arr
+    if (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)) and any(
+        r.get("name") == "trim" and r.get("args", {}).get("enabled", True)
+        for r in node.schema.rules
+    ):
+        probe = pc.utf8_trim_whitespace(arr)
+    em = (
+        _set_membership(probe, node.empty_values, [], node.flags.get("insensitive", False), c.env)
+        if node.empty_values
+        else np.zeros(n, dtype=bool)
+    )
+    if node.empty_schemas:
+        eenv = Env({"convert": True}, c.env._resolve_sibling, c.env.ancestors)
+        for es in node.empty_schemas:
+            em |= node_validity(es, probe, eenv, c.scope) & ~null_mask(probe)
+    em = em & ~c.coerce_bad
+    if em.any():
+        c.arr = pc.if_else(pa.array(em), pa.nulls(n, arr.type), arr)
 
 
 def _presence_stage(c: _Node) -> None:
-    """Presence (lib/validator.js:168-190): the explicit flag wins, else
-    prefs.presence supplies the default for every node."""
-    node, missing = c.node, c.missing
-    c.presence = node.flags.get("presence") or c.env.prefs.get("presence", "optional")
+    """Presence (lib/validator.js:168-190) over the missing mask: the
+    node's presence wins, else prefs.presence supplies the default.  joi
+    returns here for an undefined value, so its rows are settled, except
+    under an ended switch's 'ignore', which lets them flow on into the
+    matches (validator.js:170)."""
+    node = c.node
+    c.missing = missing = null_mask(c.arr) & ~c.base_fail
+    c.presence = node.presence or c.env.prefs.get("presence", "optional")
     if node.allow_missing:
         c.resolved |= missing
     elif c.presence == "required":
         c.add("any.required", missing, seq=-3)
+        c.resolved |= missing
     elif c.presence == "forbidden":
         # joi returns immediately on a present forbidden value
         # (validator.js:188-190) — any.unknown is the ONLY error; no
@@ -1323,15 +1385,18 @@ def _presence_stage(c: _Node) -> None:
         c.add("any.unknown", ~missing & c.scope & ~c.resolved & ~c.coerce_bad, seq=-3)
         c.resolved |= True  # everything settled at this stage
         c.base_fail = np.zeros(len(missing), dtype=bool)
-    else:
+    elif c.presence != "ignore":
         c.resolved |= missing
 
 
 def _valids_stage(c: _Node) -> None:
-    """valids / invalids (lib/validator.js:194-227)."""
+    """valids / invalids (lib/validator.js:194-227), one stage for every
+    node type.  A valids match settles the row with the stored value
+    under convert; a no-match under the node's ``only`` reports any.only,
+    and an invalids match any.invalid."""
     node, env, arr, n = c.node, c.env, c.arr, len(c.arr)
     insensitive = node.flags.get("insensitive", False)
-    active = c.scope & ~c.missing & ~c.resolved & ~c.failed
+    active = c.scope & ~c.resolved & ~c.failed
     if node.allow_static or node.allow_refs:
         in_allow = _set_membership(arr, node.allow_static, node.allow_refs, insensitive, env)
         # a valids MATCH replaces the value with the stored valid in convert
@@ -1361,7 +1426,7 @@ def _valids_stage(c: _Node) -> None:
         if c.base_fail.any():
             in_allow_orig = in_allow | _set_membership(c.original, node.allow_static, node.allow_refs,
                                                        insensitive, env)
-        if node.flags.get("only"):
+        if node.only:
             # joi raises any.only even for rows that will also fail the
             # base type check (valids stage precedes base validate and
             # only abortEarly suppresses the second error)
@@ -1632,16 +1697,16 @@ def _when_branches(w: dict, arr, env: Env, scope: np.ndarray, n: int):
     yield w["otherwise"], scope & ~cond
 
 
-def _eval_whens(c: _Node) -> NodeResult:
-    """A when() wrapper: its own valids stage, then each branch (branch =
+def _when_stage(c: _Node) -> NodeResult:
+    """A when() wrapper's branch dispatch: each branch (branch =
     base.concat(branch)) on its rows, merged, then the wrapper finalize.
-    joi's when() on a non-alternatives base returns a FRESH unlabeled
-    alternatives (base.js:364): a label set before the when() lives in
-    the branches, so the wrapper's own reports drop it."""
+    The branches run on the rows the wrapper's own valids stage left: a
+    wrapper-valid match returns the value as is, and the branch (and its
+    coercion) never runs; a no-match under the wrapper's only CONTINUES
+    into the branches, so the branch's own any.only can follow (fuzz seed
+    54000083, node-verified; it fires on missing rows too)."""
     node, arr, env, n = c.node, c.arr, c.env, len(c.arr)
-    if node.schema.metas.get("_label_pre_when"):
-        c.label = None
-    c.scope = _wrapper_valids_stage(c)
+    c.scope = c.scope & ~c.resolved
     merged = NodeResult(value=arr, errors=c.errors, missing=np.zeros(n, bool), failed=c.failed)
     parts, branch_pairs, promoted = [], [], False
     for branch, sel in _when_branches(node.whens[0], arr, env, c.scope, n):
@@ -1657,29 +1722,6 @@ def _eval_whens(c: _Node) -> NodeResult:
         # cannot (fuzz seed 9641)
         merged.alt_view = AltView(merged.value, branch_pairs)
     return _finish_whens(c, merged, parts)
-
-
-def _wrapper_valids_stage(c: _Node) -> np.ndarray:
-    """joi's when() wrapper runs ITS OWN valids stage before the branch
-    dispatch (validator.js:194-227 precedes the type validate): values
-    added by valid()/invalid() AFTER the when live on the fresh wrapper
-    (base.js:364 starts empty).  A wrapper-valid match returns the value
-    VERBATIM — the branch (and its coercion) never runs; a no-match under
-    the wrapper's only flag pushes any.only and CONTINUES into the
-    branches, so the branch's own any.only can follow (fuzz seed
-    54000083, node-verified — fires on missing rows too).  Returns the
-    scope the branches run on."""
-    node, scope = c.node, c.scope
-    wa, wi = node.wrapper_allow, node.wrapper_invalid
-    insensitive = node.flags.get("insensitive", False)
-    if wa:
-        scope = scope & ~_set_membership(c.arr, wa, [], insensitive, c.env)
-        if node.wrapper_only:
-            c.add("any.only", scope, {"valids": wa}, seq=-2)
-    if wi:
-        c.add("any.invalid", _set_membership(c.arr, wi, [], insensitive, c.env) & scope,
-              {"invalids": wi}, seq=-2)
-    return scope
 
 
 def _finish_whens(c: _Node, merged: NodeResult, parts) -> NodeResult:
@@ -1699,7 +1741,7 @@ def _finish_whens(c: _Node, merged: NodeResult, parts) -> NodeResult:
     - rows that adopt a wrapper value are no longer strip-deleted (the
       wrapper has no result flag, so the parent writes the value); a
       strip row that errors stays deleted — unlike alternatives, where
-      an errored strip row keeps its value (``_eval_alternatives``)."""
+      an errored strip row keeps its value (``_match_stage``)."""
     undef = merged.missing.copy()
     if merged.fin_filled is not None:
         # a branch default/failover already set the value (joi: no longer
@@ -1972,76 +2014,31 @@ def _finalize_branch_values(arr, branch_values, n: int):
     return value, None
 
 
-def _eval_alternatives(c: _Node) -> NodeResult:
+def _match_stage(c: _Node) -> NodeResult:
     """alternatives: first-match-wins over the matches (alternatives.js:
-    27-94).  The node's own reports go through ``c.add``; a branch's
+    27-94), after the shared presence and valids stages, then the node's
+    finalize.  It tries the rows those stages left open: an ended
+    switch's undefined rows (presence 'ignore'), and the rows with an
+    any.only or, under abortEarly off, an any.invalid report, which joi
+    pushes and CONTINUES into the matches (fuzz seeds 56000275,
+    88123215).  The node's own reports go through ``c.add``; a branch's
     reports it passes on (a single-error no-match, a decided branch, a
     leaked warn) through ``c.adopt``, so the node's error() replaces every
     error it returns (lib/base.js:136-142 via validator finalize;
     test/types/alternatives.js:350-361)."""
-    node, arr, env, path, scope = c.node, c.arr, c.env, c.path, c.scope
-    n = len(arr)
-    c.missing = missing = null_mask(arr)
-    # prefs.presence supplies the default here exactly as for scalar nodes
-    # (validator.js:168-190 runs before the type dispatch) — EXCEPT on an
-    # ended-switch alternatives: a match entry carrying BOTH then and
-    # otherwise makes the presence default 'ignore' (validator.js:170
-    # `_endedSwitch ? 'ignore' : prefs.presence`), so an undefined value
-    # flows INTO the matched branch — its own presence/defaults govern
-    # (fuzz seed 35000022, node-verified: the otherwise branch's
-    # optional() beats prefs presence:'required'; a branch default even
-    # fills the undefined value under default prefs)
-    ended = any(
-        isinstance(m, dict) and "schema" not in m
-        and m.get("then") is not None and m.get("otherwise") is not None
-        for m in node.matches)
-    presence = node.flags.get("presence") or (
-        "ignore" if ended else env.prefs.get("presence", "optional"))
-    if presence == "required":
-        c.add("any.required", missing, seq=-3)
-    elif presence == "forbidden":
-        # same presence-stage return as scalars (validator.js:183-190):
-        # provided values error any.unknown and NOTHING else runs — the
-        # forbidden default can arrive via schema-LOCAL prefs on the
-        # alternatives node itself (fuzz seed 16100190)
-        c.add("any.unknown", ~missing, seq=-3)
-        # joi's presence return STILL runs finalize (validator.js:172-186
-        # `return internals.finalize(...)`) — a node failover consumes the
-        # any.unknown and a default fills undefined rows (fuzz seed
-        # 48004116: forbidden + default(thrower) errors any.default on
-        # the MISSING rows too)
-        nr = NodeResult(value=arr, errors=c.errors, missing=missing, failed=c.failed)
-        _finalize(nr, node.flags, missing, c)
-        return nr
-    # under 'ignore' undefined rows flow into the match loop (validator.js:170)
-    active = (scope & ~c.failed) if presence == "ignore" else (scope & ~missing & ~c.failed)
-    defined_failed = np.zeros(n, dtype=bool)  # failed rows whose value joi KEEPS
-    invalid_open = None  # invalid() rows still matched (abortEarly off)
-    # allow/invalid sets apply to the alternatives node itself too — and
-    # the valids stage is UNIVERSAL (validator.js:194-227 runs before the
-    # type dispatch): under the only flag a non-match pushes any.only and
-    # CONTINUES into the matches, so the branch union's alternatives.base
-    # follows it (fuzz seed 56000275, node-verified)
-    if node.allow_static or node.allow_refs:
-        active &= ~_set_membership(arr, node.allow_static, node.allow_refs,
-                                   node.flags.get("insensitive", False), env)
-        if node.flags.get("only"):
-            c.add("any.only", active, {"valids": node.allow_static}, seq=-2)
-            defined_failed |= active  # value kept
-    if node.invalid_static or node.invalid_refs:
-        inv = _set_membership(arr, node.invalid_static, node.invalid_refs, node.flags.get("insensitive", False), env) & active
-        if inv.any():
-            c.add("any.invalid", inv, {"invalids": node.invalid_static}, seq=-2)
-            if env.abort_early:
-                # joi returns at the valids stage (validator.js:218-227):
-                # the row is never matched and its value stays
-                defined_failed |= inv
-                active &= ~inv
-            else:
-                # otherwise it CONTINUES into the matches: the value is
-                # defined only where a branch matched, so a no-match row
-                # reaches the node default (fuzz seed 88123215)
-                invalid_open = inv
+    node, arr, env, path = c.node, c.arr, c.env, c.path
+    n, missing = len(arr), c.missing
+    active = c.scope & ~c.resolved
+    # failed rows whose value joi KEEPS: a presence or valids return
+    # (validator.js:183-227 finalize the value as is).  An any.invalid row
+    # under abortEarly off is kept only where a branch matched: elsewhere
+    # no value was set and the row reaches the node default
+    kept, invalid_open = c.failed.copy(), None
+    if env.abort_early:
+        active &= ~c.failed
+    elif not node.only:
+        invalid_open = c.failed & ~c.resolved
+        kept &= c.resolved
     matched = np.zeros(n, dtype=bool)
     decided = np.zeros(n, dtype=bool)  # conditional-branch rows: result final
     # rows whose MATCHED branch is strip-flagged: the branch finalize
@@ -2057,7 +2054,7 @@ def _eval_alternatives(c: _Node) -> NodeResult:
     # rows through): defined now — the node default must skip them
     branch_filled = np.zeros(n, dtype=bool)
     branch_values: list[tuple[np.ndarray, object]] = []  # (rows, converted)
-    branch_outcomes: list[tuple[str, list]] = []
+    tried: list = []  # the try-branches' reports, for the no-match union
     # raw() shadows persist from every ATTEMPTED branch, failed ones
     # included — joi's finalize writes the shadow per branch try
     # (validator.js:414-417), so a failed trim().raw() branch still feeds
@@ -2105,7 +2102,7 @@ def _eval_alternatives(c: _Node) -> NodeResult:
             if hit.any():
                 branch_values.append((hit, sub.value))
             if "schema" in m:
-                branch_outcomes.append((bn.type, sub.errors))
+                tried += sub.errors
                 # warn-rule reports push to the MAIN state immediately in
                 # joi (validator.js:303-306), so every ATTEMPTED branch
                 # leaks its warnings — matched, failed, and no-match rows
@@ -2119,64 +2116,14 @@ def _eval_alternatives(c: _Node) -> NodeResult:
             # leaves value undefined (validator.js:234), so the node
             # default must not fire here (fuzz seed 35000189,
             # node-verified) unless the input itself was undefined
-            defined_failed |= sel & sub.failed & ~(
+            kept |= sel & sub.failed & ~(
                 sub.missing if sub.missing is not None else np.zeros(n, bool))
     if invalid_open is not None:
-        defined_failed |= invalid_open & matched
+        kept |= invalid_open & matched
     value, alt_view = _finalize_branch_values(arr, branch_values, n)
     nomatch = active & ~matched & ~decided
     if nomatch.any():
-        # error union per row (alternatives.js:60-91): no branch errors ->
-        # alternatives.base; exactly one -> the child's error passes
-        # through; several all-*.base -> alternatives.types; mixed ->
-        # alternatives.match.  (Per-row error count is per error FAMILY —
-        # joi counts per-item reports; divergence only for multi-item rows.)
-        count = np.zeros(n, dtype=np.int32)
-        nonbase = np.zeros(n, dtype=bool)
-        per_rec: list[tuple] = []
-        for _btype, errs in branch_outcomes:
-            for rec in errs:
-                if rec.warn:
-                    continue
-                rmask = np.zeros(n, dtype=bool)
-                rows = rec.rows
-                if rows is not None:
-                    rmask[rows] = True
-                else:
-                    rmask |= rec.mask
-                rmask &= nomatch
-                if not rmask.any():
-                    continue
-                per_rec.append((rec, rmask))
-                count += rmask
-                # joi destructures [type, code] = report.code.split('.') —
-                # so 'string.pattern.base' has code 'pattern', NOT base
-                # (alternatives.js:79-86)
-                parts = rec.code.split(".")
-                if len(parts) != 2 or parts[1] != "base":
-                    nonbase |= rmask
-        single = nomatch & (count == 1)
-        c.adopt([ErrRec(rec.code, rmask & single, rec.path, rec.context, rec.seq, rec.warn, rec.message)
-                 for rec, rmask in per_rec if (rmask & single).any()])
-        c.add("alternatives.base", nomatch & (count == 0), seq=0)
-        types_mask = nomatch & (count > 1) & ~nonbase
-        if types_mask.any():
-            # joi pushes one type per branch ERROR in order, duplicates
-            # included (alternatives.js:73-87) — rows may differ, so split
-            # recs by per-row type signature
-            rows_t = np.nonzero(types_mask)[0]
-            per_row: dict[int, list] = {int(r): [] for r in rows_t}
-            for rec, rmask in per_rec:
-                t = rec.code.split(".")[0]
-                for r in rows_t[rmask[rows_t]]:
-                    per_row[int(r)].append(t)
-            sigs: dict[tuple, np.ndarray] = {}
-            for r, ts in per_row.items():
-                m = sigs.setdefault(tuple(ts), np.zeros(n, dtype=bool))
-                m[r] = True
-            for ts, m in sigs.items():
-                c.add("alternatives.types", m, {"types": list(ts)}, seq=0)
-        c.add("alternatives.match", nomatch & (count > 1) & nonbase, seq=0)
+        _no_match_errors(c, nomatch, tried)
     nr = NodeResult(value=value, errors=c.errors, missing=missing, failed=c.failed,
                     strip_rows=strip_hit if strip_hit.any() else None, alt_view=alt_view,
                     shadow=shadow)
@@ -2184,9 +2131,9 @@ def _eval_alternatives(c: _Node) -> NodeResult:
               # undefined at finalize = missing + no-branch-match failures
               # (value = base.value leaves undefined, validator.js:234) +
               # strip-branch matches (branch finalize returned undefined);
-              # invalids fail with the value KEPT, so they're excluded;
-              # branch default/failover fills are DEFINED now
-              (missing & ~branch_filled) | (c.failed & ~defined_failed) | strip_hit | undef_hit, c)
+              # kept failures are excluded; branch default/failover fills
+              # are DEFINED now
+              (missing & ~branch_filled) | (c.failed & ~kept) | strip_hit | undef_hit, c)
     if nr.strip_rows is not None:
         # an errored strip-branch row keeps its value: joi's parent
         # deletes only a clean child (object.js:126-139; node-verified in
@@ -2194,6 +2141,61 @@ def _eval_alternatives(c: _Node) -> NodeResult:
         keep = nr.strip_rows & ~nr.failed
         nr.strip_rows = keep if keep.any() else None
     return nr
+
+
+def _no_match_errors(c: _Node, nomatch: np.ndarray, tried: list) -> None:
+    """The error union of the rows no branch matched (alternatives.js:
+    60-91): no branch errors -> alternatives.base; exactly one -> the
+    child's error passes through; several all-*.base ->
+    alternatives.types; mixed -> alternatives.match.  (Per-row error count
+    is per error FAMILY — joi counts per-item reports; divergence only for
+    multi-item rows.)"""
+    n = len(nomatch)
+    count = np.zeros(n, dtype=np.int32)
+    nonbase = np.zeros(n, dtype=bool)
+    per_rec: list[tuple] = []
+    for rec in tried:
+        if rec.warn:
+            continue
+        rmask = np.zeros(n, dtype=bool)
+        rows = rec.rows
+        if rows is not None:
+            rmask[rows] = True
+        else:
+            rmask |= rec.mask
+        rmask &= nomatch
+        if not rmask.any():
+            continue
+        per_rec.append((rec, rmask))
+        count += rmask
+        # joi destructures [type, code] = report.code.split('.') — so
+        # 'string.pattern.base' has code 'pattern', NOT base
+        # (alternatives.js:79-86)
+        parts = rec.code.split(".")
+        if len(parts) != 2 or parts[1] != "base":
+            nonbase |= rmask
+    single = nomatch & (count == 1)
+    c.adopt([ErrRec(rec.code, rmask & single, rec.path, rec.context, rec.seq, rec.warn, rec.message)
+             for rec, rmask in per_rec if (rmask & single).any()])
+    c.add("alternatives.base", nomatch & (count == 0), seq=0)
+    types_mask = nomatch & (count > 1) & ~nonbase
+    if types_mask.any():
+        # joi pushes one type per branch ERROR in order, duplicates
+        # included (alternatives.js:73-87) — rows may differ, so split recs
+        # by per-row type signature
+        rows_t = np.nonzero(types_mask)[0]
+        per_row: dict[int, list] = {int(r): [] for r in rows_t}
+        for rec, rmask in per_rec:
+            t = rec.code.split(".")[0]
+            for r in rows_t[rmask[rows_t]]:
+                per_row[int(r)].append(t)
+        sigs: dict[tuple, np.ndarray] = {}
+        for r, ts in per_row.items():
+            m = sigs.setdefault(tuple(ts), np.zeros(n, dtype=bool))
+            m[r] = True
+        for ts, m in sigs.items():
+            c.add("alternatives.types", m, {"types": list(ts)}, seq=0)
+    c.add("alternatives.match", nomatch & (count > 1) & nonbase, seq=0)
 
 
 def _expand_struct_to(v: pa.Array, bt: pa.DataType) -> pa.Array:
@@ -3362,12 +3364,10 @@ def _probe_warns(errors: list, abort: bool = True, allow: Optional[np.ndarray] =
 
 def _eval_structural_rule(c: _Node, cr) -> None:
     node, arr, env, path = c.node, c.arr, c.env, c.path
-    name, args = cr.name, cr.fn[1]
-    n = len(arr)
+    _, args, cnode = cr.fn
+    name, n = cr.name, len(arr)
     active = c.scope & ~c.missing & ~c.resolved
     if node.type == "array" and name == "has":
-        schema = args["schema"]
-        cnode = CNode(schema if isinstance(schema, Schema) else build(schema), env.prefs)
         flat, parents, positions = k_lists.flatten_with_parents(arr)
         ok_rows = np.zeros(n, dtype=bool)
         if len(parents):
@@ -3409,8 +3409,6 @@ def _eval_structural_rule(c: _Node, cr) -> None:
             return
         if name == "assert":
             r = args["ref"]
-            schema = args["schema"]
-            cnode = CNode(schema if isinstance(schema, Schema) else build(schema), env.prefs)
             if pa.types.is_struct(arr.type):
                 # refs inside the assert schema resolve with the object
                 # prepended to the ancestor chain (object.js:221-224 —
@@ -3588,7 +3586,7 @@ class CompiledSchema:
         self.schema = schema
         self.prefs = {**DEFAULT_PREFS, **(prefs or {}), **schema.prefs}
         self.id_column = id_column
-        self.root = CNode(schema, self.prefs)
+        self.root = CNode(schema)
 
     def validate_table(self, tbl: pa.Table) -> BatchResult:
         # joi validates the root like any nested object (validator.js:101-

@@ -175,3 +175,52 @@ def test_schema_local_messages_reach_alternatives_reports():
     res = run(obj({"x": s}), pa.table({"x": pa.array(["a", None])}))
     assert msg(res, 0) == ["ALT!"]
     assert msg(res, 1) == ["REQ!"]
+
+
+def test_alternatives_insensitive_valid_returns_stored_value():
+    # joi's valids stage runs for every type before the type dispatch, and
+    # under convert a match returns the stored value (validator.js:194-201):
+    # 'ABC' matching valid('abc').insensitive() becomes 'abc' on an
+    # alternatives exactly as on a string
+    t = pa.table({"a": ["ABC", "abc"]})
+    for a in (jr.alternatives().try_(jr.number()).valid("abc").insensitive(),
+              jr.string().valid("abc").insensitive()):
+        res = run(obj({"a": a}), t)
+        assert res.value.column("a").to_pylist() == ["abc", "abc"]
+        assert res.ok.tolist() == [True, True]
+
+
+def test_alternatives_allow_none_settles_a_required_missing_value():
+    # allow(None) lets a missing value through before presence can report
+    # it (validator.js:168-201: a null passes presence and matches the
+    # valids), on an alternatives as on a number
+    t = pa.table({"a": pa.array([None, 1.0, None], pa.float64())})
+    for a in (jr.alternatives().try_(jr.number()).allow(None).required(),
+              jr.number().allow(None).required()):
+        res = run(obj({"a": a}), t)
+        assert res.ok.tolist() == [True, True, True]
+        assert res.violations.num_rows == 0
+
+
+def test_alternatives_only_report_returns_under_abort_early():
+    # under abortEarly joi returns at the valids stage's any.only
+    # (validator.js:194-227): the row is never tried against the matches,
+    # so it keeps its input value, and the valid row keeps its own
+    a = jr.alternatives().try_(jr.number()).valid("x")
+    res = compile_schema(obj({"a": a})).validate_table(pa.table({"a": ["7", "x"]}))
+    assert res.ok.tolist() == [False, True]
+    assert codes(res, 0) == ["any.only"]
+    assert res.value.column("a").to_pylist() == ["7", "x"]
+
+
+def test_alternatives_empty_value_is_missing():
+    # joi's empty stage runs for every type before presence (validator.js:
+    # 162-165): a value empty() names becomes undefined on an alternatives
+    # exactly as on a string, so optional passes it and required reports it
+    t = pa.table({"a": ["x", "abcd"]})
+    for a in (jr.alternatives().try_(jr.string().min(3)).empty("x"), jr.string().min(3).empty("x")):
+        res = run(obj({"a": a}), t)
+        assert res.ok.tolist() == [True, True]
+        assert res.value.column("a").to_pylist() == [None, "abcd"]
+        res = run(obj({"a": a.required()}), t)
+        assert codes(res, 0) == ["any.required"]

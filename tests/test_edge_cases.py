@@ -157,6 +157,42 @@ def test_wide_object_compiles_in_under_a_second():
     assert compiled.root.key_order == [f"k{i}" for i in range(1, 4000)] + ["k0"]
 
 
+def _depth_chain(levels):
+    """A schema ``levels`` deep, objects {x: ...} over a number leaf, and a
+    clean row for it."""
+    s, v = jr.number().min(1), 5
+    for _ in range(levels - 1):
+        s, v = obj({"x": s}), {"x": v}
+    return s, v
+
+
+def test_schema_at_the_depth_limit_validates():
+    # each object level costs ~5 Python frames at validation: the declared
+    # limit keeps a schema of MAX_SCHEMA_DEPTH levels inside the default
+    # recursion limit, clean and dirty rows alike
+    s, v = _depth_chain(jr.MAX_SCHEMA_DEPTH)
+    leaf = {"x": 0}
+    for _ in range(jr.MAX_SCHEMA_DEPTH - 3):
+        leaf = {"x": leaf}
+    res = V(s, pa.table({"x": [v["x"], leaf]}))
+    assert res.ok.tolist() == [True, False]
+    assert res.violations.column("code").to_pylist() == ["number.min"]
+    assert res.violations.column("path").to_pylist() == [".".join(["x"] * (jr.MAX_SCHEMA_DEPTH - 1))]
+
+
+def test_schema_past_the_depth_limit_is_refused_at_compile():
+    # one level more raises the named error at compile, never a
+    # RecursionError in validate_table
+    s, _ = _depth_chain(jr.MAX_SCHEMA_DEPTH + 1)
+    with pytest.raises(jr.SchemaTooDeep, match=f"deeper than {jr.MAX_SCHEMA_DEPTH} levels"):
+        compile_schema(s)
+    arr = jr.number()
+    for _ in range(jr.MAX_SCHEMA_DEPTH):
+        arr = jr.array().items(arr)
+    with pytest.raises(jr.SchemaTooDeep):
+        compile_schema(obj({"a": arr}))
+
+
 def test_post_when_unmatchable_valids_refused():
     # the when() wrapper's valids stage matches static values only: a None
     # or ref valid()/invalid() added after the when raises at compile
