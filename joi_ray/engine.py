@@ -917,8 +917,8 @@ def _finalize(nr: NodeResult, flags: dict, undef: np.ndarray, c: "_Node") -> Non
 
 def _coerce3(node: CNode, arr: pa.Array, env: Env):
     """-> (new_arr, base_fail_mask, coerce_errs) where coerce_errs is a
-    list of (code, mask) that joi reports INSTEAD of continuing — a coerce
-    error always aborts early (validator.js:150-156)."""
+    list of (code, mask[, context[, values]]) that joi reports INSTEAD of
+    continuing — a coerce error always aborts early (validator.js:150-156)."""
     if node.type == "number":
         return k_numbers.coerce(arr, env, node.flags)
     arr2, fail = _coerce2(node, arr, env)
@@ -1091,17 +1091,6 @@ class _Node:
         if message is None:
             # prefs-level messages map incl. errors.language sub-maps
             message = k_messages.lookup_override(code, self.env.prefs)
-        if isinstance(message, str) and "{[.]}" in message:
-            # joi's per-row value token in custom templates works on ANY
-            # rule (node-verified) — normalize to the engine's {value}
-            # channel, substituted per fired row at render time
-            message = message.replace("{[.]}", "{value}")
-        if (isinstance(message, str) and "{value}" in message
-                and code == "any.ref" and values is None):
-            # the ARG-assert any.ref report value is the RESOLVED arg
-            # (validator.js:289); when the producer didn't capture it the
-            # resolution was undefined — renders '' (node-verified)
-            message = message.replace("{value}", "")
         if item_rows is not None:
             rec = ErrRec(code, mask, p, ctx or {}, seq, warn, message)
             rec.rows = item_rows
@@ -1119,11 +1108,10 @@ class _Node:
             if not warn:
                 self.failed[item_rows] = True
             return rec
-        if values is None and isinstance(message, str) and "{value}" in message:
-            # a custom template asked for the offending value ({[.]}) on a
-            # rule that doesn't natively carry one: extract the CURRENT
-            # node value for the fired rows only (joi renders the value at
-            # error-creation time)
+        if values is None and k_messages.template(code, message).has_value:
+            # the message renders the offending value ({[.]}; joi's {[.]}
+            # works on any rule, node-verified): the CURRENT node value of
+            # the fired rows (joi renders the value at error-creation time)
             try:
                 values = combine(self.arr).take(pa.array(np.nonzero(mask)[0]))
             except pa.ArrowException:
@@ -1143,8 +1131,8 @@ class _Node:
         for rec in recs:
             node_msg = self._override(rec.code, rec.path, rec.context)
             if node_msg is not None:
-                rec.message = node_msg.replace("{[.]}", "{value}")
-                if rec.values is None and "{value}" in rec.message:
+                rec.message = node_msg
+                if rec.values is None and k_messages.template(rec.code, node_msg).has_value:
                     # the value at the report's own path, as the node's
                     # own reports render it
                     rec.values = _values_at(self.arr, self.path, rec, _fired_rows(rec))
@@ -1302,7 +1290,12 @@ def _coerce_stage(c: _Node) -> None:
                               and v >= 0 and float(v).is_integer()) for v in lv],
                         dtype=bool) & ~null_mask(arr)
                     if bad_lim.any():
-                        coerce_errs = list(coerce_errs) + [("any.ref", bad_lim)]
+                        # joi's truncate asserts the resolved limit (string/
+                        # index.js coerce); the report value is that limit
+                        ref_ctx = {"arg": "limit", "ref": _lim.display,
+                                   "reason": "must be a positive integer"}
+                        ref_vals = [lv[int(i)] for i in np.nonzero(bad_lim)[0]]
+                        coerce_errs = list(coerce_errs) + [("any.ref", bad_lim, ref_ctx, ref_vals)]
                     good = ~bad_lim & ~null_mask(arr)
                     if good.any():
                         out_l = combine(arr).to_pylist()
@@ -1328,21 +1321,36 @@ def _coerce_stage(c: _Node) -> None:
                 arr, _serrs = k_lists.coerce_sort(arr, _srt["args"])
                 coerce_errs = list(coerce_errs) + _serrs
     c.arr = arr
-    for code, cmask in coerce_errs:
+    for code, cmask, *rest in coerce_errs:
+        ctx, vals = (*rest, None, None)[:2]
         c.coerce_bad |= cmask
-        c.add(code, cmask, seq=-4)
+        c.add(code, cmask, ctx, seq=-4, values=vals)
         c.resolved |= cmask
 
 
 def _empty_stage(c: _Node) -> None:
     """empty(): values (or matching schemas) treated as missing
     (lib/validator.js:162-165; empty(schema) per lib/base.js:124-134)."""
-    node, arr, n = c.node, c.arr, len(c.arr)
-    # the empty check probes the TRIMMED value when a trim() rule is
-    # enabled, and matches under DEFAULT prefs (convert on) regardless
-    # of the caller's convert setting (validator.js:162-163 passes
-    # internals.trim(value, schema) and Common.defaults)
-    probe = arr
+    arr, n = c.arr, len(c.arr)
+    em = _empty_matches(c, arr)
+    if c.base_fail.any():
+        # a value the coerce could not convert stays as it was in joi
+        # (number.js coerce leaves '' alone), so the empty stage sees the
+        # original there
+        em = np.where(c.base_fail, _empty_matches(c, c.original), em)
+    em = em & ~c.coerce_bad
+    if em.any():
+        c.arr = pc.if_else(pa.array(em), pa.nulls(n, arr.type), arr)
+        c.base_fail = c.base_fail & ~em
+
+
+def _empty_matches(c: _Node, arr) -> np.ndarray:
+    """The rows of ``arr`` that match the node's empty() values or
+    schemas.  The check probes the TRIMMED value when a trim() rule is
+    enabled, and matches under DEFAULT prefs (convert on) regardless of
+    the caller's convert setting (validator.js:162-163 passes
+    internals.trim(value, schema) and Common.defaults)."""
+    node, probe = c.node, arr
     if (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)) and any(
         r.get("name") == "trim" and r.get("args", {}).get("enabled", True)
         for r in node.schema.rules
@@ -1351,15 +1359,13 @@ def _empty_stage(c: _Node) -> None:
     em = (
         _set_membership(probe, node.empty_values, [], node.flags.get("insensitive", False), c.env)
         if node.empty_values
-        else np.zeros(n, dtype=bool)
+        else np.zeros(len(arr), dtype=bool)
     )
     if node.empty_schemas:
         eenv = Env({"convert": True}, c.env._resolve_sibling, c.env.ancestors)
         for es in node.empty_schemas:
             em |= node_validity(es, probe, eenv, c.scope) & ~null_mask(probe)
-    em = em & ~c.coerce_bad
-    if em.any():
-        c.arr = pc.if_else(pa.array(em), pa.nulls(n, arr.type), arr)
+    return em
 
 
 def _presence_stage(c: _Node) -> None:
@@ -1554,9 +1560,12 @@ def _rules_stage(c: _Node) -> None:
             # INSTEAD of the rule error (lib/validator.js:281-293); the
             # report's value is the RESOLVED arg (for {[.]})
             rmask, rctx, rvals = (*ref_err, None)[:3]
+            if rvals is None:
+                # a producer that did not capture the resolved arg: undefined
+                rvals = [None] * int(rmask.sum())
             fired0 = rmask.copy()
             rmask = rmask & active
-            if rvals is not None and not np.array_equal(fired0, rmask):
+            if not np.array_equal(fired0, rmask):
                 # values were aligned with the producer's fired set —
                 # refilter to the active subset
                 rvals = _keep_values(rvals, rmask[np.nonzero(fired0)[0]])
@@ -1569,10 +1578,7 @@ def _rules_stage(c: _Node) -> None:
                   message=cr.message, item_rows=out.item_rows[keep],
                   item_index=out.item_index[keep])
             continue
-        vals = None
-        if cr.code in k_messages.VALUE_CODES and bad.any():
-            vals = c.arr.take(pa.array(np.nonzero(bad)[0]))
-        c.add(cr.code, bad, out.context, seq=cr.seq, warn=cr.warn, message=cr.message, values=vals)
+        c.add(cr.code, bad, out.context, seq=cr.seq, warn=cr.warn, message=cr.message)
 
 
 def _finalize_stage(c: _Node) -> NodeResult:
@@ -2120,6 +2126,11 @@ def _match_stage(c: _Node) -> NodeResult:
                 sub.missing if sub.missing is not None else np.zeros(n, bool))
     if invalid_open is not None:
         kept |= invalid_open & matched
+    settled = c.scope & c.resolved & ~c.failed & ~missing
+    if branch_values and settled.any():
+        # a valids match keeps its value (validator.js:197-201), in the
+        # input's type, next to the branch values
+        branch_values.append((settled, arr))
     value, alt_view = _finalize_branch_values(arr, branch_values, n)
     nomatch = active & ~matched & ~decided
     if nomatch.any():
@@ -2588,8 +2599,7 @@ class _Items:
                          item_index=self.positions[fired].astype(np.int32), group=self.grp, **kw)
         if rec is not None:
             self.shifts.append((rec, fired))
-            if (src is not None and rec.values is None and isinstance(rec.message, str)
-                    and "{value}" in rec.message):
+            if src is not None and rec.values is None and k_messages.template(code, rec.message).has_value:
                 rec.values = _values_at(self.flat, self.c.path, src, fired)
         return rec
 
@@ -3649,29 +3659,26 @@ class CompiledSchema:
             rows_l.append(rows.astype(np.int64))
             item_l.append(items.astype(np.int32))
             ctx_json = json.dumps(rec.context, default=str, sort_keys=True) if rec.context else "{}"
-            # message priority: per-rule override > prefs.messages map > catalog
-            override = rec.message or k_messages.lookup_override(rec.code, self.prefs)
             # joi renders the label from the FULL state path including the
             # item index ("b[0]", errors.js:87-107) unless a label flag
             # overrides it; item errors therefore need one render per
             # distinct index (bounded by max list length, not row count).
-            # A message that embeds the offending value ({[.]},
-            # string/index.js:760-763) renders its TEMPLATE per distinct
-            # item too, split at its {value} parts for _value_messages (the
-            # label goes in after the split: joi inserts it as text).
+            # A report that carries the offending values ({[.]},
+            # string/index.js:760-763) renders per distinct item too, as
+            # the texts between its value parts for _value_messages.
             if rec.values is not None or ("label" not in (rec.context or {}) and (items >= 0).any()):
                 uniq, inv = np.unique(items, return_inverse=True)
                 labels = [_item_label_path(rec.path, int(it), rec.ipos) for it in uniq]
                 if rec.values is not None:
-                    splits = [render(rec.code, lb, rec.context, override, prefs=self.prefs, split="{value}")
+                    splits = [render(rec.code, lb, rec.context, rec.message, prefs=self.prefs, split=True)
                               for lb in labels]
                     msg_r.append(_value_messages(splits, inv, rec.values, wrap, datefmt))
                 else:
-                    bases = [render(rec.code, lb, rec.context, override, prefs=self.prefs) for lb in labels]
+                    bases = [render(rec.code, lb, rec.context, rec.message, prefs=self.prefs) for lb in labels]
                     msg_r.append(bases[0] if len(bases) == 1
                                  else pa.array(bases, pa.string()).take(pa.array(inv)))
             else:
-                msg_r.append(render(rec.code, rec.path, rec.context, override, prefs=self.prefs))
+                msg_r.append(render(rec.code, rec.path, rec.context, rec.message, prefs=self.prefs))
             counts.append(k)
             path_r.append(rec.path)
             code_r.append(rec.code)
@@ -3720,7 +3727,7 @@ class CompiledSchema:
 
 def _value_messages(splits: list[list[str]], inv: np.ndarray, vals, wrap: bool, datefmt: str) -> pa.Array:
     """Each fired row's message: its item's render parts (``splits[inv]``,
-    split at the template's ``{value}`` tokens) joined by the row's value.
+    the texts between the template's ``{[.]}`` parts) joined by the row's value.
     A None value is JS undefined (e.g. an unbound ref resolution): the
     {[.]} part DROPS, not 'null'.  A string array renders in one kernel
     call, and a string stringifies to itself; other values stringify row

@@ -183,7 +183,8 @@ def coerce_sort(arr, args: dict):
     thrown errors per row — ``array.sort.unsupported`` when two non-equal
     non-null items of an unsupported typeof meet (a === b short-circuits
     identical primitives; distinct OBJECT items are never ===, so any two
-    non-null nested items throw).  Returns (new_arr, coerce_errs)."""
+    non-null nested items throw).  Returns (new_arr, coerce_errs), each
+    error a (code, mask, context)."""
     order = args.get("order", "ascending")
     by = args.get("by")
     n = len(arr)
@@ -209,7 +210,9 @@ def coerce_sort(arr, args: dict):
                 nun = df.groupby("p")["v"].nunique()
                 bad[nun.index.to_numpy()[nun.to_numpy() >= 2]] = True
         if bad.any():
-            return arr, [("array.sort.unsupported", bad)]
+            # the comparator's thrown report names the items' typeof
+            ctx = {"type": "boolean" if pa.types.is_boolean(t) else "object"}
+            return arr, [("array.sort.unsupported", bad, ctx)]
         return arr, []
     return sort_lists(arr, order, by), []
 

@@ -3,132 +3,136 @@
 Mirrors the reference's per-type template tables (string messages
 ``/root/reference/lib/types/string/index.js:737-769``, number
 ``lib/types/number.js`` tail, base/any codes ``lib/messages.js``): one
-template per error ``type`` code, interpolating ``{#label}`` / ``{#limit}`` /
-rule-specific context.  We render lazily — only for failing rows — and keep
-the rendered string static per (code, path, context) so violation output is
-byte-stable across partitioning (required for the N-vs-4N fixture match).
+template per error ``type`` code, in joi's template syntax (``{{#x}}``
+HTML-escaped under ``errors.escapeHtml``, ``{#x}`` raw, ``{[.]}`` the
+offending value).  Every message — catalog, ``prefs.messages``,
+``.message()``, ``error()`` — compiles once to a ``kernels.template``
+``Template`` and renders in one pass.  We render lazily — only for failing
+rows — and keep the rendered string static per (code, path, context) so
+violation output is byte-stable across partitioning (required for the
+N-vs-4N fixture match).
 """
 
 from __future__ import annotations
 
 MESSAGES: dict[str, str] = {
     # any (lib/messages.js)
-    "any.default": '"{label}" threw an error when running default method',
-    "any.failover": '"{label}" threw an error when running failover method',
-    "any.required": '"{label}" is required',
-    "any.unknown": '"{label}" is not allowed',
-    "any.invalid": '"{label}" contains an invalid value',
-    "any.only": '"{label}" must be one of {valids}',
-    "any.custom": '"{label}" failed custom validation',
-    "any.ref": '"{label}" {arg} references "{ref}" which {reason}',
-    "any.warning": '"{label}" triggered warning {code}',
+    "any.default": '"{{#label}}" threw an error when running default method',
+    "any.failover": '"{{#label}}" threw an error when running failover method',
+    "any.required": '"{{#label}}" is required',
+    "any.unknown": '"{{#label}}" is not allowed',
+    "any.invalid": '"{{#label}}" contains an invalid value',
+    "any.only": '"{{#label}}" must be one of {{#valids}}',
+    "any.custom": '"{{#label}}" failed custom validation',
+    "any.ref": '"{{#label}}" {{#arg}} references "{{#ref}}" which {{#reason}}',
+    "any.warning": '"{{#label}}" triggered warning {{#code}}',
     # string
-    "string.base": '"{label}" must be a string',
-    "string.empty": '"{label}" is not allowed to be empty',
-    "string.min": '"{label}" length must be at least {limit} characters long',
-    "string.max": '"{label}" length must be less than or equal to {limit} characters long',
-    "string.length": '"{label}" length must be {limit} characters long',
-    # the {value} token is joi's {[.]} (the offending value, raw-stringified)
-    # — string/index.js:760-763; {regex} renders as a JS literal (/src/)
-    "string.pattern.base": '"{label}" with value "{value}" fails to match the required pattern: {regex}',
-    "string.pattern.name": '"{label}" with value "{value}" fails to match the {name} pattern',
-    "string.pattern.invert.base": '"{label}" with value "{value}" matches the inverted pattern: {regex}',
-    "string.pattern.invert.name": '"{label}" with value "{value}" matches the inverted {name} pattern',
-    "string.alphanum": '"{label}" must only contain alpha-numeric characters',
-    "string.token": '"{label}" must only contain alpha-numeric and underscore characters',
-    "string.hex": '"{label}" must only contain hexadecimal characters',
-    "string.base64": '"{label}" must be a valid base64 string',
-    "string.dataUri": '"{label}" must be a valid dataUri string',
-    "string.email": '"{label}" must be a valid email',
-    "string.domain": '"{label}" must contain a valid domain name',
-    "string.hostname": '"{label}" must be a valid hostname',
-    "string.guid": '"{label}" must be a valid GUID',
-    "string.ip": '"{label}" must be a valid ip address with a {cidr} CIDR',
-    "string.ipVersion": '"{label}" must be a valid ip address of one of the following versions {version} with a {cidr} CIDR',
-    "string.uri": '"{label}" must be a valid uri',
-    "string.uriCustomScheme": '"{label}" must be a valid uri with a scheme matching the {scheme} pattern',
-    "string.uriRelativeOnly": '"{label}" must be a valid relative uri',
-    "string.isoDate": '"{label}" must be a valid ISO 8601 date',
-    "string.isoDuration": '"{label}" must be a valid ISO 8601 duration',
-    "string.creditCard": '"{label}" must be a credit card',
-    "string.lowercase": '"{label}" must only contain lowercase characters',
-    "string.uppercase": '"{label}" must only contain uppercase characters',
-    "string.trim": '"{label}" must not have leading or trailing whitespace',
-    "string.normalize": '"{label}" must be unicode normalized in the {form} form',
+    "string.base": '"{{#label}}" must be a string',
+    "string.empty": '"{{#label}}" is not allowed to be empty',
+    "string.min": '"{{#label}}" length must be at least {{#limit}} characters long',
+    "string.max": '"{{#label}}" length must be less than or equal to {{#limit}} characters long',
+    "string.length": '"{{#label}}" length must be {{#limit}} characters long',
+    # {[.]} is the offending value, raw (string/index.js:760-763); the
+    # regex renders as a JS literal (/src/)
+    "string.pattern.base": '"{{#label}}" with value "{[.]}" fails to match the required pattern: {{#regex}}',
+    "string.pattern.name": '"{{#label}}" with value "{[.]}" fails to match the {{#name}} pattern',
+    "string.pattern.invert.base": '"{{#label}}" with value "{[.]}" matches the inverted pattern: {{#regex}}',
+    "string.pattern.invert.name": '"{{#label}}" with value "{[.]}" matches the inverted {{#name}} pattern',
+    "string.alphanum": '"{{#label}}" must only contain alpha-numeric characters',
+    "string.token": '"{{#label}}" must only contain alpha-numeric and underscore characters',
+    "string.hex": '"{{#label}}" must only contain hexadecimal characters',
+    "string.base64": '"{{#label}}" must be a valid base64 string',
+    "string.dataUri": '"{{#label}}" must be a valid dataUri string',
+    "string.email": '"{{#label}}" must be a valid email',
+    "string.domain": '"{{#label}}" must contain a valid domain name',
+    "string.hostname": '"{{#label}}" must be a valid hostname',
+    "string.guid": '"{{#label}}" must be a valid GUID',
+    "string.ip": '"{{#label}}" must be a valid ip address with a {{#cidr}} CIDR',
+    "string.ipVersion": '"{{#label}}" must be a valid ip address of one of the following versions {{#version}} with a {{#cidr}} CIDR',
+    "string.uri": '"{{#label}}" must be a valid uri',
+    "string.uriCustomScheme": '"{{#label}}" must be a valid uri with a scheme matching the {{#scheme}} pattern',
+    "string.uriRelativeOnly": '"{{#label}}" must be a valid relative uri',
+    "string.isoDate": '"{{#label}}" must be a valid ISO 8601 date',
+    "string.isoDuration": '"{{#label}}" must be a valid ISO 8601 duration',
+    "string.creditCard": '"{{#label}}" must be a credit card',
+    "string.lowercase": '"{{#label}}" must only contain lowercase characters',
+    "string.uppercase": '"{{#label}}" must only contain uppercase characters',
+    "string.trim": '"{{#label}}" must not have leading or trailing whitespace',
+    "string.normalize": '"{{#label}}" must be unicode normalized in the {{#form}} form',
     # number
-    "number.base": '"{label}" must be a number',
-    "number.min": '"{label}" must be larger than or equal to {limit}',
-    "number.max": '"{label}" must be less than or equal to {limit}',
-    "number.greater": '"{label}" must be greater than {limit}',
-    "number.less": '"{label}" must be less than {limit}',
-    "number.integer": '"{label}" must be an integer',
-    "number.multiple": '"{label}" must be a multiple of {multiple}',
-    "number.port": '"{label}" must be a valid port',
-    "number.positive": '"{label}" must be a positive number',
-    "number.negative": '"{label}" must be a negative number',
-    "number.precision": '"{label}" must have no more than {limit} decimal places',
-    "number.unsafe": '"{label}" must be a safe number',
-    "number.infinity": '"{label}" cannot be infinity',
+    "number.base": '"{{#label}}" must be a number',
+    "number.min": '"{{#label}}" must be larger than or equal to {{#limit}}',
+    "number.max": '"{{#label}}" must be less than or equal to {{#limit}}',
+    "number.greater": '"{{#label}}" must be greater than {{#limit}}',
+    "number.less": '"{{#label}}" must be less than {{#limit}}',
+    "number.integer": '"{{#label}}" must be an integer',
+    "number.multiple": '"{{#label}}" must be a multiple of {{#multiple}}',
+    "number.port": '"{{#label}}" must be a valid port',
+    "number.positive": '"{{#label}}" must be a positive number',
+    "number.negative": '"{{#label}}" must be a negative number',
+    "number.precision": '"{{#label}}" must have no more than {{#limit}} decimal places',
+    "number.unsafe": '"{{#label}}" must be a safe number',
+    "number.infinity": '"{{#label}}" cannot be infinity',
     # boolean
-    "boolean.base": '"{label}" must be a boolean',
+    "boolean.base": '"{{#label}}" must be a boolean',
     # date
-    "date.base": '"{label}" must be a number of milliseconds or valid date string',
-    "date.strict": '"{label}" must be a valid date',
-    "date.timestamp.javascript": '"{label}" must be a valid timestamp or number of milliseconds',
-    "date.timestamp.unix": '"{label}" must be a valid timestamp or number of seconds',
-    "date.isoDate": '"{label}" must be a valid ISO 8601 date',
-    "date.format": '"{label}" must be in {format} format',
-    "date.min": '"{label}" must be larger than or equal to "{limit}"',
-    "date.max": '"{label}" must be less than or equal to "{limit}"',
-    "date.greater": '"{label}" must be greater than "{limit}"',
-    "date.less": '"{label}" must be less than "{limit}"',
+    "date.base": '"{{#label}}" must be a number of milliseconds or valid date string',
+    "date.strict": '"{{#label}}" must be a valid date',
+    "date.timestamp.javascript": '"{{#label}}" must be a valid timestamp or number of milliseconds',
+    "date.timestamp.unix": '"{{#label}}" must be a valid timestamp or number of seconds',
+    "date.isoDate": '"{{#label}}" must be a valid ISO 8601 date',
+    "date.format": '"{{#label}}" must be in {{#format}} format',
+    "date.min": '"{{#label}}" must be larger than or equal to "{{#limit}}"',
+    "date.max": '"{{#label}}" must be less than or equal to "{{#limit}}"',
+    "date.greater": '"{{#label}}" must be greater than "{{#limit}}"',
+    "date.less": '"{{#label}}" must be less than "{{#limit}}"',
     # binary
-    "binary.base": '"{label}" must be a buffer or a string',
-    "binary.min": '"{label}" must be at least {limit} bytes',
-    "binary.max": '"{label}" must be less than or equal to {limit} bytes',
-    "binary.length": '"{label}" must be {limit} bytes',
+    "binary.base": '"{{#label}}" must be a buffer or a string',
+    "binary.min": '"{{#label}}" must be at least {{#limit}} bytes',
+    "binary.max": '"{{#label}}" must be less than or equal to {{#limit}} bytes',
+    "binary.length": '"{{#label}}" must be {{#limit}} bytes',
     # array
-    "array.base": '"{label}" must be an array',
-    "array.min": '"{label}" must contain at least {limit} items',
-    "array.max": '"{label}" must contain less than or equal to {limit} items',
-    "array.length": '"{label}" must contain {limit} items',
-    "array.unique": '"{label}" contains a duplicate value',
-    "array.sparse": '"{label}" must not be a sparse array item',
-    "array.excludes": '"{label}" contains an excluded value',
-    "array.includes": '"{label}" does not match any of the allowed types',
-    "array.includesRequiredUnknowns": '"{label}" does not contain {unknownMisses} required value(s)',
-    "array.includesRequiredKnowns": '"{label}" does not contain {knownMisses}',
-    "array.includesRequiredBoth": '"{label}" does not contain {knownMisses} and {unknownMisses} other required value(s)',
-    "array.hasUnknown": '"{label}" does not contain at least one required match',
-    "array.hasKnown": '"{label}" does not contain at least one required match for type "{patternLabel}"',
-    "array.sort": '"{label}" must be sorted in {order} order by {by}',
-    "array.sort.mismatching": '"{label}" cannot be sorted due to mismatching types',
-    "array.sort.unsupported": '"{label}" cannot be sorted due to unsupported type {type}',
-    "array.orderedLength": '"{label}" must contain at most {limit} items',
+    "array.base": '"{{#label}}" must be an array',
+    "array.min": '"{{#label}}" must contain at least {{#limit}} items',
+    "array.max": '"{{#label}}" must contain less than or equal to {{#limit}} items',
+    "array.length": '"{{#label}}" must contain {{#limit}} items',
+    "array.unique": '"{{#label}}" contains a duplicate value',
+    "array.sparse": '"{{#label}}" must not be a sparse array item',
+    "array.excludes": '"{{#label}}" contains an excluded value',
+    "array.includes": '"{{#label}}" does not match any of the allowed types',
+    "array.includesRequiredUnknowns": '"{{#label}}" does not contain {{#unknownMisses}} required value(s)',
+    "array.includesRequiredKnowns": '"{{#label}}" does not contain {{#knownMisses}}',
+    "array.includesRequiredBoth": '"{{#label}}" does not contain {{#knownMisses}} and {{#unknownMisses}} other required value(s)',
+    "array.hasUnknown": '"{{#label}}" does not contain at least one required match',
+    "array.hasKnown": '"{{#label}}" does not contain at least one required match for type "{{#patternLabel}}"',
+    "array.sort": '"{{#label}}" must be sorted in {{#order}} order by {{#by}}',
+    "array.sort.mismatching": '"{{#label}}" cannot be sorted due to mismatching types',
+    "array.sort.unsupported": '"{{#label}}" cannot be sorted due to unsupported type {{#type}}',
+    "array.orderedLength": '"{{#label}}" must contain at most {{#limit}} items',
     # object
-    "object.base": '"{label}" must be of type object',
-    "object.unknown": '"{label}" is not allowed',
+    "object.base": '"{{#label}}" must be of type object',
+    "object.unknown": '"{{#label}}" is not allowed',
     # dependency messages are byte-parity with lib/types/object.js:629-648
-    "object.and": '"{label}" contains {presentWithLabels} without its required peers {missingWithLabels}',
-    "object.nand": '"{mainWithLabel}" must not exist simultaneously with {peersWithLabels}',
-    "object.or": '"{label}" must contain at least one of {peersWithLabels}',
-    "object.xor": '"{label}" contains a conflict between exclusive peers {peersWithLabels}',
-    "object.oxor": '"{label}" contains a conflict between optional exclusive peers {peersWithLabels}',
-    "object.with": '"{mainWithLabel}" missing required peer "{peerWithLabel}"',
-    "object.without": '"{mainWithLabel}" conflict with forbidden peer "{peerWithLabel}"',
-    "object.assert": '"{label}" is invalid because "{ref}" failed to {message}',
-    "object.min": '"{label}" must have at least {limit} keys',
-    "object.max": '"{label}" must have less than or equal to {limit} keys',
-    "object.length": '"{label}" must have {limit} keys',
-    "object.missing": '"{label}" must contain at least one of {peersWithLabels}',
-    "object.rename.multiple": '"{label}" cannot rename "{from}" because multiple renames are disabled and another key was already renamed to "{to}"',
-    "object.rename.override": '"{label}" cannot rename "{from}" because override is disabled and target "{to}" exists',
-    "object.pattern.match": '"{label}" keys failed to match pattern requirements',
+    "object.and": '"{{#label}}" contains {{#presentWithLabels}} without its required peers {{#missingWithLabels}}',
+    "object.nand": '"{{#mainWithLabel}}" must not exist simultaneously with {{#peersWithLabels}}',
+    "object.or": '"{{#label}}" must contain at least one of {{#peersWithLabels}}',
+    "object.xor": '"{{#label}}" contains a conflict between exclusive peers {{#peersWithLabels}}',
+    "object.oxor": '"{{#label}}" contains a conflict between optional exclusive peers {{#peersWithLabels}}',
+    "object.with": '"{{#mainWithLabel}}" missing required peer "{{#peerWithLabel}}"',
+    "object.without": '"{{#mainWithLabel}}" conflict with forbidden peer "{{#peerWithLabel}}"',
+    "object.assert": '"{{#label}}" is invalid because "{{#ref}}" failed to {{#message}}',
+    "object.min": '"{{#label}}" must have at least {{#limit}} keys',
+    "object.max": '"{{#label}}" must have less than or equal to {{#limit}} keys',
+    "object.length": '"{{#label}}" must have {{#limit}} keys',
+    "object.missing": '"{{#label}}" must contain at least one of {{#peersWithLabels}}',
+    "object.rename.multiple": '"{{#label}}" cannot rename "{{#from}}" because multiple renames are disabled and another key was already renamed to "{{#to}}"',
+    "object.rename.override": '"{{#label}}" cannot rename "{{#from}}" because override is disabled and target "{{#to}}" exists',
+    "object.pattern.match": '"{{#label}}" keys failed to match pattern requirements',
     # alternatives
-    "alternatives.any": '"{label}" does not match any of the allowed types',
-    "alternatives.match": '"{label}" does not match any of the allowed types',
-    "alternatives.base": '"{label}" does not match any of the allowed types',
-    "alternatives.types": '"{label}" must be one of {types}',
+    "alternatives.any": '"{{#label}}" does not match any of the allowed types',
+    "alternatives.match": '"{{#label}}" does not match any of the allowed types',
+    "alternatives.base": '"{{#label}}" does not match any of the allowed types',
+    "alternatives.types": '"{{#label}}" must be one of {{#types}}',
 }
 
 
@@ -155,18 +159,6 @@ def lookup_override(code: str, prefs: dict) -> str | None:
     return v if isinstance(v, str) else None
 
 
-#: codes whose catalog message embeds the offending value (joi's {[.]}
-#: token) and therefore need per-fired-row rendering
-VALUE_CODES = frozenset(
-    {
-        "string.pattern.base",
-        "string.pattern.name",
-        "string.pattern.invert.base",
-        "string.pattern.invert.name",
-    }
-)
-
-
 def err_opts(prefs: dict | None) -> tuple:
     """(escape_html, wrap_arrays, date_format) from validation prefs — joi's
     error-render options (``lib/errors.js:76`` passes ``prefs.errors`` into
@@ -180,98 +172,50 @@ def err_opts(prefs: dict | None) -> tuple:
     return (bool(esc), bool(wrap), prefs.get("date_format", "iso"))
 
 
-# where the label goes, raw or HTML-escaped, until it is put in last
-# (private-use characters: the template parser takes \x00/\x01 for braces)
-_LABEL, _LABEL_ESC = "\ue000label\ue000", "\ue000label-esc\ue000"
+def template(code: str, message: str | None = None):
+    """The compiled template of a report: its own message (an override),
+    else the catalog's; cached per source."""
+    from .template import compile_template
+
+    return compile_template(message or MESSAGES.get(code) or f'"{{{{#label}}}}" fails rule {code}')
 
 
 def render(code: str, path: str, context: dict, override: str | None = None,
-           prefs: dict | None = None, *, split: str | None = None) -> str | list[str]:
-    """Render the static message for an error family.  Per-row ``{value}``
-    interpolation is intentionally omitted (violation rows carry the doc id
-    and span index instead) so one render serves the whole mask.
+           prefs: dict | None = None, *, split: bool = False) -> str | list[str]:
+    """Render the static message for an error family in one pass of its
+    template (``template``): each part resolves in the error context, the
+    label is the ``label`` context value or the path, and a part that
+    resolves undefined is dropped (errors.js render pushes only defined
+    parts; node-verified 'a {{#nope}} b' -> 'a  b').  Values go in as text
+    and are never parsed again, so a label or a value holding braces keeps
+    them.  The per-row value (``{[.]}``) has no binding here: with
+    ``split`` the result is the list of texts between the value parts, for
+    the caller to join with each row's value; without it the value parts
+    drop.
 
-    Catalog messages use plain ``{name}``/``{#name}`` placeholders and take
-    the fast substitution path (byte-stable with round 1).  Templates with
-    expressions — arithmetic, comparisons, ``if()``/``number()``, constants,
-    per ``lib/template.js:26-227`` — are rendered by the formula engine in
-    ``kernels.template``.
-
-    ``prefs`` threads joi's error-render options: the reference catalog's
-    placeholders are ``{{#...}}`` (HTML-escaped when ``errors.escapeHtml``),
-    arrays wrap per ``errors.wrapArrays``, dates render per ``dateFormat``
-    (template.js:185,331 + the dateFormat method map template.js:16-22).
-
-    The label goes in last, as text: a placeholder in it (``L{limit}``,
-    ``L{value}``) stays as written, as joi keeps it.  With ``split``, the
-    message comes back as its parts between the template's ``split``
-    tokens, the label put into each part afterwards."""
-    esc, wrap, datefmt = err_opts(prefs)
-    tmpl = override or MESSAGES.get(code, f'"{{label}}" fails rule {code}')
+    ``prefs`` threads joi's error-render options: ``{{...}}`` parts are
+    HTML-escaped when ``errors.escapeHtml``, arrays wrap per
+    ``errors.wrapArrays``, dates render per ``dateFormat``
+    (template.js:185,331 + the dateFormat method map template.js:16-22)."""
     label = context.get("label") or path
     if not label:
         # root-level errors: prefs.messages.root renames the root label
         # (lib/errors.js label fallback; node-verified '"myroot" contains
         # [a] without its required peers [b]'), default 'value'
-        msgs = (prefs or {}).get("messages") or {}
-        root = msgs.get("root")
+        root = ((prefs or {}).get("messages") or {}).get("root")
         label = root if isinstance(root, str) else "value"
-    out = tmpl
 
-    def _sub(out: str, k: str, s: str, es: str) -> str:
-        # ``es`` is ``s`` as escaped under errors.escapeHtml
-        if override is not None:
-            # user templates carry joi's brace semantics: {{x}} parts
-            # escape under errors.escapeHtml, {x} parts are raw
-            # (template.js:185) — double forms FIRST so the single-brace
-            # replace can't eat their inner braces
-            out = out.replace("{{#%s}}" % k, es).replace("{{%s}}" % k, es)
-            return out.replace("{#%s}" % k, s).replace("{%s}" % k, s)
-        # catalog templates store single-brace placeholders but mirror the
-        # reference's {{#...}} (escaped) parts — except {value} ({[.]}),
-        # substituted later and raw by contract
-        return out.replace("{#%s}" % k, es).replace("{%s}" % k, es)
-
-    out = _sub(out, "label", _LABEL, _LABEL_ESC)
-    for k, v in context.items():
-        if k == "label":
-            continue
-        if k == "regex" and isinstance(v, str) and not v.startswith("/"):
+    def resolve(name: str):
+        key = name[1:] if name[:1] == "#" else name
+        if key == "label":
+            return label
+        v = context[key]
+        if key == "regex" and isinstance(v, str) and not v.startswith("/"):
             # joi stringifies the RegExp object: String(/\d/) === "/\\d/"
-            s = f"/{v}/"
-        else:
-            s = _stringify(v, wrap, datefmt)
-        out = _sub(out, k, s, _escape_html(s) if esc else s)
-    if override is not None and "{" in out:
-        # joi DROPS template parts whose ref resolves undefined
-        # (errors.js render: parts.push only when string !== undefined;
-        # node-verified 'a {{#nope}} b' -> 'a  b').  {value} survives — it
-        # is the per-row {[.]} token substituted later by the engine.
-        import re as _re
+            return f"/{v}/"
+        return v
 
-        out = out.replace("{value}", "\x00V\x00")
-        out = _re.sub(r"\{\{?[#$]?[A-Za-z_][\w.]*\}\}?", "", out)
-        out = out.replace("\x00V\x00", "{value}")
-    if "{" in out and _looks_dynamic(out):
-        from .template import compile_template
-
-        ctx = {"label": label, **context}
-
-        def resolve(name: str):
-            key = name.lstrip("#$")
-            if key in ctx:
-                return ctx[key]
-            raise KeyError(name)
-
-        try:
-            out = compile_template(out).render(resolve, options=(esc, wrap, datefmt))
-        except (TypeError, ValueError):
-            pass  # leave the partially-substituted string
-    label = str(label)
-    label_esc = _escape_html(label) if esc else label
-    parts = [p.replace(_LABEL_ESC, label_esc).replace(_LABEL, label)
-             for p in (out.split(split) if split else [out])]
-    return parts if split else parts[0]
+    return template(code, override).render(resolve, err_opts(prefs), split=split)
 
 
 def stringify(v, prefs: dict | None = None) -> str:
@@ -367,19 +311,3 @@ def _stringify(v, wrap_arrays: bool = True, date_format: str = "iso") -> str:
         # internals.stringify)
         return "[object Object]"
     return str(v)
-
-
-_EXPR_CHARS = ("+", "-", "*", "/", "%", "^", "<", ">", "=", "(", "?", "&", "|")
-
-
-def _looks_dynamic(s: str) -> bool:
-    """Cheap gate: only engage the formula engine when a remaining
-    placeholder contains expression syntax — plain unknown placeholders like
-    ``{value}`` must stay verbatim (round-1 behavior)."""
-    import re
-
-    for m in re.finditer(r"\{+([^{}]*)\}+", s):
-        inner = m.group(1)
-        if any(c in inner for c in _EXPR_CHARS):
-            return True
-    return False

@@ -9,7 +9,8 @@ Syntax (reference ``lib/template.js:41-95``):
 - ``{{expr}}`` HTML-escaped interpolation
 - ``\\{`` / ``\\}`` escape literal braces
 - references: ``#name`` (local error context), ``$name`` (global context),
-  bare ``name`` (value path; resolved through the same resolver)
+  bare ``name`` (value path; resolved through the same resolver), and
+  ``[.]``, the value itself (a message's offending value)
 - constants: ``true false null second minute hour day``
   (``lib/template.js:335-344``)
 - functions: ``if(cond, then, otherwise)``, ``number(v)``
@@ -18,8 +19,10 @@ Syntax (reference ``lib/template.js:41-95``):
   ``== !=``, ``< <= > >=``, ``+ -``, ``* / %``, ``^`` — with parentheses
   and unary minus
 
-Rendering keeps the repo's established stringification (``str(v)``) so
-violation messages stay byte-stable with round-1 output.
+Rendering is one pass: each value is stringified by joi's
+``internals.stringify`` (``kernels.messages._stringify``) and never parsed
+again, and a part that resolves undefined is dropped (template.js render
+pushes only defined parts).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from __future__ import annotations
 import math
 import re
 from typing import Any, Callable
+
+from .messages import _escape_html, _stringify
 
 _UNKNOWN = object()  # sentinel: reference did not resolve
 
@@ -40,7 +45,7 @@ _TOKEN_RE = re.compile(
         (?P<num>\d+(?:\.\d+)?)
       | (?P<str>'[^']*'|"[^"]*")
       | (?P<op>\?\?|\|\||&&|==|!=|<=|>=|[-+*/%^<>(),])
-      | (?P<name>[#$]?[A-Za-z_][\w.\[\]]*|[#$][\w.\[\]]+)
+      | (?P<name>[#$]?[A-Za-z_][\w.\[\]]*|[#$][\w.\[\]]+|\[[^\]]+\])
     )""",
     re.VERBOSE,
 )
@@ -266,8 +271,9 @@ def _evaluate(node, resolve: Callable[[str], Any]):
 
 class _Undefined:
     """JS undefined inside formula evaluation: NaN under arithmetic, falsy
-    in logic, 'undefined' when concatenated — distinct from _UNKNOWN (the
-    message-render leave-verbatim channel) and from None (JS null)."""
+    in logic, 'undefined' when concatenated — distinct from _UNKNOWN (a
+    reference that did not resolve, which poisons its whole part) and
+    from None (JS null).  A part that renders either is dropped."""
 
     def __repr__(self):  # pragma: no cover
         return "undefined"
@@ -360,49 +366,29 @@ def _js_strict_eq(a, b) -> bool:
     return a == b
 
 
-def _stringify(v) -> str:
-    """Repo-stable stringification (see kernels/messages.py round 1): plain
-    ``str`` for scalars and containers, with JS-style true/false/null for
-    the formula constants and integral floats printed without '.0'."""
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, float) and v.is_integer():
-        return str(int(v))
-    return str(v)
-
-
-_HTML_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "'": "&#x27;", "`": "&#x60;"}
-
-
-def _escape_html(s: str) -> str:
-    return "".join(_HTML_ESCAPES.get(c, c) for c in s)
-
-
 # --------------------------------------------------------------------------
 # template parsing (lib/template.js:41-95 + encode/split helpers :227-281)
 
 
 _OPEN, _CLOSE = "\u0000", "\u0001"
+#: the AST of a message's value part, ``{[.]}``
+_VALUE_PART = ("ref", "[.]")
 
 
 class Template:
     """Parsed ``"... {expr} ..."`` template.
 
     ``render(resolve)`` interpolates each variable: ``resolve(name)`` maps a
-    reference name (with its ``#``/``$`` sigil) to a value, returning
-    ``template._UNKNOWN`` (or raising KeyError) for unknown names — an
-    unresolvable variable is left verbatim, matching the repo's round-1
-    renderer behavior for placeholders like ``{value}``."""
+    reference name (with its ``#``/``$`` sigil) to a value, raising
+    KeyError for an unknown name — a part that resolves undefined is
+    dropped.  ``has_value``: the template has a value part (``{[.]}``)."""
 
     def __init__(self, source: str):
         if not isinstance(source, str):
             raise TypeError("template source must be a string")
         self.source = source
         self.parts: list = self._parse(source)
+        self.has_value = any(not isinstance(p, str) and p[2] == _VALUE_PART for p in self.parts)
 
     @property
     def is_dynamic(self) -> bool:
@@ -498,44 +484,40 @@ class Template:
             return _evaluate(ast, resolve)
         return self.render(resolve)
 
-    def render(self, resolve: Callable[[str], Any], options: tuple | None = None) -> str:
-        """``options`` = (escape_html, wrap_arrays, date_format) — joi's
-        error-render options object (errors.js:76 passes ``prefs.errors``;
-        escape applies to non-raw ``{{...}}`` parts only when escapeHtml is
-        set, template.js:185).  ``None`` keeps the legacy path (escape +
-        wrap + iso), matching joi's bare ``render()`` where an empty options
-        object escapes non-raw parts."""
+    def render(self, resolve: Callable[[str], Any], options: tuple = (True, True, "iso"),
+               split: bool = False) -> str | list[str]:
+        """One pass over the parts.  ``options`` = (escape_html,
+        wrap_arrays, date_format), joi's render options (errors.js:76
+        passes ``prefs.errors``; escape applies to non-raw ``{{...}}``
+        parts, template.js:185); the default is joi's bare ``render()``,
+        which escapes them.  With ``split`` the result is the list of texts
+        between the value parts (``{[.]}``), which are left out."""
         def safe_resolve(name: str):
             try:
                 return resolve(name)
             except KeyError:
                 return _UNKNOWN
 
-        esc = True if options is None else bool(options[0])
-        wrap = True if options is None else bool(options[1])
-        datefmt = "iso" if options is None else options[2]
-
-        out = []
+        esc, wrap, datefmt = options
+        texts, out = [], []
         for p in self.parts:
             if isinstance(p, str):
                 out.append(p)
                 continue
-            content, raw, ast = p
+            _content, raw, ast = p
+            if split and ast == _VALUE_PART:
+                texts.append("".join(out))
+                out = []
+                continue
             try:
                 v = _evaluate(ast, safe_resolve)
             except (TypeError, ValueError, ZeroDivisionError):
-                v = _UNKNOWN
-            if v is _UNKNOWN:
-                out.append(("{%s}" if raw else "{{%s}}") % content)
-            else:
-                if options is None:
-                    s = _stringify(v)
-                else:
-                    from .messages import _stringify as _m_stringify
-
-                    s = _m_stringify(v, wrap, datefmt)
+                continue
+            if v is not _UNKNOWN and v is not _UNDEFINED:
+                s = _stringify(v, wrap, datefmt)
                 out.append(s if raw or not esc else _escape_html(s))
-        return "".join(out)
+        texts.append("".join(out))
+        return texts if split else texts[0]
 
 
 _TEMPLATE_CACHE: dict[str, Template] = {}

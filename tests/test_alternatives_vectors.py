@@ -224,3 +224,17 @@ def test_alternatives_empty_value_is_missing():
         assert res.value.column("a").to_pylist() == [None, "abcd"]
         res = run(obj({"a": a.required()}), t)
         assert codes(res, 0) == ["any.required"]
+
+
+def test_alternatives_valids_match_keeps_its_value_beside_a_branch_value():
+    # joi's valids stage returns the matched value (validator.js:197-201);
+    # a try-branch of another output type on other rows must not cast it
+    # away.  The column holds the mixed-type value repr ('7' for 7.0), and
+    # refs see each row's typed value
+    a = jr.alternatives().try_(jr.number()).allow("abc")
+    res = run(obj({"a": a}), pa.table({"a": ["abc", "7"]}))
+    assert res.ok.tolist() == [True, True]
+    assert res.value.column("a").to_pylist() == ["abc", "7"]
+    res = run(obj({"a": a, "b": jr.number().valid(jr.ref("a"))}),
+              pa.table({"a": ["abc", "7"], "b": pa.array([None, 7.0])}))
+    assert res.ok.tolist() == [True, True]

@@ -309,3 +309,17 @@ def test_dict_schema_without_type_is_refused(spec):
     # a dict description needs its "type"; a bare key map is not an object()
     with pytest.raises(ValueError, match="root must be an object"):
         compile_schema(spec)
+
+
+def test_number_empty_matches_the_unconverted_value():
+    # joi's number coerce leaves '' as it is, and the empty stage then makes
+    # it undefined (validator.js:162-165): optional passes, required reports
+    t = pa.table({"x": ["", "3", "q"]})
+    res = compile_schema(obj({"x": jr.number().empty("")}), prefs={"abort_early": False}).validate_table(t)
+    assert res.ok.tolist() == [True, True, False]
+    assert res.violations["code"].to_pylist() == ["number.base"]
+    assert res.value.column("x").to_pylist() == [None, 3.0, None]
+    res = compile_schema(obj({"x": jr.number().empty("").required()}),
+                         prefs={"abort_early": False}).validate_table(t)
+    assert list(zip(res.violations["row"].to_pylist(), res.violations["code"].to_pylist())) == [
+        (0, "any.required"), (2, "number.base")]

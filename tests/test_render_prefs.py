@@ -211,3 +211,40 @@ def test_value_messages_non_string_fallback():
     got = _value_msgs(s, pa.table({"x": [5.0, 2.5, 11.0]}), prefs)
     assert got == [(-1, "bad 5"), (-1, "bad 2.5")]
     assert [m for _, m in got] == [f"bad {stringify(v)}" for v in (5.0, 2.5)]
+
+
+def test_values_are_not_parsed_again():
+    # one pass over the template (joi's template.js): a value holding braces
+    # or a {value}-like text goes in as text (not node-verified)
+    s = jr.object({"x": jr.string().pattern(r"a{b}").message("bad {#regex}")})
+    assert _msgs(s, pa.table({"x": ["zz"]}), {}) == ["bad /a{b}/"]
+    s = jr.object({"x": jr.string().pattern(r"x{value}")})
+    assert _msgs(s, pa.table({"x": ["zz"]}), {}) == [
+        '"x" with value "zz" fails to match the required pattern: /x{value}/']
+    s = jr.object({"x": jr.string().valid("{limit}", "q")})
+    assert _msgs(s, pa.table({"x": ["zz"]}), {"messages": {"any.only": "one of {{#valids}}"}}) == [
+        "one of [{limit}, q]"]
+
+
+def test_text_default_template_stringifies_like_messages():
+    # a text template renders its values with joi's template stringify, the
+    # one messages use: an array is '[x, y]', not a Python repr
+    s = jr.object({"a": jr.array(), "b": jr.string().default(jr.expression("v={a}"))})
+    res = jr.compile_schema(s).validate_table(
+        pa.table({"a": [["x", "y"]], "b": pa.array([None], pa.string())}))
+    assert res.value.column("b").to_pylist() == ["v=[x, y]"]
+
+
+def test_coerce_reports_carry_their_message_context():
+    # a catalog part without a context value would drop: the truncate
+    # limit assert and the sort comparator's throw give theirs (joi's
+    # string coerce and array sort; not node-verified), and the any.ref
+    # report's value is the resolved limit
+    s = jr.object({"n": jr.number(), "a": jr.string().max(jr.ref("n")).truncate()})
+    t = pa.table({"n": [1.5, 2.0], "a": ["abcd", "abcd"]})
+    assert _msgs(s, t, {}) == ['"a" limit references "ref:n" which must be a positive integer']
+    s = jr.object({"n": jr.number(), "a": jr.string().max(jr.ref("n")).truncate().error("v={[.]}")})
+    assert _msgs(s, t, {}) == ["v=1.5"]
+    s = jr.object({"a": jr.array().sort()})
+    t = pa.table({"a": pa.array([[True, False]], pa.list_(pa.bool_()))})
+    assert _msgs(s, t, {}) == ['"a" cannot be sorted due to unsupported type boolean']

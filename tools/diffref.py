@@ -279,9 +279,9 @@ def _register_fuzz_extensions():
     register_rule("number", "even", make_even, "xnum.even")
     register_rule("string", "vowelstart", make_vowelstart, "xstr.vowelstart")
     register_rule("string", "maxwords", make_maxwords, "xstr.maxwords")
-    MESSAGES["xnum.even"] = "{label} must be an even number"
-    MESSAGES["xstr.vowelstart"] = "{label} must start with a vowel"
-    MESSAGES["xstr.maxwords"] = "{label} must have at most {limit} words"
+    MESSAGES["xnum.even"] = "{{#label}} must be an even number"
+    MESSAGES["xstr.vowelstart"] = "{{#label}} must start with a vowel"
+    MESSAGES["xstr.maxwords"] = "{{#label}} must have at most {{#limit}} words"
 
 
 _register_fuzz_extensions()
