@@ -308,6 +308,7 @@ def _compile_keys(t: dict, depth: int) -> tuple:
     evaluation order; a cyclic dependency is refused here, at compile, as
     the reference refuses it at schema build."""
     keys: dict[str, CNode] = {k: CNode(v, depth) for k, v in t.get("keys", {}).items()}
+    _share_conditions(keys)
     patterns = [
         {
             "rx": re.compile(p["regex"]),
@@ -318,6 +319,41 @@ def _compile_keys(t: dict, depth: int) -> tuple:
         for p in t.get("patterns", [])
     ]
     return keys, _topo_keys(keys), patterns
+
+
+def _share_conditions(keys: dict[str, CNode]) -> None:
+    """Sibling when()s on one ref whose ``is`` schemas are equal and
+    ref-free share one ``is`` CNode, marked ``shared`` on each entry, so
+    ``_when_condition`` evaluates it once per object scope.  The schemas
+    are compared only when the refs are equal."""
+    seen: list[dict] = []
+    for cn in keys.values():
+        for w in cn.whens:
+            if "is" not in w:
+                continue
+            for first in seen:
+                if first["ref"] == w["ref"] and _same_condition(first["is"].schema, w["is"].schema):
+                    w["is"] = first["is"]
+                    w["shared"] = first["shared"] = True
+                    break
+            else:
+                seen.append(w)
+
+
+def _same_condition(a: Schema, b: Schema) -> bool:
+    """Whether two ``is`` schemas are equal and their outcome depends on the
+    value alone: no ref, template or function in their description."""
+    def ref_free(o) -> bool:
+        if isinstance(o, dict):
+            return "ref" not in o and "template" not in o and all(map(ref_free, o.values()))
+        if isinstance(o, (list, tuple)):
+            return all(map(ref_free, o))
+        return not callable(o)
+
+    try:
+        return bool(a == b) and ref_free(a.describe())
+    except Exception:  # noqa: BLE001 — exotic value __eq__
+        return False
 
 
 def _compile_items(t: dict, depth: int) -> tuple:
@@ -1471,11 +1507,12 @@ def _base_stage(c: _Node) -> None:
             base_errored |= m
             c.add(code, c.gate(m), ctx, seq=-1)
 
-    # string base: empty string is an error (string/index.js:139-148)
+    # string base: empty string is an error (string/index.js:139-148),
+    # checked only when some row is still open
     if node.type == "string" and (pa.types.is_string(c.arr.type) or pa.types.is_large_string(c.arr.type)):
-        if not any(v == "" for v in node.allow_static):
-            empty_mask = as_bool_np(pc.equal(pc.utf8_length(c.arr), 0), len(c.arr))
-            m = empty_mask & c.scope & ~c.missing & ~c.resolved
+        live = c.scope & ~c.missing & ~c.resolved
+        if not any(v == "" for v in node.allow_static) and live.any():
+            m = _empty_strings(c.arr) & live
             base_errored |= m
             c.add("string.empty", c.gate(m), seq=-1)
 
@@ -1496,6 +1533,17 @@ def _base_stage(c: _Node) -> None:
         c.arr = _eval_object(c)
         base_errored |= c.failed & ~failed_before_children
     c.resolved |= base_errored
+
+
+def _empty_strings(arr: pa.Array) -> np.ndarray:
+    """The rows of a ``string`` or ``large_string`` column holding ''
+    (not null), read from its offsets buffer."""
+    n = len(arr)
+    width = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+    offsets = np.frombuffer(arr.buffers()[1], dtype=width, count=n + 1,
+                            offset=arr.offset * np.dtype(width).itemsize)
+    empty = np.diff(offsets) == 0
+    return empty & ~null_mask(arr) if arr.null_count else empty
 
 
 def _rules_stage(c: _Node) -> None:
@@ -1698,7 +1746,7 @@ def _when_branches(w: dict, arr, env: Env, scope: np.ndarray, n: int):
                 remaining = remaining & ~cond
             yield w["otherwise"], remaining
             return
-        cond = _when_condition(w["is"], ref_resolved, env, scope, n)
+        cond = _when_condition(w["is"], ref_resolved, env, scope, n, w.get("shared", False))
     yield w["then"], scope & cond
     yield w["otherwise"], scope & ~cond
 
@@ -1779,7 +1827,8 @@ def _merge_into(merged: NodeResult, sub: NodeResult, sel: np.ndarray) -> bool:
     # shadow entries (raw-flagged branches) survive the merge per row
     merged.shadow += _shadow_on(sub.shadow, sel)
     promoted = False
-    if sel.any() and sub.value is not None:
+    # a branch that returned its input leaves the column as it is
+    if sel.any() and sub.value is not None and sub.value is not merged.value:
         sel_arr = pa.array(sel)
         sub_val = combine(sub.value)
         try:
@@ -1893,6 +1942,8 @@ def _failed_overlay(res: NodeResult, orig):
         walk.append((unshadowed, combine(orig)))
     for m, a in walk:
         pairs = [(pm & ~m, pv) for pm, pv in pairs]
+        if a is val:
+            continue  # the key returned its input: nothing to write back
         if a.type == val.type:
             val = pc.if_else(pa.array(m), a, val)
         else:
@@ -1914,17 +1965,27 @@ def _resolve_when_ref(r, arr, env: Env, n: int):
     return env.resolve_ref(r, n)
 
 
-def _when_condition(is_node: CNode, resolved, env: Env, scope: np.ndarray, n: int) -> np.ndarray:
+def _when_condition(is_node: CNode, resolved, env: Env, scope: np.ndarray, n: int,
+                    shared: bool = False) -> np.ndarray:
     """Evaluate an is-condition against a resolved ref, once per piece:
     rows whose sibling ERRORED match against the raw original (joi's
     value[key] keeps it, object.js:125-140), the rest against the
     converted value or shadow — each re-coerced by the condition schema
-    itself."""
+    itself.  A ``shared`` condition (``_share_conditions``) is kept in the
+    object scope's ``env.cond_memo``: a sibling wrapper reuses the mask
+    when its ref resolved to the same plain column over an equal scope."""
+    memo = env.cond_memo if shared and isinstance(resolved, pa.Array) else None
+    if memo is not None:
+        hit = memo.get(is_node)
+        if hit is not None and hit[0] is resolved and np.array_equal(hit[1], scope):
+            return hit[2]
     if not isinstance(resolved, (pa.Array, pa.ChunkedArray, AltView)):
         resolved = pa.array([resolved] * n)
     cond = np.zeros(n, dtype=bool)
     for rows, col in ref_parts(resolved, n):
         cond = np.where(rows, node_validity(is_node, col, env, scope), cond)
+    if memo is not None:
+        memo[is_node] = (resolved, scope.copy(), cond)
     return cond
 
 
@@ -2256,14 +2317,11 @@ def _adopt_items_multi(pairs, base, failed_any, n_items: int):
     null) — the array node turns this into a per-row typed view for ref
     consumers (a date ref to an ordered list whose number slot converted
     must see [3], not ["3.0"])."""
-    pairs = [
-        (m, combine(v) if isinstance(v, pa.ChunkedArray) else v)
-        for m, v in pairs
-        if v is not None and m.any()
-    ]
+    # an item schema that returned its input (the base itself) adopts nothing
+    base = combine(base)
+    pairs = [(m, combine(v)) for m, v in pairs if v is not None and v is not base and m.any()]
     if not pairs:
         return None, None, None
-    base = combine(base) if isinstance(base, pa.ChunkedArray) else base
     # a strip-narrowed object item (sub struct missing a field the base
     # has) expands back to the base type with the stripped field null —
     # adoption stays same-type so FAILED items keep their originals, which
@@ -2651,7 +2709,7 @@ class _Items:
         aborts (array.js:201-207)."""
         if sub.value is None:
             return
-        if not self.c.node.flags.get("sparse") and len(self.flat):
+        if not self.c.node.flags.get("sparse") and len(self.flat) and sub.value is not self.flat:
             became = (clean & ~self.nulls & as_bool_np(pc.is_null(sub.value), len(self.flat))
                       & ~self.failed(sub))
             if became.any():
@@ -3041,7 +3099,7 @@ def _items_finish(it: _Items, arr):
     # different joi typeofs even though the Arrow column is now uniform
     # (fuzz seed 5300531: kept number 1 never dups adopted cast "1");
     # consumed by make_unique via env (set fresh per array node)
-    if it.adopted.any():
+    if it.adopted.any() and arr is not c.arr:
         try:
             out_flat = k_lists.flatten_with_parents(combine(arr))[0]
             if out_flat.type != flat.type and len(out_flat) == len(it.adopted):
@@ -3191,6 +3249,7 @@ def _eval_object(c: _Node) -> pa.Array:
     child_env = env.child(resolve_sibling)
     # parent rows for arg-taking function defaults (validator.js:465)
     child_env.row_getter = _parent_row_getter(children, results)
+    child_env.cond_memo = {}  # the keys' shared when-conditions
     kscope = scope & parent_present
 
     def run_child(key, cnode, child_arr, child_scope):

@@ -23,15 +23,36 @@ from ..spec import Ref
 
 
 def as_bool_np(mask, n: int, fill: bool = False) -> np.ndarray:
-    """Arrow boolean array (possibly with nulls) -> dense numpy bool."""
+    """Arrow boolean array (possibly with nulls) -> dense numpy bool, a
+    null row reading ``fill``.  Unpacks the data and validity bitmaps
+    directly: no filled copy of the array is built."""
     if isinstance(mask, np.ndarray):
         return mask.astype(bool, copy=False)
     if isinstance(mask, pa.ChunkedArray):
-        mask = mask.combine_chunks()
+        if mask.num_chunks != 1:
+            return np.concatenate([as_bool_np(ch, len(ch), fill) for ch in mask.chunks] or
+                                  [np.zeros(0, dtype=bool)])
+        mask = mask.chunk(0)
+    if not pa.types.is_boolean(mask.type):
+        if mask.null_count:
+            mask = mask.fill_null(fill)
+        return mask.to_numpy(zero_copy_only=False).astype(bool, copy=False)
+    m, offset = len(mask), mask.offset
+    if m == 0:
+        return np.zeros(0, dtype=bool)
+    validity, data = mask.buffers()
+    out = _unpack_bits(data, offset, m)
     if mask.null_count:
-        mask = mask.fill_null(fill)
-    out = mask.to_numpy(zero_copy_only=False)
-    return out.astype(bool, copy=False)
+        valid = _unpack_bits(validity, offset, m)
+        out = out | ~valid if fill else out & valid
+    return out
+
+
+def _unpack_bits(buf: pa.Buffer, offset: int, m: int) -> np.ndarray:
+    """Bits ``offset .. offset + m`` of an Arrow bitmap (LSB first) as bool."""
+    skip = offset % 8
+    raw = np.frombuffer(buf, dtype=np.uint8, count=(skip + m + 7) // 8, offset=offset // 8)
+    return np.unpackbits(raw, count=skip + m, bitorder="little")[skip:].view(bool)
 
 
 def null_mask(arr: pa.Array) -> np.ndarray:
@@ -187,6 +208,9 @@ class Env:
         # which struct fields the promotion retyped (None: the whole value)
         self.item_type_tags = None
         self.item_type_tag_fields = None
+        # an object scope's evaluated when-conditions shared by its keys
+        # (the engine's ``_when_condition``); None outside one
+        self.cond_memo = None
 
     @property
     def convert(self) -> bool:
