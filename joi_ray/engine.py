@@ -351,7 +351,8 @@ def _same_condition(a: Schema, b: Schema) -> bool:
         return not callable(o)
 
     try:
-        return bool(a == b) and ref_free(a.describe())
+        desc = a.describe()
+        return bool(desc == b.describe()) and ref_free(desc)  # Schema.__eq__ compares describe()
     except Exception:  # noqa: BLE001 — exotic value __eq__
         return False
 
@@ -1472,13 +1473,21 @@ def _valids_stage(c: _Node) -> None:
             # joi raises any.only even for rows that will also fail the
             # base type check (valids stage precedes base validate and
             # only abortEarly suppresses the second error)
-            c.add("any.only", active & ~in_allow_orig, {"valids": node.allow_static}, seq=-2)
+            c.add("any.only", active & ~in_allow_orig,
+                  {"valids": node.allow_static + [_display(v) for v in node.allow_refs]}, seq=-2)
         c.resolved |= in_allow_orig
         c.base_fail = c.base_fail & ~in_allow_orig
     if node.invalid_static or node.invalid_refs:
         in_invalid = _set_membership(c.arr, node.invalid_static, node.invalid_refs, insensitive, env)
         c.add("any.invalid", c.gate(in_invalid & active & ~c.resolved),
-              {"invalids": node.invalid_static}, seq=-2)
+              {"invalids": node.invalid_static + [_display(v) for v in node.invalid_refs]}, seq=-2)
+
+
+def _display(v) -> str:
+    """How joi lists a ref or template among the valids of an any.only or
+    any.invalid report (values.js ``values({display: true})``, rendered
+    by its toString): 'ref:x' for a ref, the source for a template."""
+    return v.display if isinstance(v, Ref) else str(v)
 
 
 def _base_stage(c: _Node) -> None:
@@ -3702,7 +3711,7 @@ class CompiledSchema:
         counts: list[int] = []
         path_r, code_r, ctx_r, warn_r, seq_r = [], [], [], [], []
         msg_r: list = []  # str (constant per rec) or a string array (per row)
-        _, wrap, datefmt = k_messages.err_opts(self.prefs)
+        esc, wrap, datefmt = k_messages.err_opts(self.prefs)
         for rec, keep in zip(errors, cut):
             if keep is not None and not keep.all():
                 rec = replace(rec)
@@ -3731,7 +3740,9 @@ class CompiledSchema:
                 if rec.values is not None:
                     splits = [render(rec.code, lb, rec.context, rec.message, prefs=self.prefs, split=True)
                               for lb in labels]
-                    msg_r.append(_value_messages(splits, inv, rec.values, wrap, datefmt))
+                    escapes = [esc and not raw
+                               for raw in k_messages.template(rec.code, rec.message).value_raw]
+                    msg_r.append(_value_messages(splits, inv, rec.values, escapes, wrap, datefmt))
                 else:
                     bases = [render(rec.code, lb, rec.context, rec.message, prefs=self.prefs) for lb in labels]
                     msg_r.append(bases[0] if len(bases) == 1
@@ -3784,14 +3795,16 @@ class CompiledSchema:
         return t.drop_columns(["_seq"])
 
 
-def _value_messages(splits: list[list[str]], inv: np.ndarray, vals, wrap: bool, datefmt: str) -> pa.Array:
+def _value_messages(splits: list[list[str]], inv: np.ndarray, vals, escapes: list[bool], wrap: bool,
+                    datefmt: str) -> pa.Array:
     """Each fired row's message: its item's render parts (``splits[inv]``,
     the texts between the template's ``{[.]}`` parts) joined by the row's value.
-    A None value is JS undefined (e.g. an unbound ref resolution): the
-    {[.]} part DROPS, not 'null'.  A string array renders in one kernel
-    call, and a string stringifies to itself; other values stringify row
-    by row."""
-    if (isinstance(vals, pa.Array) and pa.types.is_string(vals.type)
+    ``escapes`` tells, per value part, whether it HTML-escapes the value
+    (``{{[.]}}`` under errors.escapeHtml).  A None value is JS undefined
+    (e.g. an unbound ref resolution): the {[.]} part DROPS, not 'null'.  A
+    string array with no escaped part renders in one kernel call, and a
+    string stringifies to itself; other values stringify row by row."""
+    if (isinstance(vals, pa.Array) and pa.types.is_string(vals.type) and not any(escapes)
             and len({len(parts) for parts in splits}) == 1):
         if len(splits) == 1:
             cols = splits[0]  # str parts broadcast over the rows
@@ -3801,9 +3814,13 @@ def _value_messages(splits: list[list[str]], inv: np.ndarray, vals, wrap: bool, 
         return pc.binary_join_element_wise(*cols, pc.fill_null(vals, ""))
     if not isinstance(vals, list):
         vals = vals.to_pylist()
-    return pa.array([
-        ("" if v is None else k_messages._stringify(v, wrap, datefmt)).join(splits[i])
-        for i, v in zip(inv, vals)], pa.string())
+    out = []
+    for i, v in zip(inv, vals):
+        text = "" if v is None else k_messages._stringify(v, wrap, datefmt)
+        shown = [k_messages._escape_html(text) if e else text for e in escapes]
+        parts = splits[i]
+        out.append("".join(p for pair in zip(parts, shown) for p in pair) + parts[-1])
+    return pa.array(out, pa.string())
 
 
 def compile_schema(schema: Schema | dict, prefs: dict | None = None, id_column: str | None = None) -> CompiledSchema:

@@ -186,7 +186,8 @@ def render(code: str, path: str, context: dict, override: str | None = None,
     template (``template``): each part resolves in the error context, the
     label is the ``label`` context value or the path, and a part that
     resolves undefined is dropped (errors.js render pushes only defined
-    parts; node-verified 'a {{#nope}} b' -> 'a  b').  Values go in as text
+    parts; node-verified 'a {{#nope}} b' -> 'a  b'); a ``$name`` part
+    reads ``prefs.context``.  Values go in as text
     and are never parsed again, so a label or a value holding braces keeps
     them.  The per-row value (``{[.]}``) has no binding here: with
     ``split`` the result is the list of texts between the value parts, for
@@ -206,6 +207,15 @@ def render(code: str, path: str, context: dict, override: str | None = None,
         label = root if isinstance(root, str) else "value"
 
     def resolve(name: str):
+        if name[:1] == "$":
+            # a global ref reads prefs.context (template.js resolves it
+            # like any ref); an unbound name raises KeyError and drops
+            v = (prefs or {}).get("context") or {}
+            for part in name[1:].split("."):
+                if not isinstance(v, dict):
+                    raise KeyError(name)
+                v = v[part]
+            return v
         key = name[1:] if name[:1] == "#" else name
         if key == "label":
             return label

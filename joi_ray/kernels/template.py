@@ -381,14 +381,17 @@ class Template:
     ``render(resolve)`` interpolates each variable: ``resolve(name)`` maps a
     reference name (with its ``#``/``$`` sigil) to a value, raising
     KeyError for an unknown name — a part that resolves undefined is
-    dropped.  ``has_value``: the template has a value part (``{[.]}``)."""
+    dropped.  ``has_value``: the template has a value part (``{[.]}``),
+    ``value_raw`` which of them are raw."""
 
     def __init__(self, source: str):
         if not isinstance(source, str):
             raise TypeError("template source must be a string")
         self.source = source
         self.parts: list = self._parse(source)
-        self.has_value = any(not isinstance(p, str) and p[2] == _VALUE_PART for p in self.parts)
+        #: per value part (``{[.]}``), in order: is it raw (single braces)?
+        self.value_raw = tuple(p[1] for p in self.parts if not isinstance(p, str) and p[2] == _VALUE_PART)
+        self.has_value = bool(self.value_raw)
 
     @property
     def is_dynamic(self) -> bool:

@@ -29,10 +29,7 @@ def as_bool_np(mask, n: int, fill: bool = False) -> np.ndarray:
     if isinstance(mask, np.ndarray):
         return mask.astype(bool, copy=False)
     if isinstance(mask, pa.ChunkedArray):
-        if mask.num_chunks != 1:
-            return np.concatenate([as_bool_np(ch, len(ch), fill) for ch in mask.chunks] or
-                                  [np.zeros(0, dtype=bool)])
-        mask = mask.chunk(0)
+        mask = mask.chunk(0) if mask.num_chunks == 1 else mask.combine_chunks()
     if not pa.types.is_boolean(mask.type):
         if mask.null_count:
             mask = mask.fill_null(fill)

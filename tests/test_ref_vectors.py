@@ -449,3 +449,22 @@ def test_dotted_ref_walks_failed_struct_sibling_original():
                            "b": [6.0, 6.0]}))
     assert _codes(res) == [(0, "b", "number.max"), (1, "b", "any.ref"),
                            (1, "o.y", "number.base")]
+
+
+def test_valid_ref_is_listed_in_the_only_report():
+    # joi lists the valids with their refs by display (values.js
+    # values({display: true}); a ref renders its toString, 'ref:x'), after
+    # the static values.  Not node-verified (no reference checkout here)
+    s = obj({"x": jr.number(), "y": jr.string().valid(jr.ref("x"))})
+    v = run(s, pa.table({"x": [1.0], "y": ["7"]})).violations.to_pylist()
+    assert [(r["code"], r["message"], r["context"]) for r in v] == [
+        ("any.only", '"y" must be one of [ref:x]', '{"valids": ["ref:x"]}')]
+    s = obj({"x": jr.number(), "y": jr.string().valid("a", jr.ref("x"))})
+    v = run(s, pa.table({"x": [1.0], "y": ["7"]})).violations.to_pylist()
+    assert [r["message"] for r in v] == ['"y" must be one of [a, ref:x]']
+
+
+def test_invalid_ref_is_listed_in_the_invalid_context():
+    s = obj({"x": jr.string(), "y": jr.string().invalid("a", jr.ref("x"))})
+    v = run(s, pa.table({"x": ["7"], "y": ["7"]})).violations.to_pylist()
+    assert [(r["code"], r["context"]) for r in v] == [("any.invalid", '{"invalids": ["a", "ref:x"]}')]

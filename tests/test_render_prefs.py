@@ -248,3 +248,30 @@ def test_coerce_reports_carry_their_message_context():
     s = jr.object({"a": jr.array().sort()})
     t = pa.table({"a": pa.array([[True, False]], pa.list_(pa.bool_()))})
     assert _msgs(s, t, {}) == ['"a" cannot be sorted due to unsupported type boolean']
+
+
+def test_escaped_value_part_escapes_the_value():
+    # {{[.]}} is an escaped part: under errors.escapeHtml the value renders
+    # escaped, as every {{...}} part does (template.js:185); {[.]} stays raw.
+    # Not node-verified (no reference checkout here)
+    s = jr.object({"s": jr.string().min(5).message("v={{[.]}}")})
+    t = pa.table({"s": ["<a>"]})
+    assert _msgs(s, t, {"errors": {"escapeHtml": True}}) == ["v=&lt;a&gt;"]
+    assert _msgs(s, t, {}) == ["v=<a>"]
+    raw = jr.object({"s": jr.string().min(5).message("v={[.]}")})
+    assert _msgs(raw, t, {"errors": {"escapeHtml": True}}) == ["v=<a>"]
+    both = jr.object({"s": jr.string().min(5).message("{{[.]}}|{[.]}")})
+    assert _msgs(both, t, {"errors": {"escapeHtml": True}}) == ["&lt;a&gt;|<a>"]
+    items = jr.object({"a": jr.array().items(jr.number().min(5).message("v={{[.]}}"))})
+    assert _msgs(items, pa.table({"a": [[1.5, 7.0, 2.0]]}), {"errors": {"escapeHtml": True}}) == [
+        "v=1.5", "v=2"]
+
+
+def test_global_ref_part_reads_prefs_context():
+    # a {$name} part resolves against prefs.context; an unbound name drops.
+    # Not node-verified (no reference checkout here)
+    s = jr.object({"n": jr.number().min(5).message("lim={$lim}")})
+    t = pa.table({"n": [3]})
+    assert _msgs(s, t, {"context": {"lim": 3}}) == ["lim=3"]
+    assert _msgs(s, t, {}) == ["lim="]
+    assert _msgs(s, t, {"context": {"other": 1}}) == ["lim="]
