@@ -116,7 +116,7 @@ _KINDS = pa.table({
 
 
 @pytest.mark.parametrize("abort_early", [True, False])
-def test_sibling_whens_share_a_condition_when_the_ref_errored(monkeypatch, abort_early):
+def test_sibling_whens_share_a_condition_when_the_ref_errored(abort_early):
     # kind trims, then fails min(5) on every present row: the conditions see
     # the raw originals (' text' does not match 'text'), as joi's value[key]
     # keeps them for an errored key
