@@ -1474,20 +1474,13 @@ def _valids_stage(c: _Node) -> None:
             # base type check (valids stage precedes base validate and
             # only abortEarly suppresses the second error)
             c.add("any.only", active & ~in_allow_orig,
-                  {"valids": node.allow_static + [_display(v) for v in node.allow_refs]}, seq=-2)
+                  {"valids": node.allow_static + [v.display for v in node.allow_refs]}, seq=-2)
         c.resolved |= in_allow_orig
         c.base_fail = c.base_fail & ~in_allow_orig
     if node.invalid_static or node.invalid_refs:
         in_invalid = _set_membership(c.arr, node.invalid_static, node.invalid_refs, insensitive, env)
         c.add("any.invalid", c.gate(in_invalid & active & ~c.resolved),
-              {"invalids": node.invalid_static + [_display(v) for v in node.invalid_refs]}, seq=-2)
-
-
-def _display(v) -> str:
-    """How joi lists a ref or template among the valids of an any.only or
-    any.invalid report (values.js ``values({display: true})``, rendered
-    by its toString): 'ref:x' for a ref, the source for a template."""
-    return v.display if isinstance(v, Ref) else str(v)
+              {"invalids": node.invalid_static + [v.display for v in node.invalid_refs]}, seq=-2)
 
 
 def _base_stage(c: _Node) -> None:
@@ -3740,8 +3733,7 @@ class CompiledSchema:
                 if rec.values is not None:
                     splits = [render(rec.code, lb, rec.context, rec.message, prefs=self.prefs, split=True)
                               for lb in labels]
-                    escapes = [esc and not raw
-                               for raw in k_messages.template(rec.code, rec.message).value_raw]
+                    escapes = k_messages.template(rec.code, rec.message).value_escapes(esc)
                     msg_r.append(_value_messages(splits, inv, rec.values, escapes, wrap, datefmt))
                 else:
                     bases = [render(rec.code, lb, rec.context, rec.message, prefs=self.prefs) for lb in labels]

@@ -198,6 +198,8 @@ def render(code: str, path: str, context: dict, override: str | None = None,
     HTML-escaped when ``errors.escapeHtml``, arrays wrap per
     ``errors.wrapArrays``, dates render per ``dateFormat``
     (template.js:185,331 + the dateFormat method map template.js:16-22)."""
+    from .util import context_value
+
     label = context.get("label") or path
     if not label:
         # root-level errors: prefs.messages.root renames the root label
@@ -210,12 +212,7 @@ def render(code: str, path: str, context: dict, override: str | None = None,
         if name[:1] == "$":
             # a global ref reads prefs.context (template.js resolves it
             # like any ref); an unbound name raises KeyError and drops
-            v = (prefs or {}).get("context") or {}
-            for part in name[1:].split("."):
-                if not isinstance(v, dict):
-                    raise KeyError(name)
-                v = v[part]
-            return v
+            return context_value(prefs, name[1:].split("."))
         key = name[1:] if name[:1] == "#" else name
         if key == "label":
             return label

@@ -381,8 +381,8 @@ class Template:
     ``render(resolve)`` interpolates each variable: ``resolve(name)`` maps a
     reference name (with its ``#``/``$`` sigil) to a value, raising
     KeyError for an unknown name — a part that resolves undefined is
-    dropped.  ``has_value``: the template has a value part (``{[.]}``),
-    ``value_raw`` which of them are raw."""
+    dropped.  ``has_value``: the template has a value part (``{[.]}``);
+    ``value_escapes`` tells which of them HTML-escape the value."""
 
     def __init__(self, source: str):
         if not isinstance(source, str):
@@ -390,8 +390,8 @@ class Template:
         self.source = source
         self.parts: list = self._parse(source)
         #: per value part (``{[.]}``), in order: is it raw (single braces)?
-        self.value_raw = tuple(p[1] for p in self.parts if not isinstance(p, str) and p[2] == _VALUE_PART)
-        self.has_value = bool(self.value_raw)
+        self._value_raw = tuple(p[1] for p in self.parts if not isinstance(p, str) and p[2] == _VALUE_PART)
+        self.has_value = bool(self._value_raw)
 
     @property
     def is_dynamic(self) -> bool:
@@ -486,6 +486,12 @@ class Template:
             _content, _raw, ast = self.parts[0]
             return _evaluate(ast, resolve)
         return self.render(resolve)
+
+    def value_escapes(self, escape_html: bool) -> list[bool]:
+        """Per value part, in order: does it HTML-escape the value?  The
+        rule ``render`` applies to a named part: a ``{{...}}`` part escapes
+        under ``escape_html`` (errors.escapeHtml), a raw one never."""
+        return [escape_html and not raw for raw in self._value_raw]
 
     def render(self, resolve: Callable[[str], Any], options: tuple = (True, True, "iso"),
                split: bool = False) -> str | list[str]:

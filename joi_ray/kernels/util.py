@@ -237,18 +237,14 @@ class Env:
             # per-row any.ref (ref.js:74-78)
             return self._ref_post(r, pa.nulls(n))
         if r.kind == "context":
-            ctx = self.prefs.get("context", {})
-            cur: Any = ctx
-            for p in parts:
-                if isinstance(cur, dict) and p in cur:
-                    cur = cur[p]
-                else:
-                    # joi resolves an unbound global ref to undefined; the
-                    # rule's ARG ASSERT then fires per-row any.ref
-                    # ('limit references "ref:global:lim" which must be a
-                    # number') instead of refusing the batch
-                    return self._ref_post(r, pa.nulls(n))
-            return self._ref_post(r, cur)
+            try:
+                return self._ref_post(r, context_value(self.prefs, parts))
+            except KeyError:
+                # joi resolves an unbound global ref to undefined; the
+                # rule's ARG ASSERT then fires per-row any.ref
+                # ('limit references "ref:global:lim" which must be a
+                # number') instead of refusing the batch
+                return self._ref_post(r, pa.nulls(n))
         if r.kind == "root":
             # /path: outermost (table-level) scope (lib/ref.js root prefix)
             if self.ancestors:
@@ -340,6 +336,17 @@ class Env:
                 self._resolve_sibling, self.ancestors)
         e.row_getter = self.row_getter  # same scope, same parent rows
         return e
+
+
+def context_value(prefs: dict | None, parts: list[str]):
+    """The value a global (``$``) ref names in ``prefs.context``, walked
+    key by key; KeyError when a key is unbound."""
+    cur: Any = (prefs or {}).get("context") or {}
+    for p in parts:
+        if not (isinstance(cur, dict) and p in cur):
+            raise KeyError(p)
+        cur = cur[p]
+    return cur
 
 
 def _walk_ref_path(base, parts: list[str], n: int):

@@ -462,9 +462,16 @@ def test_valid_ref_is_listed_in_the_only_report():
     s = obj({"x": jr.number(), "y": jr.string().valid("a", jr.ref("x"))})
     v = run(s, pa.table({"x": [1.0], "y": ["7"]})).violations.to_pylist()
     assert [r["message"] for r in v] == ['"y" must be one of [a, ref:x]']
+    # a template lists by its source
+    s = obj({"x": jr.number(), "y": jr.string().valid(jr.expression("{x}"))})
+    v = run(s, pa.table({"x": [1.0], "y": ["7"]})).violations.to_pylist()
+    assert [(r["message"], r["context"]) for r in v] == [('"y" must be one of [{x}]', '{"valids": ["{x}"]}')]
 
 
 def test_invalid_ref_is_listed_in_the_invalid_context():
     s = obj({"x": jr.string(), "y": jr.string().invalid("a", jr.ref("x"))})
     v = run(s, pa.table({"x": ["7"], "y": ["7"]})).violations.to_pylist()
     assert [(r["code"], r["context"]) for r in v] == [("any.invalid", '{"invalids": ["a", "ref:x"]}')]
+    s = obj({"x": jr.string(), "y": jr.string().invalid(jr.expression("{x}"))})
+    v = run(s, pa.table({"x": ["7"], "y": ["7"]})).violations.to_pylist()
+    assert [(r["code"], r["context"]) for r in v] == [("any.invalid", '{"invalids": ["{x}"]}')]

@@ -23,7 +23,7 @@ by name and changes nothing on disk, so it runs on any commit that has
 ``valbench/inputs.py``.
 
 Usage:
-    python3 tools/stage_profile.py [--seed 1] [--dirty] [--rounds 5] [--top 40]
+    python3 tools/stage_profile.py [--seed 1] [--dirty]
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ sys.path.insert(0, ROOT)
 sys.path.insert(1, os.path.join(ROOT, "valbench"))
 
 CLOCK = time.perf_counter
+#: passes over the four batches after the warm-up call
+ROUNDS = 5
+#: rows of each table to print
+TOP = 40
 #: engine helpers timed under the path of the stage that calls them
 HELPERS = ("node_validity", "_when_condition", "_merge_into", "_failed_overlay", "_finalize",
            "_adopt_items_multi", "_rebuild_list", "_set_membership")
@@ -154,8 +158,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1, help="flagship batch seed (valbench's)")
     ap.add_argument("--dirty", action="store_true", help="break a rule on every span first")
-    ap.add_argument("--rounds", type=int, default=5, help="passes over the four batches")
-    ap.add_argument("--top", type=int, default=40, help="rows of each table to print")
     args = ap.parse_args(argv)
 
     import inputs
@@ -174,7 +176,7 @@ def main(argv=None) -> int:
     compiled.validate_table(batches[0])  # warm-up, not counted
     prof.reset()
     totals = []
-    for _ in range(args.rounds):
+    for _ in range(ROUNDS):
         for b in batches:
             t0 = CLOCK()
             compiled.validate_table(b)
@@ -189,10 +191,10 @@ def main(argv=None) -> int:
     print(f"validate_table ms per call (traced): median {statistics.median(totals) * 1e3:.2f}, "
           f"mean {sum(totals) * 1e3 / calls:.2f}; eval_node calls per call: {prof.eval_nodes / calls:g}")
     print(f"\n{'self ms':>9}  stage @ path")
-    for (path, name), s in sorted(prof.self_s.items(), key=lambda kv: -kv[1])[:args.top]:
+    for (path, name), s in sorted(prof.self_s.items(), key=lambda kv: -kv[1])[:TOP]:
         print(f"{ms(s)}  {name} @ {path}")
     print(f"\n{'ms':>9} {'calls':>7}  pyarrow.compute kernel")
-    for name, s in sorted(prof.kernel_s.items(), key=lambda kv: -kv[1])[:args.top]:
+    for name, s in sorted(prof.kernel_s.items(), key=lambda kv: -kv[1])[:TOP]:
         print(f"{ms(s)} {prof.kernel_n[name] / calls:7.1f}  {name}")
     print(f"{ms(sum(prof.kernel_s.values()))} {sum(prof.kernel_n.values()) / calls:7.1f}  (all kernels)")
     return 0
