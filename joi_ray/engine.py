@@ -3696,14 +3696,15 @@ class CompiledSchema:
             for idx in groups.values():
                 for i, keep in zip(idx, _abort_early_keep([errors[i] for i in idx])):
                     cut[i] = keep
-        # per-REC scalar columns (one entry per rec, repeated into row
-        # position at the end via a single np.repeat index — the per-rec
-        # `list.extend([x] * k)` pattern was ~40% of validate wall-time on
-        # warn-heavy batches, ~0.4 µs/violation of pure Python)
+        # per-REC scalar columns (one entry per rec), taken into row
+        # position once, already in the final order
         rows_l, item_l = [], []
-        counts: list[int] = []
         path_r, code_r, ctx_r, warn_r, seq_r = [], [], [], [], []
-        msg_r: list = []  # str (constant per rec) or a string array (per row)
+        # messages: each rec adds its texts to one pool (a list of str or a
+        # string array) and points each fired row at one of them
+        pool: list = []
+        msg_l: list[np.ndarray] = []
+        pooled = 0
         esc, wrap, datefmt = k_messages.err_opts(self.prefs)
         for rec, keep in zip(errors, cut):
             if keep is not None and not keep.all():
@@ -3734,14 +3735,17 @@ class CompiledSchema:
                     splits = [render(rec.code, lb, rec.context, rec.message, prefs=self.prefs, split=True)
                               for lb in labels]
                     escapes = k_messages.template(rec.code, rec.message).value_escapes(esc)
-                    msg_r.append(_value_messages(splits, inv, rec.values, escapes, wrap, datefmt))
+                    texts = _value_messages(splits, inv, rec.values, escapes, wrap, datefmt)
+                    at = np.arange(k)
                 else:
-                    bases = [render(rec.code, lb, rec.context, rec.message, prefs=self.prefs) for lb in labels]
-                    msg_r.append(bases[0] if len(bases) == 1
-                                 else pa.array(bases, pa.string()).take(pa.array(inv)))
+                    texts = [render(rec.code, lb, rec.context, rec.message, prefs=self.prefs) for lb in labels]
+                    at = inv
             else:
-                msg_r.append(render(rec.code, rec.path, rec.context, rec.message, prefs=self.prefs))
-            counts.append(k)
+                texts = [render(rec.code, rec.path, rec.context, rec.message, prefs=self.prefs)]
+                at = np.zeros(k, dtype=np.int64)
+            pool.append(texts)
+            msg_l.append(at + pooled)
+            pooled += len(texts)
             path_r.append(rec.path)
             code_r.append(rec.code)
             ctx_r.append(ctx_json)
@@ -3752,39 +3756,31 @@ class CompiledSchema:
             return pa.table(empty)
         rows_all = np.concatenate(rows_l)
         items_all = np.concatenate(item_l)
-        id_arr = (
-            ids.take(pa.array(rows_all)) if ids is not None else pa.nulls(len(rows_all), pa.string())
-        )
-        # expand the per-rec scalars into row position with ONE repeat
-        # index per dtype family (Arrow take for strings, np.repeat for
-        # numerics) — no per-rec Python list building
-        reps = np.asarray(counts, dtype=np.int64)
-        ridx = pa.array(np.repeat(np.arange(len(counts), dtype=np.int64), reps))
-        if all(isinstance(m, str) for m in msg_r):
-            msgs = pa.array(msg_r, pa.string()).take(ridx)
-        else:
-            # a str broadcasts over its rec's rows, an array fills them
-            msgs = pa.concat_arrays([
-                pa.repeat(pa.scalar(m, pa.string()), k) if isinstance(m, str) else m
-                for k, m in zip(counts, msg_r)])
-        sev_pair = pa.array(["error", "warn"])
-        t = pa.table(
+        rec_of = np.repeat(np.arange(len(rows_l)), [len(r) for r in rows_l])
+        # the order of FIXTURES.md's determinism rules: (row, path, seq,
+        # item), ties in emission order.  path and seq are per-rec, so one
+        # dense rank of the recs' (path, seq) pairs stands for both (str
+        # order is code-point order, the order of Arrow's UTF-8 bytes)
+        keys = list(zip(path_r, seq_r))
+        rank_of = {key: i for i, key in enumerate(sorted(set(keys)))}
+        rank = np.asarray([rank_of[key] for key in keys], dtype=np.int64)
+        order = np.lexsort((items_all, rank[rec_of], rows_all))  # stable
+        rec_o = rec_of[order]
+        rec_idx = pa.array(rec_o)
+        rows_o = rows_all[order]
+        return pa.table(
             {
-                "doc_id": id_arr,
-                "row": pa.array(rows_all, type=pa.int64()),
-                "path": pa.array(path_r, type=pa.string()).take(ridx),
-                "item_index": pa.array(items_all, type=pa.int32()),
-                "code": pa.array(code_r, type=pa.string()).take(ridx),
-                "message": msgs,
-                "context": pa.array(ctx_r, type=pa.string()).take(ridx),
-                "severity": sev_pair.take(pa.array(np.repeat(
-                    np.asarray(warn_r, dtype=np.int64), reps))),
-                "_seq": pa.array(np.repeat(np.asarray(seq_r, dtype=np.int32), reps)),
+                "doc_id": ids.take(pa.array(rows_o)) if ids is not None else pa.nulls(len(order), pa.string()),
+                "row": pa.array(rows_o, type=pa.int64()),
+                "path": pa.array(path_r, type=pa.string()).take(rec_idx),
+                "item_index": pa.array(items_all[order], type=pa.int32()),
+                "code": pa.array(code_r, type=pa.string()).take(rec_idx),
+                "message": pa.concat_arrays([pa.array(t, pa.string()) if isinstance(t, list) else t
+                                             for t in pool]).take(pa.array(np.concatenate(msg_l)[order])),
+                "context": pa.array(ctx_r, type=pa.string()).take(rec_idx),
+                "severity": pa.array(["error", "warn"]).take(pa.array(np.asarray(warn_r, dtype=np.int64)[rec_o])),
             }
         )
-        # deterministic order (FIXTURES.md determinism rules): (row, path, seq, item)
-        t = t.sort_by([("row", "ascending"), ("path", "ascending"), ("_seq", "ascending"), ("item_index", "ascending")])
-        return t.drop_columns(["_seq"])
 
 
 def _value_messages(splits: list[list[str]], inv: np.ndarray, vals, escapes: list[bool], wrap: bool,

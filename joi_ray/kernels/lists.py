@@ -53,12 +53,18 @@ def make_list_compare(op: str):
     return factory
 
 
-def _item_values(arr: pa.Array, by: str | None):
-    flat, parents, positions = flatten_with_parents(arr)
+def field_values(flat: pa.Array, by: str | None) -> pa.Array:
+    """The dotted ``by`` field of each flat item, or the items when ``by``
+    is empty."""
     if by:
         for part in by.split("."):
             flat = pc.struct_field(flat, part)
-    return flat, parents, positions
+    return flat
+
+
+def _item_values(arr: pa.Array, by: str | None):
+    flat, parents, positions = flatten_with_parents(arr)
+    return field_values(flat, by), parents, positions
 
 
 def make_unique(args):
@@ -145,8 +151,7 @@ def sort_lists(arr, order: str, by):
     list column."""
     n = len(arr)
     flat_all, parents_all, _ = flatten_with_parents(arr)
-    keys, _, _ = _item_values(arr, by)
-    kv = keys.to_numpy(zero_copy_only=False)
+    kv = field_values(flat_all, by).to_numpy(zero_copy_only=False)
     # dense ranks (type-agnostic, null-safe): missing items sort
     # last regardless of order (array.js:796-801 — undefined/null
     # always last, see the 1757-1793 convert vectors)
@@ -224,38 +229,31 @@ def make_sort(args):
 
     def kernel(arr, env: Env) -> RuleOut:
         n = len(arr)
+        ctx = {"order": order, "by": by or "value"}
         if (conv is None and env.convert) or conv is True:
             # already applied in the coerce stage (engine hoists joi's
             # coerce-time sort before the items loop); nothing to check
-            return RuleOut(ok=np.ones(n, dtype=bool), context={"order": order, "by": by or "value"})
-        items_flat, parents, _ = flatten_with_parents(arr)
-        flat, _, _ = _item_values(arr, by)
+            return RuleOut(ok=np.ones(n, dtype=bool), context=ctx)
+        items = pc.list_flatten(arr)
+        parents = pc.list_parent_indices(arr).to_numpy(zero_copy_only=False)
         ok = np.ones(n, dtype=bool)
         if len(parents) > 1:
-            v = flat.to_numpy(zero_copy_only=False)
+            v = field_values(items, by).to_numpy(zero_copy_only=False)
             same = parents[1:] == parents[:-1]
             nn = pd.notna(v)
-            # dense ranks keep the comparison null-safe for object dtypes
-            uniq, inv = np.unique(v[nn], return_inverse=True)
-            rk = np.zeros(len(v), dtype=np.int64)
-            rk[nn] = inv
             # joi's TWO-level undefined order (array.js:747-760,:790-801):
             # an undefined ITEM is last before the by-ref resolves, an
             # undefined BY-value last among defined items — both
             # regardless of order (fuzz seed 11100981: [{x:1}, undef,
             # {x:undef}] by x is OUT of order)
-            item_nn = (~as_bool_np(pc.is_null(items_flat), len(v))
+            item_nn = (~as_bool_np(pc.is_null(items), len(v))
                        if by else nn)
-            lvl = np.where(~item_nn, 2, np.where(~nn, 1, 0)).astype(np.int64)
-            if order == "ascending":
-                rank_ok = rk[1:] >= rk[:-1]
-            else:
-                rank_ok = rk[1:] <= rk[:-1]
-            viol = same & (
-                (lvl[1:] < lvl[:-1])
-                | ((lvl[1:] == 0) & (lvl[:-1] == 0) & ~rank_ok.astype(bool))
-            )
-            ctx = {"order": order, "by": by or "value"}
+            lvl = np.where(~item_nn, 2, np.where(~nn, 1, 0))
+            viol = same & (lvl[1:] < lvl[:-1])
+            # two defined neighbours of one list compare directly
+            i = np.flatnonzero(same & (lvl[1:] == 0) & (lvl[:-1] == 0))
+            later, earlier = v[i + 1], v[i]
+            viol[i[later < earlier if order == "ascending" else later > earlier]] = True
             # mixed typeofs among COMPARED items throw array.sort.
             # MISMATCHING in joi's comparator (array.js:763-766) — visible
             # through a type promotion's adopted/kept tags (cast('string')
@@ -282,10 +280,9 @@ def make_sort(args):
                     if mism.any():
                         ctx["__alt_err__"] = (mism.copy(), "array.sort.mismatching", {})
             bad = np.zeros(n, dtype=bool)
-            bad[np.unique(parents[1:][viol])] = True
+            bad[parents[1:][viol]] = True
             ok = ~(bad & ~mism)  # mismatching rows fail via __alt_err__
-            return RuleOut(ok=ok, context=ctx)
-        return RuleOut(ok=ok, context={"order": order, "by": by or "value"})
+        return RuleOut(ok=ok, context=ctx)
 
     return kernel
 

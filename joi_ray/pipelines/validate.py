@@ -48,6 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..engine import VIOLATION_SCHEMA, CompiledSchema
+from ..kernels.lists import field_values, flatten_with_parents
 from ..kernels.util import as_bool_np
 from ..sketches import ColumnStats, TDigest, categorical_psi, hash64, ks_statistic, psi
 from ..spec import Schema, build
@@ -171,11 +172,8 @@ class ValidatorStage:
         if self.catalog is None or self.ref_path is None:
             return None
         col_name, fld = self.ref_path.split(".", 1)
-        col = _column(tbl, col_name)
-        flat = pc.list_flatten(col)
-        for part in fld.split("."):
-            flat = pc.struct_field(flat, part)
-        parents = pc.list_parent_indices(col).to_numpy(zero_copy_only=False)
+        items, parents, positions = flatten_with_parents(_column(tbl, col_name))
+        flat = field_values(items, fld)
         present = pc.is_valid(flat)
         known = pc.is_in(flat, value_set=self.catalog)
         missing = as_bool_np(pc.and_(present, pc.invert(known)), len(flat))
@@ -185,12 +183,6 @@ class ValidatorStage:
         failed[rows] = True
         if self.id_column is None:
             return None  # caller only needs the failed mask (filter_valid)
-        if len(parents):
-            change = np.r_[True, parents[1:] != parents[:-1]]
-            grp_start = np.maximum.accumulate(np.where(change, np.arange(len(parents)), 0))
-            positions = (np.arange(len(parents)) - grp_start).astype(np.int32)
-        else:
-            positions = parents.astype(np.int32)
         ids = _column(tbl, self.id_column)
         if not pa.types.is_string(ids.type):
             ids = pc.cast(ids, pa.string())
@@ -204,7 +196,7 @@ class ValidatorStage:
                 "doc_id": ids.take(pa.array(rows)),
                 "row": pa.array(rows.astype(np.int64)),
                 "path": const(self.ref_path),
-                "item_index": pa.array(positions[missing]),
+                "item_index": pa.array(positions[missing].astype(np.int32)),
                 "code": const("referential.missing"),
                 "message": const(f'"{self.ref_path}" references an asset missing from the catalog'),
                 "context": _value_contexts(flat.filter(pa.array(missing))),

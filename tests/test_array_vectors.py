@@ -4,7 +4,10 @@ per test).  Mixed-type JS arrays that Arrow list columns cannot hold are
 re-expressed over a single value type with the same matching structure.
 """
 
+import datetime as dt
+
 import pyarrow as pa
+import pytest
 
 import joi_ray as jr
 from joi_ray import compile_schema, object as obj
@@ -275,3 +278,68 @@ def test_lone_inclusion_reports_the_items_own_errors():
     assert [(v["row"], v["code"]) for v in res.violations.to_pylist()] == [
         (1, "array.includesRequiredUnknowns"), (2, "array.includesRequiredUnknowns")]
     assert res.value.column("x").to_pylist() == [[20.0], [], []]
+
+
+# ------------------------------------------- sort() under convert=False
+def _structs(fields, rows):
+    return pa.array(rows, type=pa.list_(pa.struct(fields)))
+
+
+_NAN = float("nan")
+_DAY = [dt.datetime(2020, 1, d) for d in (1, 2)]
+SORT_CHECK_VECTORS = {
+    # an undefined item sorts after an undefined by-value, both after every
+    # defined value, whatever the order (array.js:747-760, 790-801)
+    "by_int_null_value_and_item": (
+        jr.object({"x": jr.number()}), {"by": "x"},
+        _structs([("x", pa.int64())], [
+            [{"x": 1}, {"x": 2}, {"x": 2}], [{"x": 2}, {"x": 1}], [{"x": 1}, {"x": None}, {"x": 3}],
+            [{"x": 1}, {"x": 3}, {"x": None}, None], [{"x": 1}, None, {"x": None}], [], None,
+            [None, {"x": 0}]]),
+        [True, False, False, True, False, True, True, False]),
+    # NaN ranks as an undefined by-value; -0.0 equals 0.0
+    "by_float_nan_signed_zero": (
+        jr.object({"f": jr.any_()}), {"by": "f"},
+        _structs([("f", pa.float64())], [
+            [{"f": 1.5}, {"f": 1.5}, {"f": 2.0}], [{"f": 0.0}, {"f": -0.0}, {"f": 0.0}],
+            [{"f": 1.0}, {"f": _NAN}, {"f": 2.0}], [{"f": 1.0}, {"f": 2.0}, {"f": _NAN}],
+            [{"f": _NAN}, {"f": _NAN}], [{"f": 3.0}, {"f": -1.0}], [{"f": _NAN}, {"f": None}]]),
+        [True, True, False, True, True, False, True]),
+    "descending": (
+        jr.number(), {"order": "descending"},
+        pa.array([[3, 2, 2, 1], [1, 2], [3, None], [None, 3], [5]], pa.list_(pa.int64())),
+        [True, False, True, False, True]),
+    # strings compare by code point: "B" < "a" < "z" < "é"
+    "plain_string_with_nulls": (
+        jr.string(), {},
+        pa.array([["a", "b", "b"], ["b", "a"], ["a", None, "b"], ["a", "b", None], ["B", "a"],
+                  ["a", "B"], ["z", "é"], ["é", "z"]], pa.list_(pa.string())),
+        [True, False, False, True, True, False, True, False]),
+    "by_nested_field": (
+        jr.object({"a": jr.object({"b": jr.number()})}), {"by": "a.b"},
+        _structs([("a", pa.struct([("b", pa.int64())]))], [
+            [{"a": {"b": 1}}, {"a": {"b": 2}}], [{"a": {"b": 2}}, {"a": {"b": 1}}],
+            [{"a": None}, {"a": {"b": 1}}], [{"a": {"b": 1}}, {"a": {"b": None}}]]),
+        [True, False, False, True]),
+    "by_timestamp_field": (
+        jr.object({"t": jr.any_()}), {"by": "t"},
+        _structs([("t", pa.timestamp("ms"))], [
+            [{"t": _DAY[0]}, {"t": _DAY[1]}], [{"t": _DAY[1]}, {"t": _DAY[0]}],
+            [{"t": None}, {"t": _DAY[0]}], [{"t": _DAY[1]}, {"t": _DAY[1]}, {"t": None}]]),
+        [True, False, False, True]),
+}
+
+
+@pytest.mark.parametrize("name", list(SORT_CHECK_VECTORS))
+def test_sort_check_vectors(name):
+    # array.js:420-452: each out-of-order row reports one array.sort
+    items, args, col, ok = SORT_CHECK_VECTORS[name]
+    schema = jr.array().items(items).sparse().sort(**args, convert=False)
+    res = run(obj({"a": schema}), pa.table({"a": col}))
+    assert res.ok.tolist() == ok
+    by, order = args.get("by", "value"), args.get("order", "ascending")
+    assert [(v["row"], v["code"], v["item_index"], v["context"], v["message"])
+            for v in res.violations.to_pylist()] == [
+        (row, "array.sort", -1, f'{{"by": "{by}", "order": "{order}"}}',
+         f'"a" must be sorted in {order} order by {by}')
+        for row, good in enumerate(ok) if not good]

@@ -287,6 +287,68 @@ def test_abort_early_cut_scoped_to_local_abort_groups():
     assert v.column_names == VIOLATION_SCHEMA.names
 
 
+def test_violation_rows_order_by_row_path_seq_item():
+    # rows come out by (row, path, rule seq, item_index); paths compare by
+    # code point ("a.B" < "a.b" < "a.z" < "a.é"), and equal keys keep the
+    # order the recs were emitted in
+    n = 6
+
+    def fired(*rows):
+        mask = np.zeros(n, dtype=bool)
+        mask[list(rows)] = True
+        return mask
+
+    recs = [
+        ErrRec("string.min", fired(4, 1), "a.b", {"limit": 3}, seq=1),
+        ErrRec("any.invalid", fired(0, 2, 4), "a.z"),
+        ErrRec("string.max", fired(1, 2, 5), "a.b", seq=1, warn=True),
+        ErrRec("number.min", fired(0, 3), "a.é", {"limit": 0}, rows=np.array([3, 0, 3, 0]),
+               item_index=np.array([2, 1, 0, 4], np.int32)),
+        ErrRec("any.required", fired(0, 1, 4), "a.B", seq=3),
+        ErrRec("string.base", fired(2, 4), "a.b"),
+        ErrRec("number.max", fired(4, 0), "a.b", seq=1, rows=np.array([4, 0, 4]),
+               item_index=np.array([1, 3, 0], np.int32)),
+        ErrRec("any.unknown", fired(3), "a.b", seq=1),
+    ]
+    cs = compile_schema(obj({"doc_id": jr.string()}), prefs={"abort_early": False}, id_column="doc_id")
+    v = cs._assemble_violations(recs, {"doc_id": pa.array([f"d{i}" for i in range(n)])}, n)
+    got = list(zip(*(v[c].to_pylist() for c in ("row", "path", "code", "item_index", "severity"))))
+    assert got == [
+        (0, "a.B", "any.required", -1, "error"),
+        (0, "a.b", "number.max", 3, "error"),
+        (0, "a.z", "any.invalid", -1, "error"),
+        (0, "a.é", "number.min", 1, "error"),
+        (0, "a.é", "number.min", 4, "error"),
+        (1, "a.B", "any.required", -1, "error"),
+        (1, "a.b", "string.min", -1, "error"),
+        (1, "a.b", "string.max", -1, "warn"),
+        (2, "a.b", "string.base", -1, "error"),
+        (2, "a.b", "string.max", -1, "warn"),
+        (2, "a.z", "any.invalid", -1, "error"),
+        (3, "a.b", "any.unknown", -1, "error"),
+        (3, "a.é", "number.min", 0, "error"),
+        (3, "a.é", "number.min", 2, "error"),
+        (4, "a.B", "any.required", -1, "error"),
+        (4, "a.b", "string.base", -1, "error"),
+        (4, "a.b", "string.min", -1, "error"),
+        (4, "a.b", "number.max", 0, "error"),
+        (4, "a.b", "number.max", 1, "error"),
+        (4, "a.z", "any.invalid", -1, "error"),
+        (5, "a.b", "string.max", -1, "warn"),
+    ]
+    assert v["doc_id"].to_pylist() == [f"d{row}" for row in v["row"].to_pylist()]
+    # a per-rec message broadcasts over its rows; a per-item one follows its row
+    assert v["message"].to_pylist()[:5] == [
+        '"a.B" is required', '"a.b[3]" must be less than or equal to ', '"a.z" contains an invalid value',
+        '"a.é[1]" must be larger than or equal to 0', '"a.é[4]" must be larger than or equal to 0']
+    assert v["message"].to_pylist()[12:18] == [
+        '"a.é[0]" must be larger than or equal to 0', '"a.é[2]" must be larger than or equal to 0',
+        '"a.B" is required', '"a.b" must be a string', '"a.b" length must be at least 3 characters long',
+        '"a.b[0]" must be less than or equal to ']
+    assert v["context"].to_pylist()[3] == '{"limit": 0}'
+    assert v.schema == VIOLATION_SCHEMA
+
+
 @pytest.mark.parametrize("node", [
     jr.number(),
     jr.alternatives().try_(jr.number()),

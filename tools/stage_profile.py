@@ -47,7 +47,8 @@ ROUNDS = 5
 TOP = 40
 #: engine helpers timed under the path of the stage that calls them
 HELPERS = ("node_validity", "_when_condition", "_merge_into", "_failed_overlay", "_finalize",
-           "_adopt_items_multi", "_rebuild_list", "_set_membership")
+           "_adopt_items_multi", "_rebuild_list", "_set_membership", "_value_messages",
+           "_abort_early_keep")
 #: pyarrow.compute callables that build expressions or look kernels up
 _NOT_KERNELS = {"call_function", "get_function", "list_functions", "function_registry", "field",
                 "scalar", "register_scalar_function", "register_tabular_function",
