@@ -3764,7 +3764,16 @@ class CompiledSchema:
         keys = list(zip(path_r, seq_r))
         rank_of = {key: i for i, key in enumerate(sorted(set(keys)))}
         rank = np.asarray([rank_of[key] for key in keys], dtype=np.int64)
-        order = np.lexsort((items_all, rank[rec_of], rows_all))  # stable
+        # one int64 key per row, (rank, item) below the row, sorts stably in
+        # one pass; where that key could pass int64 (about 2**63 / span
+        # rows), lexsort orders by the same two keys
+        width = int(items_all.max()) + 2  # item_index >= -1
+        span = len(rank_of) * width
+        minor = rank[rec_of] * width + items_all + 1
+        if (int(rows_all.max()) + 1) * span <= 2**63:
+            order = np.argsort(rows_all * span + minor, kind="stable")
+        else:
+            order = np.lexsort((minor, rows_all))
         rec_o = rec_of[order]
         rec_idx = pa.array(rec_o)
         rows_o = rows_all[order]

@@ -248,7 +248,7 @@ def make_sort(args):
             # {x:undef}] by x is OUT of order)
             item_nn = (~as_bool_np(pc.is_null(items), len(v))
                        if by else nn)
-            lvl = np.where(~item_nn, 2, np.where(~nn, 1, 0))
+            lvl = np.where(item_nn, ~nn, 2)
             viol = same & (lvl[1:] < lvl[:-1])
             # two defined neighbours of one list compare directly
             i = np.flatnonzero(same & (lvl[1:] == 0) & (lvl[:-1] == 0))

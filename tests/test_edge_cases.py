@@ -349,6 +349,21 @@ def test_violation_rows_order_by_row_path_seq_item():
     assert v.schema == VIOLATION_SCHEMA
 
 
+@pytest.mark.parametrize("row, item", [(7, 9), (2**40, 2**31 - 1)], ids=["small", "past_int64_key"])
+def test_violation_order_holds_for_any_row_and_item(row, item):
+    # rows and item indices too large to share one int64 sort key order
+    # the same way as small ones
+    recs = [
+        ErrRec("number.max", np.zeros(1, bool), "a.b", rows=np.array([row, 3, row]),
+               item_index=np.array([item, 0, 2], np.int32)),
+        ErrRec("number.min", np.zeros(1, bool), "a.a", rows=np.array([row, 3]),
+               item_index=np.array([5, item], np.int32)),
+    ]
+    v = compile_schema(obj({"a": jr.number()}), prefs={"abort_early": False})._assemble_violations(recs, {}, 1)
+    got = list(zip(*(v[c].to_pylist() for c in ("row", "path", "item_index"))))
+    assert got == sorted([(row, "a.b", item), (3, "a.b", 0), (row, "a.b", 2), (row, "a.a", 5), (3, "a.a", item)])
+
+
 @pytest.mark.parametrize("node", [
     jr.number(),
     jr.alternatives().try_(jr.number()),
