@@ -3770,7 +3770,7 @@ class CompiledSchema:
         width = int(items_all.max()) + 2  # item_index >= -1
         span = len(rank_of) * width
         minor = rank[rec_of] * width + items_all + 1
-        if (int(rows_all.max()) + 1) * span <= 2**63:
+        if (int(rows_all.max()) + 1) * span < 2**63:
             order = np.argsort(rows_all * span + minor, kind="stable")
         else:
             order = np.lexsort((minor, rows_all))
