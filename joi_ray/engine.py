@@ -2612,7 +2612,8 @@ class _Items:
 
     def __init__(self, c: _Node):
         self.c = c
-        self.flat, self.parents, self.positions = k_lists.flatten_with_parents(c.arr)
+        self.flat, self.parents = k_lists.flatten_with_parents(c.arr)
+        self.positions = k_lists.list_positions(self.parents)
         m = len(self.flat)
         self.nulls = as_bool_np(pc.is_null(self.flat), m) if m else np.zeros(0, bool)
         self.in_scope = c.scope[self.parents]
@@ -3439,7 +3440,8 @@ def _eval_structural_rule(c: _Node, cr) -> None:
     name, n = cr.name, len(arr)
     active = c.scope & ~c.missing & ~c.resolved
     if node.type == "array" and name == "has":
-        flat, parents, positions = k_lists.flatten_with_parents(arr)
+        flat, parents = k_lists.flatten_with_parents(arr)
+        positions = k_lists.list_positions(parents)
         ok_rows = np.zeros(n, dtype=bool)
         if len(parents):
             sub = eval_node(cnode, flat, Env(env.prefs).match_env(), path, scope=np.ones(len(flat), dtype=bool))
@@ -3764,16 +3766,7 @@ class CompiledSchema:
         keys = list(zip(path_r, seq_r))
         rank_of = {key: i for i, key in enumerate(sorted(set(keys)))}
         rank = np.asarray([rank_of[key] for key in keys], dtype=np.int64)
-        # one int64 key per row, (rank, item) below the row, sorts stably in
-        # one pass; where that key could pass int64 (about 2**63 / span
-        # rows), lexsort orders by the same two keys
-        width = int(items_all.max()) + 2  # item_index >= -1
-        span = len(rank_of) * width
-        minor = rank[rec_of] * width + items_all + 1
-        if (int(rows_all.max()) + 1) * span < 2**63:
-            order = np.argsort(rows_all * span + minor, kind="stable")
-        else:
-            order = np.lexsort((minor, rows_all))
+        order = np.lexsort((items_all, rank[rec_of], rows_all))
         rec_o = rec_of[order]
         rec_idx = pa.array(rec_o)
         rows_o = rows_all[order]

@@ -26,18 +26,19 @@ def list_lengths(arr: pa.Array) -> pa.Array:
 
 
 def flatten_with_parents(arr: pa.Array):
-    """(flat_values, parent_row_indices, within_list_positions) — nulls at
-    the outer level contribute no items."""
-    flat = pc.list_flatten(arr)
-    parents = pc.list_parent_indices(arr).to_numpy(zero_copy_only=False)
-    if len(parents):
-        # position within each list: running index reset at parent change
-        change = np.r_[True, parents[1:] != parents[:-1]]
-        grp_start = np.maximum.accumulate(np.where(change, np.arange(len(parents)), 0))
-        positions = np.arange(len(parents)) - grp_start
-    else:
-        positions = parents.copy()
-    return flat, parents, positions
+    """(flat_values, parent_row_indices) — nulls at the outer level
+    contribute no items."""
+    return pc.list_flatten(arr), pc.list_parent_indices(arr).to_numpy(zero_copy_only=False)
+
+
+def list_positions(parents: np.ndarray) -> np.ndarray:
+    """Each flat item's position within its list: a running index reset
+    where the parent changes."""
+    if not len(parents):
+        return parents.copy()
+    change = np.r_[True, parents[1:] != parents[:-1]]
+    grp_start = np.maximum.accumulate(np.where(change, np.arange(len(parents)), 0))
+    return np.arange(len(parents)) - grp_start
 
 
 def make_list_compare(op: str):
@@ -63,8 +64,8 @@ def field_values(flat: pa.Array, by: str | None) -> pa.Array:
 
 
 def _item_values(arr: pa.Array, by: str | None):
-    flat, parents, positions = flatten_with_parents(arr)
-    return field_values(flat, by), parents, positions
+    flat, parents = flatten_with_parents(arr)
+    return field_values(flat, by), parents
 
 
 def make_unique(args):
@@ -74,10 +75,11 @@ def make_unique(args):
 
     def kernel(arr, env: Env) -> RuleOut:
         n = len(arr)
-        flat, parents, positions = _item_values(arr, by)
+        flat, parents = _item_values(arr, by)
         ok = np.ones(n, dtype=bool)
         if not len(parents):
             return RuleOut(ok=ok, context={"path": by})
+        positions = list_positions(parents)
         if comparator is not None:
             # custom comparator (array.js:470): per-row pairwise — the
             # reference is per-pair too; rows are short lists
@@ -150,7 +152,7 @@ def sort_lists(arr, order: str, by):
     undefined); vectorized lexsort within parents.  Returns the rebuilt
     list column."""
     n = len(arr)
-    flat_all, parents_all, _ = flatten_with_parents(arr)
+    flat_all, parents_all = flatten_with_parents(arr)
     kv = field_values(flat_all, by).to_numpy(zero_copy_only=False)
     # dense ranks (type-agnostic, null-safe): missing items sort
     # last regardless of order (array.js:796-801 — undefined/null
@@ -193,7 +195,7 @@ def coerce_sort(arr, args: dict):
     order = args.get("order", "ascending")
     by = args.get("by")
     n = len(arr)
-    keys, parents, _ = _item_values(arr, by)
+    keys, parents = _item_values(arr, by)
     t = keys.type
     supported = (pa.types.is_integer(t) or pa.types.is_floating(t)
                  or pa.types.is_string(t) or pa.types.is_large_string(t)
@@ -234,8 +236,7 @@ def make_sort(args):
             # already applied in the coerce stage (engine hoists joi's
             # coerce-time sort before the items loop); nothing to check
             return RuleOut(ok=np.ones(n, dtype=bool), context=ctx)
-        items = pc.list_flatten(arr)
-        parents = pc.list_parent_indices(arr).to_numpy(zero_copy_only=False)
+        items, parents = flatten_with_parents(arr)
         ok = np.ones(n, dtype=bool)
         if len(parents) > 1:
             v = field_values(items, by).to_numpy(zero_copy_only=False)

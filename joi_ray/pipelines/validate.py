@@ -48,7 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..engine import VIOLATION_SCHEMA, CompiledSchema
-from ..kernels.lists import field_values, flatten_with_parents
+from ..kernels.lists import field_values, flatten_with_parents, list_positions
 from ..kernels.util import as_bool_np
 from ..sketches import ColumnStats, TDigest, categorical_psi, hash64, ks_statistic, psi
 from ..spec import Schema, build
@@ -172,7 +172,7 @@ class ValidatorStage:
         if self.catalog is None or self.ref_path is None:
             return None
         col_name, fld = self.ref_path.split(".", 1)
-        items, parents, positions = flatten_with_parents(_column(tbl, col_name))
+        items, parents = flatten_with_parents(_column(tbl, col_name))
         flat = field_values(items, fld)
         present = pc.is_valid(flat)
         known = pc.is_in(flat, value_set=self.catalog)
@@ -183,6 +183,7 @@ class ValidatorStage:
         failed[rows] = True
         if self.id_column is None:
             return None  # caller only needs the failed mask (filter_valid)
+        positions = list_positions(parents)
         ids = _column(tbl, self.id_column)
         if not pa.types.is_string(ids.type):
             ids = pc.cast(ids, pa.string())

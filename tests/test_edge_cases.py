@@ -349,10 +349,9 @@ def test_violation_rows_order_by_row_path_seq_item():
     assert v.schema == VIOLATION_SCHEMA
 
 
-@pytest.mark.parametrize("row, item", [(7, 9), (2**40, 2**31 - 1)], ids=["small", "past_int64_key"])
+@pytest.mark.parametrize("row, item", [(7, 9), (2**40, 2**31 - 1)], ids=["small", "large"])
 def test_violation_order_holds_for_any_row_and_item(row, item):
-    # rows and item indices too large to share one int64 sort key order
-    # the same way as small ones
+    # large row numbers and item indices order the same way as small ones
     recs = [
         ErrRec("number.max", np.zeros(1, bool), "a.b", rows=np.array([row, 3, row]),
                item_index=np.array([item, 0, 2], np.int32)),
