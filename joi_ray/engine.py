@@ -2356,9 +2356,7 @@ def _adopt_items_multi(pairs, base, failed_any, n_items: int):
         if pa.types.is_floating(T) and (
             pa.types.is_string(base.type) or pa.types.is_large_string(base.type)
         ):
-            import pandas as pd
-
-            base2 = pa.Array.from_pandas(pd.to_numeric(out.to_pandas(), errors="coerce"), type=T)
+            base2 = pa.array(k_numbers.parse_strings(out), type=T, from_pandas=True)
         else:
             try:
                 base2 = pc.cast(out, T, safe=False)

@@ -5,24 +5,27 @@ Ref-valued limits (column-vs-column compare)."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .util import AltView, Env, RuleOut, as_bool_np, cmp_mask, ref_parts
+from .util import AltView, Env, RuleOut, as_bool_np, cmp_mask, distinct_strings, ref_parts
 
 MAX_SAFE = 2**53 - 1
 
 # joi's string->number gate (number.js:10): anything else — 'Infinity',
-# 'NaN', hex, empty/blank — is NOT coerced and fails the base type check
-NUMBER_RX = r"^\s*[+-]?(?:(?:\d+(?:\.\d*)?)|(?:\.\d+))(?:[eE][+-]?\d+)?\s*$"
+# 'NaN', hex, empty/blank — is NOT coerced and fails the base type check.
+# JS \d is ASCII, so the digits are [0-9] (Python's \d takes '٣')
+NUMBER_RX = r"^\s*[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?)|(?:\.[0-9]+))(?:[eE][+-]?[0-9]+)?\s*$"
+_NUMBER = re.compile(NUMBER_RX)
 
 
 def js_number_to_string(v: float) -> str:
     """ECMA-262 Number::toString(10): shortest round-trip digits, fixed
     notation for 1e-6 <= |v| < 1e21, exponent notation outside."""
     import math
-    from decimal import Decimal
 
     if math.isnan(v):
         return "NaN"
@@ -31,11 +34,13 @@ def js_number_to_string(v: float) -> str:
     if v == 0:
         return "0"
     sign = "-" if v < 0 else ""
-    d = Decimal(repr(abs(v)))
-    _, digits, exp = d.as_tuple()
-    s = "".join(map(str, digits)).rstrip("0") or "0"
+    # repr gives the same shortest round-trip digits, as whole.frac[e±exp]
+    mant, _, exp = repr(abs(v)).partition("e")
+    whole, _, frac = mant.partition(".")
+    digits = (whole + frac).lstrip("0")
+    s = digits.rstrip("0")
     # value = 0.s * 10^npos  (npos = decimal point position)
-    npos = len(digits) + exp
+    npos = len(digits) + (int(exp) if exp else 0) - len(frac)
     k = len(s)
     if k <= npos <= 21:
         body = s + "0" * (npos - k)
@@ -50,99 +55,96 @@ def js_number_to_string(v: float) -> str:
     return sign + body
 
 
-def _normalize_exponent(s: "object"):
-    """Vectorized port of number.js:302-310 over a pandas str Series."""
-    return (
-        s.str.replace(r"\.(\d*[1-9])?0+e", r".\1e", regex=True, n=1)
-        .str.replace(r"\.e", "e", regex=True, n=1)
-        .str.replace(r"e\+", "e", regex=True, n=1)
-        .str.replace(r"^\+", "", regex=True, n=1)
-        .str.replace(r"^(-?)0+([1-9])", r"\1\2", regex=True, n=1)
-    )
-
-
-def _normalize_decimal(s):
-    """Vectorized port of number.js:313-329."""
-    s = (
-        s.str.replace(r"^\+", "", regex=True, n=1)
-        .str.replace(r"\.0+$", "", regex=True, n=1)
-        .str.replace(r"^(-?)\.([^\.]*)$", r"\g<1>0.\2", regex=True, n=1)
-        .str.replace(r"^(-?)0+([1-9])", r"\1\2", regex=True, n=1)
-    )
-    trailing = s.str.contains(".", regex=False) & s.str.endswith("0")
-    if trailing.any():
-        s = s.where(~trailing, s.str.replace(r"0+$", "", regex=True, n=1))
+def _substitute(s: str, rules) -> str:
+    for rx, repl in rules:
+        s = rx.sub(repl, s, count=1)
     return s
+
+
+_EXPONENT_RULES = tuple((re.compile(p), r) for p, r in (
+    (r"\.(\d*[1-9])?0+e", r".\1e"), (r"\.e", "e"), (r"e\+", "e"), (r"^\+", ""),
+    (r"^(-?)0+([1-9])", r"\1\2")))
+_DECIMAL_RULES = tuple((re.compile(p), r) for p, r in (
+    (r"^\+", ""), (r"\.0+$", ""), (r"^(-?)\.([^\.]*)$", r"\g<1>0.\2"),
+    (r"^(-?)0+([1-9])", r"\1\2")))
+_TRAILING_ZEROS = re.compile(r"0+$")
+_EXPONENT = re.compile(r"[eE]([+-]?\d+)")
+
+
+def _normalize_exponent(s: str) -> str:
+    """number.js:302-310."""
+    return _substitute(s, _EXPONENT_RULES)
+
+
+def _normalize_decimal(s: str) -> str:
+    """number.js:313-329."""
+    s = _substitute(s, _DECIMAL_RULES)
+    if "." in s and s.endswith("0"):
+        s = _TRAILING_ZEROS.sub("", s, count=1)
+    return s
+
+
+def parse_number(s: str):
+    """joi's string -> number parse of one string (number.js:28-38): None
+    when the numberRx gate rejects it, else parseFloat of the trimmed text.
+    ``float`` rounds correctly and overflows to ±inf like parseFloat; -0
+    reads 0 (number.js: ``if (result.value === 0) result.value = 0``)."""
+    if _NUMBER.match(s) is None:
+        return None
+    return float(s) or 0.0
+
+
+def parse_strings(arr: pa.Array) -> np.ndarray:
+    """float64 per row of a string column: ``parse_number`` of each
+    distinct value, NaN where it is null or the gate rejects it."""
+    codes, values = distinct_strings(arr)
+    parsed = [parse_number(v) for v in values]
+    return np.array([np.nan if v is None else v for v in parsed] + [np.nan])[codes]
 
 
 def coerce(arr: pa.Array, env: Env, flags: dict):
     """string -> number parse mirroring joi's coerce (number.js:28-63):
     the numberRx gate, parseFloat, and — unless the unsafe flag — the
     round-trip fidelity check that flags silent precision loss as
-    number.unsafe AT COERCE TIME (which aborts before rules).
+    number.unsafe AT COERCE TIME (which aborts before rules).  Each
+    distinct string is decided once.
     Returns (new_arr, base_fail_mask, coerce_errs)."""
-    import pandas as pd
-
     n = len(arr)
-    zeros = np.zeros(n, dtype=bool)
     if pa.types.is_floating(arr.type) or pa.types.is_integer(arr.type) or pa.types.is_decimal(arr.type):
-        return arr, zeros, []
-    if pa.types.is_boolean(arr.type) or not env.convert:
+        return arr, np.zeros(n, dtype=bool), []
+    if not env.convert or not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
         return arr, ~as_bool_np(pc.is_null(arr), n), []
-    if pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type):
-        s = arr.to_pandas()
-        was_null = as_bool_np(pc.is_null(arr), n)
-        matched = s.str.match(NUMBER_RX, na=False)
-        trimmed = s.str.strip()
-        parsed = pd.to_numeric(trimmed.where(matched), errors="coerce")
-        out = pa.Array.from_pandas(parsed, type=pa.float64())
-        fail = (~matched.to_numpy(dtype=bool, na_value=False)) & ~was_null
-        coerce_errs = []
-        if not flags.get("unsafe"):
-            unsafe = _roundtrip_unsafe(trimmed, parsed, matched)
-            if unsafe.any():
-                coerce_errs.append(("number.unsafe", unsafe))
-        return out, fail, coerce_errs
-    return arr, ~as_bool_np(pc.is_null(arr), n), []
+    codes, values = distinct_strings(arr)
+    parsed = [parse_number(v) for v in values]
+    # a null slot holds NaN, as Arrow's from_pandas conversion leaves it
+    out = pa.array(np.array([np.nan if v is None else v for v in parsed] + [np.nan])[codes],
+                   type=pa.float64(), from_pandas=True)
+    fail = np.array([v is None for v in parsed] + [False])[codes]
+    coerce_errs = []
+    if not flags.get("unsafe"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            unsafe = [v is not None and _roundtrip_unsafe(s.strip(), v) for s, v in zip(values, parsed)]
+        unsafe = np.array(unsafe + [False])[codes]
+        if unsafe.any():
+            coerce_errs.append(("number.unsafe", unsafe))
+    return out, fail, coerce_errs
 
 
-def _roundtrip_unsafe(trimmed, parsed, matched) -> np.ndarray:
-    """number.js:40-58: a matched numeric string is unsafe when the parsed
-    double does not reproduce the written digits (normalized)."""
-    import pandas as pd
-
-    cand = matched & parsed.notna()
-    n = len(trimmed)
-    unsafe = np.zeros(n, dtype=bool)
-    if not cand.any():
-        return unsafe
-    sub = trimmed[cand]
-    val = parsed[cand]
-    has_e = sub.str.contains("e", case=False, regex=False)
-    # exponent form: rebuild `${value / 10^exp}e${exp}` and compare
-    if has_e.any():
-        es = sub[has_e]
-        ev = val[has_e]
-        exps = es.str.extract(r"[eE]([+-]?\d+)", expand=False)
-        rebuilt = []
-        for raw, v, ex in zip(es, ev, exps):
-            p = np.power(np.float64(10.0), np.float64(int(ex)))
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                mant = np.float64(v) / p
-            rebuilt.append(f"{js_number_to_string(float(mant))}e{ex}")
-        bad = _normalize_exponent(pd.Series(rebuilt, index=es.index)) != _normalize_exponent(es)
-        unsafe[es.index[bad]] = True
-    plain = ~has_e
-    if plain.any():
-        ps = sub[plain]
-        pv = val[plain]
-        jsstr = pd.Series([js_number_to_string(float(v)) for v in pv], index=ps.index)
-        # toString in exponent form (>=1e21 / <1e-6) skips the check
-        # (number.js:49-51)
-        chk = ~jsstr.str.contains("e", regex=False)
-        bad = chk & (jsstr != _normalize_decimal(ps))
-        unsafe[ps.index[bad]] = True
-    return unsafe
+def _roundtrip_unsafe(text: str, v: float) -> bool:
+    """number.js:40-58: a numeric string is unsafe when its parsed double
+    does not reproduce the written digits (normalized)."""
+    m = _EXPONENT.search(text)
+    if m is not None:
+        # exponent form: rebuild `${value / 10^exp}e${exp}` and compare
+        # (|exp| past 1000 gives the same inf or 0 power as the exponent)
+        ex = m.group(1)
+        p = np.power(np.float64(10.0), np.float64(min(max(int(ex), -1000), 1000)))
+        rebuilt = f"{js_number_to_string(float(np.float64(v) / p))}e{ex}"
+        return _normalize_exponent(rebuilt) != _normalize_exponent(text)
+    # toString in exponent form (>=1e21 / <1e-6) skips the check
+    # (number.js:49-51); toString's own form is already normalized
+    js = js_number_to_string(v)
+    return "e" not in js and js != text and js != _normalize_decimal(text)
 
 
 def base_check(arr: pa.Array, env: Env, flags: dict):

@@ -8,11 +8,17 @@ LoC).  Date comparisons support ``'now'`` bound once at compile time
 
 from __future__ import annotations
 
+import functools
+import re
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .util import Env, RuleOut, as_bool_np, cmp_mask
+from .numbers import parse_number
+from .strings import _NAT, _days_from_civil, _js_iso_parse_ms, iso_dates_ms, iso_ms, pandas_ms
+from .template import _js_to_number
+from .util import Env, RuleOut, as_bool_np, cmp_mask, distinct_strings
 
 # --------------------------------------------------------------------------
 # boolean
@@ -57,9 +63,8 @@ def coerce_boolean(arr: pa.Array, env: Env, terms: dict, flags: dict):
 
 def coerce_date(arr: pa.Array, env: Env, flags: dict):
     """number/string -> timestamp[ms] honoring the format flag
-    (iso / 'ms' javascript epoch / 's' unix epoch — ``date.js:172-215``)."""
-    import pandas as pd
-
+    (iso / 'ms' javascript epoch / 's' unix epoch — ``date.js:172-215``).
+    Each distinct string is parsed once."""
     n = len(arr)
     ts = pa.timestamp("ms")
     if pa.types.is_timestamp(arr.type):
@@ -80,68 +85,50 @@ def coerce_date(arr: pa.Array, env: Env, flags: dict):
         out = pc.cast(ms, ts)
         return out, np.zeros(n, dtype=bool)
     if pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type):
-        s = arr.to_pandas()
-        parsed = pd.to_datetime(s, errors="coerce", utc=True, format="ISO8601")
-        try:
-            parsed = parsed.dt.tz_localize(None)
-        except (TypeError, AttributeError):
-            pass
+        codes, values = distinct_strings(arr)
+        null_ms = _NAT
         if fmt == "iso":
             # date().iso() mirrors the string.isoDate convert model
-            # (date.js:81-88: Common.isIsoDate regex AND new Date()):
-            # regex gate + JS-Date residual parser for expanded years /
-            # 24:00 / out-of-datetime64-range forms
-            from .strings import _ISO_DATE, _js_iso_parse_ms, regex_mask
-
-            okmask = regex_mask(arr, _ISO_DATE)
-            have = parsed.notna().to_numpy()
-            ms_vals = np.zeros(n, dtype=np.int64)
-            ms_vals[have] = parsed[have].astype("int64").to_numpy() // 1_000_000
-            valid = okmask & have
-            for i in np.nonzero(okmask & ~have & ~was_null)[0]:
-                r = _js_iso_parse_ms(s.iloc[i])
-                if r is not None:
-                    ms_vals[i] = r
-                    valid[i] = True
-            out = pa.Array.from_buffers(
-                ts, n, [pa.py_buffer(np.packbits(valid, bitorder="little").tobytes()),
-                        pa.py_buffer(ms_vals.tobytes())])
-            fail = ~valid & ~was_null
-            return out, fail
-        if fmt in ("ms", "s"):
-            # timestamp formats multiply the JS-Number coercion of the
-            # string (date.js:195-208: `value * mult` — scientific notation
-            # included; whitespace-only is null).  ISO parses never apply.
-            blank = s.str.fullmatch(r"\s*", na=True)
-            # `value * mult` is JS ToNumber — radix literals included
-            # (Number('0x1f') = 31; fuzz seed 6200866 family)
-            from .template import _js_to_number
-
-            vals = s.map(lambda v: np.nan if v is None else _js_to_number(v)).astype(
-                float) * (1000 if fmt == "s" else 1)
-            vals[blank.to_numpy(dtype=bool)] = np.nan
-            vals = vals.where(np.abs(vals) <= 8.64e15)  # JS Date range; inf overflows pandas
-            as_ms = pd.to_datetime(vals, unit="ms", errors="coerce")
-            out = pa.Array.from_pandas(as_ms.astype("datetime64[ms]"), type=ts)
-            fail = as_bool_np(pc.is_null(out), n) & ~was_null
-            return out, fail
-        # plain date(): numeric strings are ms-epoch (date.js:178-183:
-        # /^[+-]?\d+(\.\d+)?$/ -> Number), everything else goes through the
-        # JS legacy Date(string) model
-        parsed = _js_parse_plain_date_strings(s, parsed)
-        out = pa.Array.from_pandas(parsed.astype("datetime64[ms]"), type=ts)
-        fail = as_bool_np(pc.is_null(out), n) & ~was_null
-        return out, fail
+            # (date.js:81-88: Common.isIsoDate regex AND new Date())
+            ms, null_ms = iso_dates_ms(values), 0
+        elif fmt in ("ms", "s"):
+            # timestamp formats multiply the JS ToNumber of the string
+            # (date.js:195-208: `value * mult` — scientific notation and
+            # radix literals included, Number('0x1f') = 31; whitespace-only
+            # is null).  ISO parses never apply.
+            mult = 1000 if fmt == "s" else 1
+            ms = [_time_clip(_js_to_number(v) * mult) if v.strip() else None for v in values]
+        else:
+            ms = _js_dates_ms(values)
+        out = _timestamps(ms, codes, null_ms)
+        return out, as_bool_np(pc.is_null(out), n) & ~was_null
     return arr, ~was_null
+
+
+def _timestamps(ms: list, codes: np.ndarray, null_ms: int = _NAT) -> pa.Array:
+    """Per-distinct epoch ms (None: Invalid Date) broadcast to the rows as
+    timestamp[ms]; a null slot holds ``null_ms`` (NaT, as Arrow's
+    from_pandas conversion leaves it, unless the caller says otherwise)."""
+    vals = np.array([null_ms if v is None else v for v in ms] + [null_ms], dtype=np.int64)[codes]
+    valid = np.array([v is not None for v in ms] + [False])[codes]
+    return pa.Array.from_buffers(pa.timestamp("ms"), len(codes), [
+        pa.py_buffer(np.packbits(valid, bitorder="little").tobytes()), pa.py_buffer(vals.tobytes())])
+
+
+def _time_clip(v: float):
+    """ECMA-262 TimeClip: NaN or beyond ±8.64e15 ms is Invalid Date (None),
+    anything else truncates toward zero."""
+    if not abs(v) <= 8.64e15:
+        return None
+    return int(v)
 
 
 _JS_MONTHS = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
               "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
-import re as _re_mod
 
 #: JS Date output forms: 'Thu Jan 01 1970[ 00:00:00 GMT+0000[ (zone)]]',
 #: 'Thu, 01 Jan 1970 00:00:00 GMT', '[weekday ]Mon DD YYYY' / 'DD Mon YYYY'
-_JS_DATE_OUT_RX = _re_mod.compile(
+_JS_DATE_OUT_RX = re.compile(
     r"(?:(?:Sun|Mon|Tue|Wed|Thu|Fri|Sat),?\s+)?"
     r"(?:(?P<mon>Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)\s+(?P<day>\d{1,2})"
     r"|(?P<day2>\d{1,2})\s+(?P<mon2>Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec))"
@@ -150,10 +137,17 @@ _JS_DATE_OUT_RX = _re_mod.compile(
     r"(?:\s+(?:GMT|UTC)(?P<off>[+-]\d{4})?)?)?"
     r"(?:\s+\([^)]*\))?"
 )
+#: joi's typeof-string epoch shortcut (date.js:195-200); JS \d is ASCII
+_NUMERIC_EPOCH = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?")
+#: signed or decimal digits, which the bare new Date(string) path never reads as ISO
+_SIGNED_OR_DECIMAL = re.compile(r"[+-]\d+(\.\d+)?|\d+\.\d+")
+_ZONE_NAME = re.compile(r"\s+(UTC|GMT)\s*$", re.IGNORECASE)
+_V8_DIGITS = re.compile(r"[+-]?([0-9]+)(?:\.([0-9]+))?")
 
 
-def js_parse_date_strings(s, numeric: str = "epoch"):
-    """JS date model over a pandas string Series -> datetime64[ms] Series.
+def js_parse_date_strings(arr, numeric: str = "epoch") -> pa.Array:
+    """JS date model over a string column -> timestamp[ms], one parse per
+    distinct string.
 
     numeric="epoch" is joi's internals.parse for typeof string: a numeric
     string (/^[+-]?\\d+(\\.\\d+)?$/, NO exponent) is parseFloat -> epoch ms
@@ -164,155 +158,116 @@ def js_parse_date_strings(s, numeric: str = "epoch"):
     new Date coerces via toString into V8's legacy grammar where '123' is
     the YEAR 123).  3-6 pure digits -> year; V8's month-only ('12') and
     decimal ('12.5') forms stay Invalid here (documented corner)."""
-    import pandas as pd
-
-    parsed = pd.to_datetime(s, errors="coerce", utc=True, format="ISO8601")
-    try:
-        parsed = parsed.dt.tz_localize(None)
-    except (TypeError, AttributeError):
-        pass
-    return _js_parse_plain_date_strings(s, parsed, numeric_epoch=(numeric == "epoch"))
+    codes, values = distinct_strings(arr)
+    return _timestamps(_js_dates_ms(values, numeric_epoch=(numeric == "epoch")), codes)
 
 
-def _js_parse_plain_date_strings(s, parsed, numeric_epoch: bool = True):
-    """Fill the non-ISO residue of ``parsed`` (numeric epoch strings when
-    joi's typeof-string shortcut applies, V8's digit month/year grammar,
-    the legacy free-form grammar via pandas — documented: V8 and pandas
-    disagree on exotic forms — and the JS ISO parser with day rollover)."""
-    import pandas as pd
+def _js_dates_ms(values: list, numeric_epoch: bool = True) -> list:
+    """The JS Date of each distinct string as epoch ms, None for Invalid
+    Date: numeric epoch strings when joi's typeof-string shortcut applies,
+    the ISO parsers (``iso_ms``), then for the rest the legacy grammar
+    (``_js_legacy_ms``)."""
+    out = [None] * len(values)
+    dated = []
+    for i, v in enumerate(values):
+        if numeric_epoch and _NUMERIC_EPOCH.fullmatch(v):
+            # JS Date range is ±8.64e15 ms; beyond it (or inf) -> Invalid
+            out[i] = _time_clip(parse_number(v))
+        else:
+            dated.append(i)
+    # the bare new Date(string) path (ref-resolved Buffers) has no epoch
+    # shortcut: digits fall to V8's month/year grammar; signed/decimal
+    # forms skip the ISO parse (documented corner)
+    iso = [i for i in dated if numeric_epoch or not _SIGNED_OR_DECIMAL.fullmatch(values[i])]
+    for i, ms in zip(iso, iso_ms([values[i] for i in iso])):
+        out[i] = ms
+    residual = [i for i in dated if out[i] is None]
+    texts = [values[i] for i in residual]
+    free = pandas_ms(texts, "mixed")
+    # a trailing UTC/GMT zone name trips dateutil on digit-dash forms
+    # ('1-1-2013 UTC'); strip and re-parse
+    retry = [k for k, t in enumerate(texts) if free[k] is None and _ZONE_NAME.search(t)]
+    for k, ms in zip(retry, pandas_ms([_ZONE_NAME.sub("", texts[k]) for k in retry], "mixed")):
+        free[k] = ms
+    for i, t, ms in zip(residual, texts, free):
+        out[i] = _js_legacy_ms(t.strip(), ms)
+    return out
 
-    parsed = parsed.astype("datetime64[ms]")
-    if numeric_epoch:
-        numeric = s.str.fullmatch(r"[+-]?\d+(\.\d+)?", na=False)
-    else:
-        # the bare new Date(string) path (ref-resolved Buffers) has no
-        # epoch shortcut: digits fall to V8's month/year grammar below;
-        # signed/decimal forms stay Invalid here (documented corner)
-        numeric = s.str.fullmatch(r"(?!x)x", na=False)
-        parsed = parsed.where(~s.str.fullmatch(r"[+-]\d+(\.\d+)?|\d+\.\d+", na=False), pd.NaT)
-    if numeric.any():
-        vals = pd.to_numeric(s.where(numeric), errors="coerce")
-        # JS Date range is ±8.64e15 ms; beyond it (or inf) -> Invalid Date.
-        # pandas raises OverflowError instead of coercing, so pre-null.
-        vals = vals.where(np.abs(vals) <= 8.64e15)
-        as_ms = pd.to_datetime(vals, unit="ms", errors="coerce").astype("datetime64[ms]")
-        parsed = parsed.where(~numeric, as_ms)
-    residual = parsed.isna() & s.notna() & ~numeric
-    if residual.any():
-        import warnings
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            free = pd.to_datetime(s[residual], errors="coerce", utc=True)
-            nat = free.isna()
-            if nat.any():
-                # a trailing UTC/GMT zone name trips dateutil on
-                # digit-dash forms ('1-1-2013 UTC'); strip and re-parse
-                stripped = s[residual][nat].str.replace(
-                    r"\s+(UTC|GMT)\s*$", "", regex=True, case=False)
-                free = free.where(~nat, pd.to_datetime(
-                    stripped, errors="coerce", utc=True))
-        try:
-            free = free.dt.tz_localize(None)
-        except (TypeError, AttributeError):
-            pass
-        # JS Date OUTPUT forms (toString / toDateString / toUTCString —
-        # incl. the parenthesized zone comment, years beyond pandas' ns
-        # range, and day rollover 'Apr 31' -> May 1): a cast('string')
-        # date ref must round-trip to the same instant (fuzz seed 86726).
-        # dateutil mis-reads 'GMT+0130' POSIX-inverted and accepts the
-        # negative years V8 rejects, so OVERRIDE whatever pandas made of
-        # a string matching this shape (all node-verified).
-        free = free.astype("datetime64[ms]")
-        from .strings import _days_from_civil as _dfc
+def _js_legacy_ms(raw: str, free):
+    """One string through V8's legacy Date grammar, given what pandas'
+    free-form parser made of it (``free``, epoch ms or None; documented:
+    V8 and pandas disagree on exotic forms)."""
+    # JS Date OUTPUT forms (toString / toDateString / toUTCString — incl.
+    # the parenthesized zone comment, years beyond pandas' ns range, and
+    # day rollover 'Apr 31' -> May 1): a cast('string') date ref must
+    # round-trip to the same instant (fuzz seed 86726).  dateutil mis-reads
+    # 'GMT+0130' POSIX-inverted and accepts the negative years V8 rejects,
+    # so OVERRIDE whatever pandas made of a string of this shape (all
+    # node-verified).
+    mjs = _JS_DATE_OUT_RX.fullmatch(raw)
+    if mjs is not None:
+        free = _js_date_out_ms(mjs.groupdict())
+    if free is not None:
+        return free
+    # V8 parses ISO-shaped strings itself before the legacy grammar,
+    # rolling an out-of-range day forward ('2019-02-30' -> Mar 2); pandas
+    # rejects those, so re-parse with the JS model (expanded years / 24:00
+    # / day rollover).  Bare digit strings that reach the legacy grammar
+    # are a MONTH ('7' -> July 2001, '0' -> Jan 2000) or a YEAR ('123' ->
+    # 0123-01-01) — V8 dateparser semantics, verified under node.
+    r = _js_iso_parse_ms(raw)
+    mnum = _V8_DIGITS.fullmatch(raw) if r is None else None
+    if mnum is None:
+        return r
+    a, b = int(mnum.group(1)), mnum.group(2)
+    if b is None:
+        # bare number (sign ignored): 0 -> Jan 2000, 1-12 -> that month
+        # of 2001, 3-6 digits -> year
+        if a == 0:
+            return _days_from_civil(2000, 1, 1) * 86400000
+        if a <= 12:
+            return _days_from_civil(2001, a, 1) * 86400000
+        if 100 <= a <= 999999:
+            return _days_from_civil(a, 1, 1) * 86400000
+        return None
+    # A.B decimal grammar: month.day of 2001 with day rollover ('2.29' ->
+    # Mar 1); '0.B' -> month B of 2000; B==0 -> Invalid — all verified
+    # under node
+    b = int(b)
+    if b == 0:
+        return None
+    if a == 0 and 1 <= b <= 12:
+        return _days_from_civil(2000, b, 1) * 86400000
+    if 1 <= a <= 12 and 1 <= b <= 31:
+        return _days_from_civil(2001, a, b) * 86400000
+    return None
 
-        for ix in s[residual].index:
-            raw0 = str(s.loc[ix]).strip()
-            mjs = _JS_DATE_OUT_RX.fullmatch(raw0)
-            if mjs is None:
-                continue
-            g = mjs.groupdict()
-            mon = _JS_MONTHS.index(g["mon"] or g["mon2"]) + 1
-            day = int(g["day"] or g["day2"])
-            yraw = g["year"]
-            rv = None
-            if not yraw.startswith("-") and 1 <= day <= 31:
-                y = int(yraw)
-                if y < 100:
-                    # V8 windows SMALL years by VALUE, leading zeros
-                    # included ('0099' -> 1999): 0-49 -> 2000s, 50-99 ->
-                    # 1900s — so even V8 cannot round-trip a year-99
-                    # toUTCString (node-verified)
-                    y += 2000 if y < 50 else 1900
-                rv = _dfc(y, mon, day) * 86400000
-                if g["hh"]:
-                    rv += (int(g["hh"]) * 3600 + int(g["mm"]) * 60 + int(g["ss"])) * 1000
-                if g["off"]:
-                    sign = -1 if g["off"][0] == "+" else 1
-                    rv += sign * (int(g["off"][1:3]) * 3600 + int(g["off"][3:5]) * 60) * 1000
-                if abs(rv) > 8.64e15:
-                    rv = None
-            free.loc[ix] = (np.int64(rv).view("datetime64[ms]") if rv is not None
-                            else np.datetime64("NaT", "ms"))
-        # V8 parses ISO-shaped strings itself before the legacy grammar,
-        # rolling an out-of-range day forward ('2019-02-30' -> Mar 2);
-        # pandas rejects those, so re-parse the still-NaT rows with the
-        # JS model (expanded years / 24:00 / day rollover).  Bare digit
-        # strings that reach the legacy grammar are a MONTH ('7' -> July
-        # 2001, '0' -> Jan 2000) or a YEAR ('123' -> 0123-01-01) — V8
-        # dateparser semantics, verified under node.
-        free = free.astype("datetime64[ms]")
-        still = free.isna()
-        if still.any():
-            from .strings import _days_from_civil, _js_iso_parse_ms
 
-            import re as _re
-
-            repl = {}
-            for ix in still[still].index:
-                raw = str(s.loc[ix]).strip()
-                r = _js_iso_parse_ms(raw)
-                mnum = _re.fullmatch(r"[+-]?(\d+)(?:\.(\d+))?", raw) if r is None else None
-                if mnum is not None:
-                    a, b = int(mnum.group(1)), mnum.group(2)
-                    if b is None:
-                        # bare number (sign ignored): 0 -> Jan 2000,
-                        # 1-12 -> that month of 2001, 3-6 digits -> year
-                        if a == 0:
-                            r = _days_from_civil(2000, 1, 1) * 86400000
-                        elif a <= 12:
-                            r = _days_from_civil(2001, a, 1) * 86400000
-                        elif 100 <= a <= 999999:
-                            r = _days_from_civil(a, 1, 1) * 86400000
-                    else:
-                        # A.B decimal grammar: month.day of 2001 with day
-                        # rollover ('2.29' -> Mar 1); '0.B' -> month B of
-                        # 2000; B==0 -> Invalid — all verified under node
-                        b = int(b)
-                        if b == 0:
-                            r = None
-                        elif a == 0 and 1 <= b <= 12:
-                            r = _days_from_civil(2000, b, 1) * 86400000
-                        elif 1 <= a <= 12 and 1 <= b <= 31:
-                            r = _days_from_civil(2001, a, b) * 86400000
-                if r is not None:
-                    repl[ix] = r
-            if repl:
-                # build the fill in ms resolution explicitly: year 123 is
-                # outside pandas' ns range and a plain Series() would
-                # round-trip through ns and raise OutOfBoundsDatetime
-                fill = pd.Series(
-                    np.array(list(repl.values()), dtype="int64").view("datetime64[ms]"),
-                    index=list(repl.keys()),
-                )
-                free = free.fillna(fill)
-        parsed = parsed.where(~residual, free)
-    return parsed
+def _js_date_out_ms(g: dict):
+    """Epoch ms of a JS Date output form (``_JS_DATE_OUT_RX`` groups), None
+    for what V8 rejects."""
+    mon = _JS_MONTHS.index(g["mon"] or g["mon2"]) + 1
+    day = int(g["day"] or g["day2"])
+    yraw = g["year"]
+    if yraw.startswith("-") or not 1 <= day <= 31:
+        return None
+    y = int(yraw)
+    if y < 100:
+        # V8 windows SMALL years by VALUE, leading zeros included ('0099'
+        # -> 1999): 0-49 -> 2000s, 50-99 -> 1900s — so even V8 cannot
+        # round-trip a year-99 toUTCString (node-verified)
+        y += 2000 if y < 50 else 1900
+    rv = _days_from_civil(y, mon, day) * 86400000
+    if g["hh"]:
+        rv += (int(g["hh"]) * 3600 + int(g["mm"]) * 60 + int(g["ss"])) * 1000
+    if g["off"]:
+        sign = -1 if g["off"][0] == "+" else 1
+        rv += sign * (int(g["off"][1:3]) * 3600 + int(g["off"][3:5]) * 60) * 1000
+    return None if abs(rv) > 8.64e15 else rv
 
 
 def _date_limit(limit, env: Env):
-    import pandas as pd
-
     if limit == "now":
         return env.prefs.get("now_ms", 0), {"limit": "now"}
     if hasattr(limit, "kind"):  # Ref
@@ -321,19 +276,22 @@ def _date_limit(limit, env: Env):
         # joi normalizes date limits to Date objects at rule creation
         # (date.js compare args), so the error context renders the ISO
         # form ("2019-06-01T00:00:00.000Z"), not the source string
-        try:
-            ms = int(pd.Timestamp(limit).value // 10**6)
-        except (ValueError, OverflowError, pd.errors.OutOfBoundsDatetime):
-            # outside pandas' ns range (years <1677 / >2262) but a valid JS
-            # Date — parse through the ISO grammar directly
-            from .strings import _js_iso_parse_ms
-
-            parsed = _js_iso_parse_ms(limit)
-            if parsed is None:
-                raise ValueError(f"invalid date limit {limit!r}")
-            ms = parsed
+        ms = _date_limit_ms(limit)
         return ms, {"limit": _ms_to_dt(ms)}
     return int(limit), {"limit": _ms_to_dt(int(limit))}
+
+
+@functools.lru_cache(maxsize=256)
+def _date_limit_ms(limit: str) -> int:
+    """A literal date limit as epoch ms, parsed once per string."""
+    ms = pandas_ms([limit], "mixed")[0]
+    if ms is None:
+        # outside pandas' ns range (years <1677 / >2262) but a valid JS
+        # Date — parse through the ISO grammar directly
+        ms = _js_iso_parse_ms(limit)
+        if ms is None:
+            raise ValueError(f"invalid date limit {limit!r}")
+    return ms
 
 
 def _ms_to_dt(ms: int):

@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .util import Env, RuleOut, as_bool_np, cmp_mask, combine
+from .util import Env, RuleOut, as_bool_np, cmp_mask, combine, distinct_strings
 
 
 @functools.lru_cache(maxsize=512)
@@ -477,13 +477,6 @@ def _civil_from_days(z: int) -> tuple:
     return y + (m <= 2), m, d
 
 
-def _js_iso_parse(s: str) -> str | None:
-    """toISOString() text for a regex-valid-but-pandas-rejected ISO string,
-    or None for Invalid Date (see _js_iso_parse_ms)."""
-    ms = _js_iso_parse_ms(s)
-    return None if ms is None else _js_iso_format(ms)
-
-
 def _js_iso_format(total_ms: int) -> str:
     days, rem = divmod(total_ms, 86400000)
     y2, mo2, d2 = _civil_from_days(days)
@@ -554,30 +547,75 @@ def _js_iso_parse_ms(s: str) -> int | None:
     return total_ms
 
 
-def make_iso_date(args):
-    def kernel(arr, env: Env) -> RuleOut:
-        import pandas as pd
+#: pandas' int64 for NaT, what a datetime64 null slot holds
+_NAT = np.iinfo(np.int64).min
+#: a sign after the date-time separator: a string that may carry a UTC offset
+_MAY_CARRY_OFFSET = re.compile(r"[Tt\s].*[+-]")
+_LEADING_DIGIT = re.compile(r"\s*[0-9]")
 
-        ok = regex_mask(arr, _ISO_DATE)
+
+def pandas_ms(strings: list, fmt: str) -> list:
+    """``pd.to_datetime`` over (distinct) strings -> the UTC epoch ms of
+    each (floored, as a datetime64[ms] cast floors), None where pandas gives
+    NaT.  ``fmt`` is "ISO8601", or "mixed" for the free-form grammar, which
+    parses each string on its own (no format inferred from the first)."""
+    if not strings:
+        return []
+    import warnings
+
+    import pandas as pd
+
+    # pandas' ISO8601 parser applies a string's UTC offset to the naive
+    # date-times after it in the same call (pandas 2.2), so the strings
+    # that may carry an offset go last
+    order = sorted(range(len(strings)), key=lambda i: bool(_MAY_CARRY_OFFSET.search(strings[i].strip())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ns = pd.to_datetime([strings[i] for i in order], errors="coerce", utc=True, format=fmt).asi8
+    out = [None] * len(strings)
+    for i, v in zip(order, ns.tolist()):
+        out[i] = None if v == _NAT else v // 1_000_000
+    return out
+
+
+def iso_ms(values: list) -> list:
+    """UTC epoch ms of each string read as an ISO 8601 date, None where
+    neither parser reads it: the JS ISO model (V8's Date parser: expanded
+    years, 24:00, day rollover) first, pandas' ISO8601 parser for the forms
+    it does not read (week and ordinal dates, basic format, ...)."""
+    out = [_js_iso_parse_ms(v) for v in values]
+    # pandas' ISO8601 parser reads nothing that does not start with a digit
+    rest = [i for i, ms in enumerate(out) if ms is None and _LEADING_DIGIT.match(values[i])]
+    for i, ms in zip(rest, pandas_ms([values[i] for i in rest], "ISO8601")):
+        out[i] = ms
+    return out
+
+
+def iso_dates_ms(values: list) -> list:
+    """``iso_ms`` of each string that passes joi's ISO regex (common.js:13),
+    None for the rest."""
+    gate = _py_regex(_ISO_DATE)
+    cand = [v for v in values if gate.match(v)]
+    parsed = dict(zip(cand, iso_ms(cand)))
+    return [parsed.get(v) for v in values]
+
+
+def make_iso_date(args):
+    gate = _py_regex(_ISO_DATE)
+
+    def kernel(arr, env: Env) -> RuleOut:
+        codes, values = distinct_strings(arr)
+        ok = np.array([gate.match(v) is not None for v in values] + [False])[codes]
         if env.convert and ok.any():
             # convert mode (string/index.js:103-115): regex-valid values
             # must ALSO be JS-Date-parseable, and normalize via
             # toISOString() (UTC, ms precision).  TZ-less datetimes are
             # treated as UTC, matching the reference test environment.
-            s = arr.to_pandas()
-            parsed = pd.to_datetime(s, errors="coerce", utc=True, format="ISO8601")
-            have = parsed.notna().to_numpy()
-            norm = ok & have
-            iso = parsed.dt.strftime("%Y-%m-%dT%H:%M:%S.%f").str.slice(0, 23) + "Z"
-            out = s.copy()
-            out[norm] = iso[norm]
-            for i in np.nonzero(ok & ~have)[0]:
-                r = _js_iso_parse(s.iloc[i])
-                if r is None:
-                    ok[i] = False  # regex-valid but Invalid Date in JS
-                else:
-                    out.iloc[i] = r
-            return RuleOut(ok=ok, new_value=pa.array(out, type=pa.string()))
+            ms = iso_dates_ms(values)
+            ok = np.array([m is not None for m in ms] + [False])[codes]
+            new = [v if m is None else _js_iso_format(m) for v, m in zip(values, ms)]
+            return RuleOut(ok=ok, new_value=pa.array(np.array(new + [None], dtype=object)[codes],
+                                                     type=pa.string()))
         return RuleOut(ok=ok)
 
     return kernel

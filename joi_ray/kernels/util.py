@@ -3,9 +3,11 @@
 Conventions
 -----------
 - All row masks are dense ``numpy.bool_`` arrays of batch length.
-- A rule kernel has signature ``fn(arr, args, env) -> RuleOut`` and must be
-  fully vectorized (pyarrow.compute / numpy / pandas) — never a Python loop
-  over rows in the hot path.
+- A rule kernel has signature ``fn(arr, args, env) -> RuleOut``.  Per row
+  it runs pyarrow.compute / numpy only — never a Python loop over rows.
+  Work that Arrow cannot express (a JS-faithful parse, a Python-only
+  regex) runs in Python once per distinct value (``distinct_strings``)
+  and is broadcast to the rows by index.
 - Kernels return ``ok=True`` for cells they don't apply to (nulls are skipped
   by the engine's active mask anyway).
 """
@@ -60,6 +62,17 @@ def combine(arr) -> pa.Array:
     if isinstance(arr, pa.ChunkedArray):
         return arr.combine_chunks()
     return arr
+
+
+def distinct_strings(arr) -> tuple[np.ndarray, list]:
+    """A string column as ``(codes, values)``: ``values`` its distinct
+    non-null strings, ``codes`` each row's index into them, -1 for a null
+    row.  A kernel decides each value once and broadcasts the answers with
+    ``np.array(answers + [null_answer])[codes]`` (-1 picks the last slot)."""
+    enc = pc.dictionary_encode(combine(arr))
+    codes = enc.indices.fill_null(-1).to_numpy(zero_copy_only=False)
+    # (to_numpy builds the Python strings several times faster than to_pylist)
+    return codes, enc.dictionary.to_numpy(zero_copy_only=False).tolist()
 
 
 @dataclass
@@ -479,8 +492,7 @@ def _ref_arg_check(lim, arg: str, n: int) -> tuple[pa.Array, np.ndarray]:
             # rolls the day over, then the legacy grammar
             from .scalars import js_parse_date_strings
 
-            parsed = js_parse_date_strings(lim.to_pandas())
-            lim = pa.Array.from_pandas(parsed.astype("datetime64[ms]"), type=pa.timestamp("ms"))
+            lim = js_parse_date_strings(lim)
             return lim, as_bool_np(pc.is_null(lim), n)
         if pa.types.is_list(t) or pa.types.is_large_list(t):
             # joi's gate runs isNaN(value) FIRST for non-strings
@@ -488,7 +500,6 @@ def _ref_arg_check(lim, arg: str, n: int) -> tuple[pa.Array, np.ndarray]:
             # is NaN -> null -> any.ref.  Survivors go through new
             # Date(array) == the legacy STRING grammar of the ','-join
             # ([5] -> '5' -> May 2001; [] -> '' -> Invalid).
-            import pandas as pd
             import re as _re
 
             from .numbers import js_number_to_string
@@ -504,36 +515,24 @@ def _ref_arg_check(lim, arg: str, n: int) -> tuple[pa.Array, np.ndarray]:
                 return str(x)
 
             num_gate = _re.compile(r"\s*[+-]?(\d+(\.\d+)?|\.\d+)?([eE][+-]?\d+)?\s*")
-            joined, gate_ok = [], []
+            joined = []
             for v in lim.to_pylist():
-                if v is None:
-                    joined.append(None)
-                    gate_ok.append(False)
-                    continue
-                j = ",".join(el(x) for x in v)
-                joined.append(j)
-                gate_ok.append(num_gate.fullmatch(j) is not None)
-            parsed = js_parse_date_strings(pd.Series(joined, dtype="object"), numeric="legacy")
-            parsed = parsed.where(pd.Series(gate_ok))
-            lim = pa.Array.from_pandas(parsed.astype("datetime64[ms]"), type=pa.timestamp("ms"))
+                j = None if v is None else ",".join(el(x) for x in v)
+                joined.append(j if j is not None and num_gate.fullmatch(j) else None)
+            lim = js_parse_date_strings(pa.array(joined, pa.string()), numeric="legacy")
             return lim, as_bool_np(pc.is_null(lim), n)
         if pa.types.is_binary(t) or pa.types.is_large_binary(t):
             # a Buffer skips joi's typeof-string numeric shortcut: isNaN
             # coerces it via toString (Number(Buffer('123')) === 123 so the
             # gate passes), then new Date(buffer) ALSO stringifies — V8's
             # legacy grammar, where '123' is the YEAR 123
-            import pandas as pd
-
             from .scalars import js_parse_date_strings
 
             # Buffer.toString() is a UTF-8 decode WITH replacement chars
             # (b'm\\xa7' -> 'm\\ufffd') — never an invalid-utf8 crash
             # (fuzz seed 133443: lenient base64 decodes feed date refs)
-            txt = pd.Series(
-                [None if b is None else b.decode("utf-8", "replace")
-                 for b in lim.to_pylist()], dtype="object")
-            parsed = js_parse_date_strings(txt, numeric="legacy")
-            lim = pa.Array.from_pandas(parsed.astype("datetime64[ms]"), type=pa.timestamp("ms"))
+            txt = [None if b is None else b.decode("utf-8", "replace") for b in lim.to_pylist()]
+            lim = js_parse_date_strings(pa.array(txt, pa.string()), numeric="legacy")
             return lim, as_bool_np(pc.is_null(lim), n)
         return pa.nulls(n), np.ones(n, dtype=bool)
     if not is_num or pa.types.is_boolean(t):

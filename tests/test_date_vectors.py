@@ -175,8 +175,6 @@ def test_js_date_output_forms_roundtrip():
     # through V8's legacy grammar — a dateFormat cast('string') ref must
     # round-trip; dateutil's POSIX-inverted GMT offset and negative years
     # are overridden; small years window by VALUE ('0099' -> 1999)
-    import pandas as pd
-
     from joi_ray.kernels.scalars import js_parse_date_strings
 
     cases = {
@@ -191,9 +189,55 @@ def test_js_date_output_forms_roundtrip():
         "Thu, 01 Jan 0099 00:00:00 GMT": 915148800000,  # window -> 1999
         "00:00:00 GMT+0000 (Coordinated Universal Time)": None,
     }
-    out = js_parse_date_strings(pd.Series(list(cases)))
-    for (src, want), got in zip(cases.items(), out):
-        if want is None:
-            assert pd.isna(got), src
-        else:
-            assert int(got.to_numpy().astype("datetime64[ms]").view("int64")) == want, src
+    out = js_parse_date_strings(pa.array(list(cases)))
+    assert out.type == pa.timestamp("ms")
+    for (src, want), got in zip(cases.items(), out.cast(pa.int64()).to_pylist()):
+        assert got == want, src
+
+
+def _date_run(schema, vals):
+    res = compile_schema(obj({"v": schema}), prefs={"abort_early": False}).validate_table(
+        pa.table({"v": pa.array(vals, pa.string())}))
+    return list(res.ok), res.violations["code"].to_pylist(), res.value["v"].cast(pa.int64()).to_pylist()
+
+
+def test_free_form_dates_do_not_depend_on_the_batch():
+    # each free-form string is parsed on its own: no format is inferred
+    # from the first one and forced on the rest
+    vals = ["March 4, 2019", "03/04/2019", "2019/03/04 10:00", "4 Mar 2019 10:00:00 +0100"]
+    whole = _date_run(jr.date(), vals)
+    assert whole[0] == [True] * 4 and whole[1] == []
+    assert whole[2][3] == 1551690000000  # 2019-03-04T09:00:00Z
+    for i, v in enumerate(vals):
+        ok, codes, values = _date_run(jr.date(), [v])
+        assert (ok, values) == ([whole[0][i]], [whole[2][i]]), v
+
+
+def test_epoch_strings_truncate_like_time_clip():
+    # new Date(v) truncates toward zero (TimeClip): '-1.5' is -1 ms, not
+    # the floor, and '1.9999999' is 1, not rounded up
+    assert _date_run(jr.date(), ["-1.5", "1.9999999", "-0.0004", "12.5"])[2] == [-1, 1, 0, 12]
+    assert _date_run(jr.date().timestamp("unix"), ["-0.0004", "-1.5"])[2] == [0, -1500]
+
+
+def test_epoch_strings_cover_the_js_date_range():
+    # new Date(ms) holds ±8.64e15 ms, far past datetime64[ns]'s years
+    # 1677-2262: year 2264 and year -0001 epochs are valid dates
+    vals = ["9300000000000", "-62198755200000", "8640000000000000", "8640000000000001"]
+    ok, _, values = _date_run(jr.date(), vals)
+    assert ok == [True, True, True, False]
+    assert values == [9300000000000, -62198755200000, 8640000000000000, None]
+
+
+def test_iso_offsets_do_not_carry_to_naive_datetimes():
+    # a UTC offset belongs to its own string: the naive date-times after
+    # an offset string in the column still read as UTC
+    vals = ["2019-01-01T00:00+05:30", "2019-04-20T09:03:01", "2019-04-20 09:03 -05:00",
+            "20190420T090301"]
+    want = [1546281000000, 1555750981000, 1555768980000, 1555750981000]
+    # iso() takes no space before the offset (common.js:13)
+    for schema, expect in ((jr.date(), want), (jr.date().iso(), want[:2] + [None] + want[3:])):
+        assert _date_run(schema, vals)[2] == expect
+        assert [_date_run(schema, [v])[2][0] for v in vals] == expect
+    res = compile_schema(obj({"v": jr.string().iso_date()})).validate_table(pa.table({"v": vals[:2]}))
+    assert res.value["v"].to_pylist() == ["2018-12-31T18:30:00.000Z", "2019-04-20T09:03:01.000Z"]

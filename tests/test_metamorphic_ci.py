@@ -18,6 +18,12 @@
   ``s``, so it must give the same ``ok`` mask, violations and output
   value.
 
+A hostile pool of strings (free-form dates in mixed formats, UTC offsets
+beside naive date-times, 17-digit decimals, overflowing exponents,
+non-ASCII digits) is checked for the
+batch split too, values included: each string is parsed on its own,
+whatever else is in its column.
+
 ``tools/fuzz_spec.gen_case`` seeds 0-299 are checked twice: with the
 case's own prefs and with ``{"abortEarly": False, **prefs}``, the
 convention of ``tools/corpus_digest.py``.  Seeds whose build, compile or
@@ -54,11 +60,24 @@ def _split_mismatch(spec, tbl: pa.Table, prefs: dict, seed: int):
         whole = cs.validate_table(tbl)
     except Exception:  # noqa: BLE001 - the case is outside the invariant
         return None
-    ok, viol = [], []
+    return _slices_mismatch(cs, tbl, whole)
+
+
+def _slices_mismatch(cs, tbl: pa.Table, whole, values: bool = False):
+    """None when ``whole`` (``cs`` over ``tbl``) equals the one-row runs
+    (and, with ``values``, their output values), else a description of the
+    first difference."""
+    ok, viol, out = [], [], []
     for i in range(tbl.num_rows):
         part = cs.validate_table(tbl.slice(i, 1))
         ok.extend(np.asarray(part.ok, dtype=bool).tolist())
         viol.extend(_violations(part, i))
+        if values:
+            out.append(part.value)
+    if values:
+        for i, row in enumerate(out):
+            if not whole.value.slice(i, 1).equals(row):
+                return f"value of row {i}: whole {whole.value.slice(i, 1)} vs slice {row}"
     if np.asarray(whole.ok, dtype=bool).tolist() != ok:
         return f"ok {np.asarray(whole.ok, dtype=bool).tolist()} != {ok}"
     got = _violations(whole)
@@ -200,3 +219,28 @@ def test_row_permutation_invariant(abort_early_off, monkeypatch):
 def test_describe_round_trip_invariant(abort_early_off, monkeypatch):
     bad = _sweep(_describe_mismatch, abort_early_off, monkeypatch)
     assert not bad, bad
+
+
+HOSTILE_DATES = ["March 4, 2019", "03/04/2019", "2019/03/04 10:00", "4 Mar 2019 10:00:00 +0100",
+                 "2019-02-30", "1-1-2013 UTC", "Thu Jan 01 1970 00:00:00 GMT+0130", "Apr 31 2019",
+                 "+002013-06-07T14:21:46.295Z", "2013-06-07T24:00", "2019-03-04", "1551693600000",
+                 "-1.5", "12.5", "7", "0x1f", "2019-13-45", "", " ", "٢٠١٩-٠٣-٠٤",
+                 "2019-01-01T00:00+05:30", "2019-04-20T09:03:01", "2019-04-20 09:03 -05:00",
+                 "20190420T090301"]
+HOSTILE_NUMBERS = ["0.013040000451301373", "4116305363741328.5", "-3163001563.6915455",
+                   "12345678901234567", "9007199254740993", "1e400", "-1e400", "1e-400", "1.50e2",
+                   "1E5", "-0", " 12 ", "٣", "１２", "१२", "Infinity"]
+
+
+@_PREFS
+def test_hostile_pool_batch_split_invariant(abort_early_off):
+    keys = {"n": jr.number(), "u": jr.number().unsafe(), "d": jr.date(), "i": jr.date().iso(),
+            "t": jr.date().timestamp("unix"), "s": jr.string().iso_date()}
+    schema = jr.object(keys)
+    pool = HOSTILE_DATES + HOSTILE_NUMBERS
+    rng = np.random.default_rng(21)
+    tbl = pa.table({k: pa.array([pool[j] for j in rng.permutation(len(pool))], pa.string())
+                    for k in keys})
+    cs = jr.compile_schema(schema, prefs={"abort_early": False} if abort_early_off else {})
+    why = _slices_mismatch(cs, tbl, cs.validate_table(tbl), values=True)
+    assert why is None, why

@@ -1,7 +1,8 @@
 """The engine skips work whose result it already has: a value that did not
 change passes through by identity, settled rows skip the string.empty
-check, sibling when()s on one ref share one condition evaluation, and
-Arrow bool masks unpack from their bitmaps.  Each shortcut must give what
+check, sibling when()s on one ref share one condition evaluation, Arrow
+bool masks unpack from their bitmaps, and a string column is parsed to a
+number or a date once per distinct value.  Each shortcut must give what
 the full computation gives."""
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 
 import joi_ray as jr
 from joi_ray import engine
+from joi_ray.kernels import numbers, scalars, strings
 from joi_ray.kernels.util import as_bool_np
 from joi_ray.pipelines.docs import document_schema
 from joi_ray.sources.interleaved import interleave_batch
@@ -202,3 +204,60 @@ def test_clean_flagship_batch_passes_through(monkeypatch):
 def _addresses(arr: pa.Array) -> list:
     """Where each buffer of ``arr`` and its children lives."""
     return [b.address if b is not None else None for b in arr.buffers()]
+
+
+def _spy(monkeypatch, module, name, log: list, arg=lambda a: a[0]):
+    """Replace ``module.name`` with a wrapper that appends ``arg(args)``
+    to ``log`` on each call."""
+    real = getattr(module, name)
+
+    def spy(*args):
+        log.append(arg(args))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+_ROWS = 10_000
+
+
+def _column(cells: list) -> pa.Table:
+    return pa.table({"v": pa.array([cells[i % len(cells)] for i in range(_ROWS)] + [None], pa.string())})
+
+
+def test_number_parses_each_distinct_string_once(monkeypatch):
+    cells = ["1.5", "2e3", "x"]
+    seen = []
+    _spy(monkeypatch, numbers, "parse_number", seen)
+    res = jr.compile_schema(jr.object({"v": jr.number()}), {"abort_early": False}).validate_table(
+        _column(cells))
+    assert sorted(seen) == sorted(cells)
+    assert res.value["v"].to_pylist()[:4] == [1.5, 2000.0, None, 1.5]
+    assert res.violations["row"].to_pylist() == list(range(2, _ROWS, 3))
+
+
+@pytest.mark.parametrize("cells, via", [
+    (["1551693600000", "-1.5", "0"], "parse_number"),
+    (["2019-03-04T10:00:00Z", "March 4, 2019", "4 Mar 2019 10:00:00 +0100"], "pandas_ms"),
+])
+def test_date_parses_each_distinct_string_once(monkeypatch, cells, via):
+    epochs, datetimes = [], []
+    _spy(monkeypatch, scalars, "parse_number", epochs)
+    for module in (scalars, strings):
+        _spy(monkeypatch, module, "pandas_ms", datetimes, arg=lambda a: (a[1], tuple(a[0])))
+    res = jr.compile_schema(jr.object({"v": jr.date()}), {"abort_early": False}).validate_table(
+        _column(cells))
+    datetimes = [(fmt, sorted(s)) for fmt, s in datetimes if s]
+    if via == "parse_number":
+        assert sorted(epochs) == sorted(cells) and datetimes == []
+    else:
+        # no string reaches a pandas parser twice; the free-form parse sees
+        # each string the ISO parsers reject
+        assert epochs == []
+        for fmt in ("ISO8601", "mixed"):
+            seen = [v for f, strs in datetimes if f == fmt for v in strs]
+            assert len(seen) == len(set(seen)), fmt
+        assert [strs for f, strs in datetimes if f == "mixed"] == [sorted(cells[1:])]
+    assert np.asarray(res.ok, dtype=bool).all()
+    days = res.value["v"].cast(pa.int64()).to_pylist()
+    assert days[:3] == days[3:6] and days[-1] is None

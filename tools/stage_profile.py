@@ -17,13 +17,25 @@ timing wrappers swapped in for the engine's stage functions and for every
   calls only, so a kernel that calls another counts once);
 - the total, and the number of ``eval_node`` calls.
 
+With ``--zoo`` it runs valbench's ``schema_zoo`` case set instead (the
+``SchemaZoo`` workload's cases, built, compiled and validated per call as
+that workload does) and prints, per call:
+
+- the milliseconds of the build, the compile and the ``validate_table``;
+- the self milliseconds of each stage name summed over node paths, the
+  string coercion kernels (``KERNELS``) among them;
+- the pyarrow.compute kernels as above;
+- the calls into pandas made from ``joi_ray/`` code, by pandas function
+  (and ``to_pandas`` conversions), counted in one extra untimed pass.
+
 The wrappers cost time of their own, so compare two commits with this tool
 on both sides, never with an untraced run.  It reads the engine's functions
 by name and changes nothing on disk, so it runs on any commit that has
-``valbench/inputs.py``.
+``valbench/inputs.py`` (and, for ``--zoo``, ``valbench/workloads.py``).
 
 Usage:
     python3 tools/stage_profile.py [--seed 1] [--dirty]
+    python3 tools/stage_profile.py --zoo [--seed 1]
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ import os
 import statistics
 import sys
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
@@ -49,6 +61,13 @@ TOP = 40
 HELPERS = ("node_validity", "_when_condition", "_merge_into", "_failed_overlay", "_finalize",
            "_adopt_items_multi", "_rebuild_list", "_set_membership", "_value_messages",
            "_abort_early_keep")
+#: string coercion kernels timed as stages, by ``joi_ray.kernels`` module
+#: (a name a commit lacks is skipped)
+KERNELS = {"numbers": ("coerce", "parse_strings"),
+           "scalars": ("coerce_date", "coerce_boolean", "coerce_binary", "js_parse_date_strings"),
+           "strings": ("iso_dates_ms", "pandas_ms", "regex_mask")}
+#: passes over the zoo's cases after the warm-up pass
+ZOO_ROUNDS = 3
 #: pyarrow.compute callables that build expressions or look kernels up
 _NOT_KERNELS = {"call_function", "get_function", "list_functions", "function_registry", "field",
                 "scalar", "register_scalar_function", "register_tabular_function",
@@ -144,6 +163,13 @@ def install(prof: Profile) -> None:
 
     engine._eval_node_impl = prof.span(eval_node_impl, "eval_node",
                                            lambda a: prof.probe_path(a[3]))
+    import importlib
+
+    for mod, names in KERNELS.items():
+        module = importlib.import_module(f"joi_ray.kernels.{mod}")
+        for name in names:
+            if hasattr(module, name):
+                setattr(module, name, prof.span(getattr(module, name), f"{mod}.{name}", None))
     # the registry's kernels, and the Python-level helpers over them
     # (``fill_null``, ``take``, ...)
     names = set(pc.list_functions()) | {
@@ -155,11 +181,100 @@ def install(prof: Profile) -> None:
             setattr(pc, name, prof.kernel(fn, name))
 
 
+def count_pandas_calls(run) -> Counter:
+    """Calls into pandas made directly from ``joi_ray/`` code while ``run()``
+    runs, by pandas function; pyarrow's ``to_pandas`` counts as one."""
+    import pandas
+
+    pandas_dir = os.path.dirname(pandas.__file__) + os.sep
+    ours = os.path.join(ROOT, "joi_ray") + os.sep
+    counts: Counter = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            caller = frame.f_back
+            if (frame.f_code.co_filename.startswith(pandas_dir) and caller is not None
+                    and caller.f_code.co_filename.startswith(ours)):
+                counts[f"{frame.f_globals.get('__name__')}.{frame.f_code.co_qualname}"] += 1
+        elif event == "c_call" and frame.f_code.co_filename.startswith(ours):
+            mod = getattr(arg, "__module__", None) or ""
+            if mod.startswith("pandas") or getattr(arg, "__name__", "") == "to_pandas":
+                counts[f"{mod or 'pyarrow'}.{arg.__name__}"] += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def zoo(seed: int) -> int:
+    """The ``--zoo`` report (see the module docstring)."""
+    import pyarrow as pa
+    import workloads
+
+    prof = Profile()
+    install(prof)
+    pa.set_cpu_count(1)
+    zoo = workloads.SchemaZoo()
+    zoo.imports()
+    zoo.setup(seed)  # also the warm-up: every case runs once
+    jr, build = zoo.jr, zoo.diffref.build_spec_py
+    parts = {"build": 0.0, "compile": 0.0, "validate_table": 0.0}
+
+    def one_pass(timed: bool):
+        for case in zoo.items:
+            t0 = CLOCK()
+            schema = build(case[1])
+            t1 = CLOCK()
+            compiled = jr.compile_schema(schema, prefs=case[3])
+            t2 = CLOCK()
+            compiled.validate_table(case[2])
+            if timed:
+                parts["build"] += t1 - t0
+                parts["compile"] += t2 - t1
+                parts["validate_table"] += CLOCK() - t2
+
+    prof.reset()
+    for _ in range(ZOO_ROUNDS):
+        one_pass(True)
+    calls = len(zoo.items) * ZOO_ROUNDS
+    by_name: dict = defaultdict(float)
+    for (_, name), sec in prof.self_s.items():
+        by_name[name] += sec
+    kernel_s, kernel_n = dict(prof.kernel_s), dict(prof.kernel_n)
+    pandas_calls = count_pandas_calls(lambda: one_pass(False))
+
+    def ms(s):
+        return f"{s * 1e3 / calls:9.4f}"
+
+    print(f"schema_zoo seed {seed}: {len(zoo.items)} cases x {ZOO_ROUNDS} rounds = {calls} calls")
+    print("ms per call (traced): " + ", ".join(f"{k} {v * 1e3 / calls:.3f}" for k, v in parts.items())
+          + f"; eval_node calls per call: {prof.eval_nodes / calls:g}")
+    print(f"\n{'self ms':>9}  stage (all paths)")
+    for name, sec in sorted(by_name.items(), key=lambda kv: -kv[1])[:TOP]:
+        print(f"{ms(sec)}  {name}")
+    print(f"\n{'ms':>9} {'calls':>7}  pyarrow.compute kernel")
+    for name, sec in sorted(kernel_s.items(), key=lambda kv: -kv[1])[:TOP]:
+        print(f"{ms(sec)} {kernel_n[name] / calls:7.2f}  {name}")
+    print(f"{ms(sum(kernel_s.values()))} {sum(kernel_n.values()) / calls:7.2f}  (all kernels)")
+    n = len(zoo.items)
+    print(f"\n{'calls':>9}  pandas function called from joi_ray/ (per zoo call)")
+    for name, c in pandas_calls.most_common(TOP):
+        print(f"{c / n:9.3f}  {name}")
+    print(f"{sum(pandas_calls.values()) / n:9.3f}  (all pandas calls)")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1, help="flagship batch seed (valbench's)")
     ap.add_argument("--dirty", action="store_true", help="break a rule on every span first")
+    ap.add_argument("--zoo", action="store_true", help="profile valbench's schema_zoo cases instead")
     args = ap.parse_args(argv)
+    if args.zoo:
+        return zoo(args.seed)
 
     import inputs
     import pyarrow as pa
